@@ -13,13 +13,12 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import tensors
 from .errors import DomainError, ParameterError, ValidationError
 from .geometry import BoundaryCertificate
 from .solver import FlowConfig, KempfNessProblem, dual_value, group_subgradient_method
-from .spectral import LN2, builtin_objective
+from .spectral import builtin_objective
 
 
 @dataclass
@@ -102,29 +101,15 @@ def _identity_factors(v, modes):
 # quantum functional
 
 
-def _entropy_dual_at(v, cert, theta, modes):
-    """Value of X -> Phi^inf(X) + sum_i theta_i log2 tr 2^(-X_i/theta_i).
-
-    The second summand is the conjugate of the theta-weighted negative
-    entropy at -X; without the 1/theta_i scaling inside the exponent the
-    expression is unbounded below and cannot upper-bound the entropy
-    functional.
-    """
-    rec = tensors.recession(v, cert, modes)
-    ent = 0.0
-    for th, w in zip(theta, cert.weights):
-        ent += th * float(logsumexp(-np.asarray(w, dtype=float) * LN2 / th)) / LN2
-    return rec + ent
-
-
 def quantum_functional(v, theta, config=None):
     """Weighted entropy maximum over the scaling orbit, with a dual bound.
 
     primal_value is the best sum of theta-weighted von Neumann entropies of
     the moment map found along the run (a lower bound); dual_value comes from
-    the variational expression inf_X Phi^inf(X) + sum theta_i log2 tr 2^(-X_i)
-    evaluated at a line search over the extracted certificate (an upper
-    bound).  Both bracket the entropy functional.
+    the variational expression inf_X Phi^inf(X) + sum theta_i log2 tr
+    2^(-X_i/theta_i), i.e. -dual_value of the certificate, evaluated at a line
+    search over the extracted certificate (an upper bound).  Both bracket the
+    entropy functional.
     """
     v = tensors.normalize(v)
     d = v.ndim
@@ -147,9 +132,10 @@ def quantum_functional(v, theta, config=None):
     # X = 0 is always admissible and gives the entropy ceiling
     dual = ceiling
     if trace.certificate is not None:
+        problem = KempfNessProblem(v, modes)
         scales = np.concatenate([np.logspace(-2, 2, 25), -np.logspace(-2, 2, 25)])
         for c in scales:
-            cand = _entropy_dual_at(v, trace.certificate.scaled(float(c)), theta, modes)
+            cand = -dual_value(problem, S, trace.certificate.scaled(float(c)))
             if cand < dual:
                 dual = cand
     return ApplicationResult(
@@ -235,7 +221,7 @@ def ncrank(A, config=None):
     Minimizes the summed trace distance of the first two moment-map marginals
     to the uniform density and converts the optimum through
     rank = n - (n/2) * value.  The integer is accepted only when the unrounded
-    value sits within half a rational gap (denominator n) of it.
+    value sits within a fixed window of 0.25 of it.
     """
     A = _as_pencil(A)
     kern = check_common_kernel(A)

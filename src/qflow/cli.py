@@ -20,7 +20,7 @@ import numpy as np
 
 from . import apps, generate, io, tensors
 from .errors import DomainError, ParameterError, ValidationError
-from .solver import KempfNessProblem, group_subgradient_method
+from .solver import KempfNessProblem, dual_value, group_subgradient_method
 from .spectral import builtin_objective
 
 log = logging.getLogger("qflow")
@@ -148,7 +148,6 @@ def cmd_scale(args):
     if trace.certificate is not None:
         problem = KempfNessProblem(v)
         best = float("-inf")
-        from .solver import dual_value
         for c in np.logspace(-3, 1, 9):
             d = dual_value(problem, S, trace.certificate.scaled(float(c)))
             best = max(best, d)

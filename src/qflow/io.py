@@ -4,6 +4,7 @@ matrices are row-major nested lists."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -125,20 +126,7 @@ def result_record(command, config, result=None, extra=None):
 
     rec = {
         "command": command,
-        "config": {
-            "max_iters": config.max_iters,
-            "step_rule": config.step_rule,
-            "step_size": config.step_size,
-            "smoothing": config.smoothing,
-            "smoothing_schedule": config.smoothing_schedule,
-            "ode_step": config.ode_step,
-            "tol_stall": config.tol_stall,
-            "stall_window": config.stall_window,
-            "seed": config.seed,
-            "record_every": config.record_every,
-            "shift": config.shift,
-            "renorm_every": config.renorm_every,
-        },
+        "config": dataclasses.asdict(config),
         "versions": {"qflow": __version__},
     }
     if result is not None:

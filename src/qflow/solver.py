@@ -24,18 +24,12 @@ from .geometry import (
     ProductPDPoint,
     TangentBlock,
     asymptotic_at_base,
-    expm_herm,
     log_map,
     metric_norm,
     sqrtm_pd,
     transport_from_base,
 )
-from .spectral import (
-    conjugate_eval,
-    lift_eval,
-    moreau_objective,
-    value_and_subgradient,
-)
+from .spectral import conjugate_eval, spectral_pass
 from . import tensors
 
 
@@ -49,7 +43,7 @@ class FlowConfig:
     ode_step: float = 1e-2
     tol_stall: float = 1e-9
     stall_window: int = 500
-    seed: int = 0
+    seed: int = 0  # recorded in result records only: the solvers are deterministic
     record_every: int = 1
     shift: float = 0.0  # added to Q in the dynamics; keeps the Q-factor positive
     renorm_every: int = 100
@@ -133,19 +127,15 @@ class KempfNessProblem:
         return ProductPDPoint.identity(self.signature)
 
 
-def _direction_at_base(Q, p0, shift):
-    """Raw Q value and the base-transported d((Q+shift)^2/2) at p0."""
-    q, sub = value_and_subgradient(Q, p0)
-    fac = q + shift
-    return q, [fac * G for G in sub]
+def _step_from_base(x, sp, direction, scale):
+    """exp_x of the transported base direction: x^1/2 exp(scale*G) x^1/2.
 
-
-def _step_from_base(x, G, scale):
-    """exp_x of the transported base direction: x^1/2 exp(scale*G) x^1/2."""
+    G has eigenvalues `direction` in the eigenbases of the pass `sp`.
+    """
     blocks = []
-    for xb, Gb in zip(x.blocks, G):
+    for xb, E in zip(x.blocks, sp.lift([np.exp(scale * d) for d in direction])):
         xs = sqrtm_pd(xb)
-        B = xs @ expm_herm(scale * Gb) @ xs
+        B = xs @ E @ xs
         blocks.append(0.5 * (B + B.conj().T))
     return ProductPDPoint(x.euclid.copy(), blocks)
 
@@ -156,17 +146,9 @@ def q_gradient(problem, Q, x):
         raise UnsupportedObjectiveError(
             f"objective {Q.label!r} is not smooth; wrap it with moreau_objective"
         )
-    p0 = problem.differential(x)
-    _, g0 = _direction_at_base(Q, p0, 0.0)
+    sp = spectral_pass(Q, problem.differential(x))
+    g0 = sp.lift([sp.value * m for m in sp.direction])
     return transport_from_base(x, TangentBlock(np.zeros(0), g0, at=None))
-
-
-def _half_square_conjugate_lift(Q, blocks):
-    hsc = Q.oracle.half_square_conjugate
-    if hsc is None:
-        return None
-    spectra = np.concatenate([np.linalg.eigvalsh(B)[::-1] for B in blocks])
-    return float(hsc(spectra))
 
 
 def integrate_flow(problem, Q, x0, config):
@@ -176,13 +158,15 @@ def integrate_flow(problem, Q, x0, config):
     for the continuous-time monotonicity of t -> Q(df_x(t)).
     """
     config.validate()
-    Qs = Q
+    lam = None
     if not Q.smooth:
         if config.smoothing is None:
             raise UnsupportedObjectiveError(
                 f"objective {Q.label!r} is not smooth; set config.smoothing"
             )
-        Qs = moreau_objective(Q, config.smoothing)
+        lam = config.smoothing
+    # the Moreau envelope carries no half-square conjugate
+    hsc = Q.oracle.half_square_conjugate if lam is None else None
     trace = FlowTrace()
     x = x0
     t = 0.0
@@ -190,77 +174,84 @@ def integrate_flow(problem, Q, x0, config):
     h = config.ode_step
     h_min = config.ode_step * 2.0 ** -40
     q_prev = None
+    sp = spectral_pass(Q, problem.differential(x), lam)
     for i in range(config.max_iters):
-        p0 = problem.differential(x)
-        q_raw = lift_eval(Q, p0)
-        q_s, g0 = _direction_at_base(Qs, p0, config.shift)
+        q_s = sp.smoothed
+        fac = q_s + config.shift
+        direction = [fac * m for m in sp.direction]
         f_val = problem.value(x)
         trace.energy_times.append(t)
-        trace.energy_half_q2.append(0.5 * (q_s + config.shift) ** 2)
-        trace.energy_conj_half.append(_half_square_conjugate_lift(Qs, g0))
+        trace.energy_half_q2.append(0.5 * fac ** 2)
+        trace.energy_conj_half.append(
+            None if hsc is None
+            else float(hsc(np.concatenate([np.sort(d)[::-1] for d in direction])))
+        )
         trace.energy_f.append(f_val)
-        if q_raw < trace.best_q:
-            trace.best_q = q_raw
+        trace.best_q = min(trace.best_q, sp.value)
         if i % config.record_every == 0:
             trace.samples.append(
-                TraceSample(t, q_raw, f_val, r_cum, h, q_smooth=q_s)
+                TraceSample(t, sp.value, f_val, r_cum, h, q_smooth=q_s)
             )
         # trial step with halving backstop
         while True:
-            x_new = _step_from_base(x, g0, -h)
-            q_new = lift_eval(Qs, problem.differential(x_new))
-            if q_new <= q_s + 1e-9 or h <= h_min:
+            x_new = _step_from_base(x, sp, direction, -h)
+            sp_new = spectral_pass(Q, problem.differential(x_new), lam)
+            if sp_new.smoothed <= q_s + 1e-9 or h <= h_min:
                 break
             h *= 0.5
-        x = x_new
+        x, sp = x_new, sp_new
         t += h
-        r_cum += h * (q_s + config.shift)
+        r_cum += h * fac
+        trace.iterations = i + 1
         if q_prev is not None and abs(q_prev - q_s) <= config.tol_stall * (1.0 + abs(q_s)):
             trace.status = "stalled"
+            break
         q_prev = q_s
-        trace.iterations = i + 1
     if trace.status == "unknown":
         trace.status = "max_iters"
-    p_final = problem.differential(x)
-    q_final = lift_eval(Q, p_final)
-    trace.best_q = min(trace.best_q, q_final)
+    trace.best_q = min(trace.best_q, sp.value)
     trace.samples.append(
-        TraceSample(t, q_final, problem.value(x), r_cum, h,
-                    q_smooth=lift_eval(Qs, p_final))
+        TraceSample(t, sp.value, problem.value(x), r_cum, h, q_smooth=sp.smoothed)
     )
     trace.final_point = x
     extract_certificate(trace, x0)
     return trace
 
 
-def subgradient_method(problem, Q, x0, config):
-    """Q-subgradient method: x <- exp_x(-delta_i Z_i), Z_i in d(Q^2/2)(df)."""
-    config.validate()
-    trace = FlowTrace()
-    x = x0
-    r_cum = 0.0
+def _subgradient_loop(trace, S, config, differential, step, f_value):
+    """The Q-subgradient iteration Z_i in d((Q+shift)^2/2)(df), shared by the
+    manifold and group forms.
+
+    Each iteration makes one spectral pass at differential(): it gives the
+    raw and smoothed values, the best spectra and the direction, whose
+    eigenvalues (in the pass's eigenbases) go to step(i, sp, direction,
+    delta), which advances the caller's iterate.  Stops at max_iters or when
+    the best value has not improved for stall_window iterations.
+    """
     best_window = math.inf
     since_improve = 0
+    r_cum = 0.0
+
+    def record(sp):
+        if sp.value < trace.best_q:
+            trace.best_q = sp.value
+            trace.best_spectra = sp.spectra
+
     for i in range(config.max_iters):
-        Qs = Q
-        if config.smoothing is not None:
-            lam = config.smoothing
-            if config.smoothing_schedule:
-                lam = config.smoothing / math.sqrt(i + 1.0)
-            Qs = moreau_objective(Q, lam)
-        p0 = problem.differential(x)
-        q_raw = lift_eval(Q, p0)
-        q_s, g0 = _direction_at_base(Qs, p0, config.shift)
-        if q_raw < trace.best_q:
-            trace.best_q = q_raw
+        lam = config.smoothing
+        if lam is not None and config.smoothing_schedule:
+            lam = config.smoothing / math.sqrt(i + 1.0)
+        sp = spectral_pass(S, differential(), lam)
+        record(sp)
+        delta = config.step(i)
         if i % config.record_every == 0:
             trace.samples.append(
-                TraceSample(float(i), q_raw, problem.value(x), r_cum, config.step(i),
-                            q_smooth=q_s if Qs is not Q else None)
+                TraceSample(float(i), sp.value, f_value(), r_cum, delta,
+                            q_smooth=None if lam is None else sp.smoothed)
             )
-        delta = config.step(i)
-        x = _step_from_base(x, g0, -delta)
-        r_cum += delta * (q_s + config.shift)
+        fac = sp.smoothed + config.shift
+        step(i, sp, [fac * m for m in sp.direction], delta)
+        r_cum += delta * fac
         trace.iterations = i + 1
         # stall detection on best-so-far improvement
         if trace.best_q < best_window - config.tol_stall * (1.0 + abs(trace.best_q)):
@@ -273,13 +264,25 @@ def subgradient_method(problem, Q, x0, config):
                 break
     if trace.status == "unknown":
         trace.status = "max_iters"
-    p0 = problem.differential(x)
-    q_final = lift_eval(Q, p0)
-    trace.best_q = min(trace.best_q, q_final)
+    sp = spectral_pass(S, differential())
+    record(sp)
     trace.samples.append(
-        TraceSample(float(trace.iterations), q_final, problem.value(x),
-                    r_cum, 0.0)
+        TraceSample(float(trace.iterations), sp.value, f_value(), r_cum, 0.0)
     )
+    return trace
+
+
+def subgradient_method(problem, Q, x0, config):
+    """Q-subgradient method: x <- exp_x(-delta_i Z_i), Z_i in d(Q^2/2)(df)."""
+    config.validate()
+    x = x0
+
+    def step(i, sp, direction, delta):
+        nonlocal x
+        x = _step_from_base(x, sp, direction, -delta)
+
+    trace = _subgradient_loop(FlowTrace(), Q, config, lambda: problem.differential(x),
+                              step, lambda: problem.value(x))
     trace.final_point = x
     extract_certificate(trace, x0)
     return trace
@@ -300,33 +303,10 @@ def group_subgradient_method(v, S, g0, config, modes=None):
     g = [np.array(gi, dtype=complex) for gi in g0]
     scale_log = [0.0] * len(g)
     trace = FlowTrace()
-    r_cum = 0.0
-    best_window = math.inf
-    since_improve = 0
-    for i in range(config.max_iters):
-        Ss = S
-        if config.smoothing is not None:
-            lam = config.smoothing
-            if config.smoothing_schedule:
-                lam = config.smoothing / math.sqrt(i + 1.0)
-            Ss = moreau_objective(S, lam)
-        w = act_normalized(g, v, modes)
-        mu = tensors.moment_map(w, modes)
-        q_raw = lift_eval(S, mu)
-        q_s, Z = _direction_at_base(Ss, mu, config.shift)
-        if q_raw < trace.best_q:
-            trace.best_q = q_raw
-            trace.best_spectra = tensors.spectrum(mu)
-        if i % config.record_every == 0:
-            trace.samples.append(
-                TraceSample(float(i), q_raw, 0.0, r_cum, config.step(i),
-                            q_smooth=q_s if Ss is not S else None)
-            )
-        delta = config.step(i)
-        for j in range(len(g)):
-            g[j] = expm_herm(-0.5 * delta * Z[j]) @ g[j]
-        r_cum += delta * (q_s + config.shift)
-        trace.iterations = i + 1
+
+    def step(i, sp, direction, delta):
+        for j, E in enumerate(sp.lift([np.exp(-0.5 * delta * d) for d in direction])):
+            g[j] = E @ g[j]
         if config.renorm_every and (i + 1) % config.renorm_every == 0:
             for j in range(len(g)):
                 n = g[j].shape[0]
@@ -337,25 +317,10 @@ def group_subgradient_method(v, S, g0, config, modes=None):
                     # of the direction at infinity
                     scale_log[j] += math.log(det) / n
                     trace.renormalizations += 1
-        if trace.best_q < best_window - config.tol_stall * (1.0 + abs(trace.best_q)):
-            best_window = trace.best_q
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve >= config.stall_window:
-                trace.status = "stalled"
-                break
-    if trace.status == "unknown":
-        trace.status = "max_iters"
-    w = act_normalized(g, v, modes)
-    mu = tensors.moment_map(w, modes)
-    q_final = lift_eval(S, mu)
-    if q_final < trace.best_q:
-        trace.best_q = q_final
-        trace.best_spectra = tensors.spectrum(mu)
-    trace.samples.append(
-        TraceSample(float(trace.iterations), q_final, 0.0, r_cum, 0.0)
-    )
+
+    _subgradient_loop(trace, S, config,
+                      lambda: tensors.moment_map(act_normalized(g, v, modes), modes),
+                      step, lambda: 0.0)
     x_final = ProductPDPoint(
         np.zeros(0), [0.5 * (gi.conj().T @ gi + (gi.conj().T @ gi).conj().T) for gi in g]
     )
@@ -426,7 +391,7 @@ def energy_residual(trace, problem=None, Q=None):
             "objective provides no half-square conjugate; energy identity unavailable"
         )
     integrand = np.asarray(trace.energy_half_q2) + np.asarray(trace.energy_conj_half)
-    integral = float(np.trapezoid(integrand, np.asarray(ts)))
+    integral = float(np.sum(np.diff(ts) * (integrand[1:] + integrand[:-1]) / 2.0))
     f0 = trace.energy_f[0]
     fT = trace.energy_f[-1]
     return abs(fT - f0 + integral) / (1.0 + abs(f0 - fT))

@@ -160,63 +160,88 @@ def conjugate_eval(S, X):
     return float(S.oracle.conjugate_eval(spectra))
 
 
-def spectral_subgradient(S, Y):
-    """A subgradient of the lifted objective, as Hermitian blocks.
+@dataclass(frozen=True)
+class SpectralPass:
+    """Everything one eigendecomposition of each block gives.
 
-    The vector subgradient is averaged over each eigenvalue tie group so the
-    result does not depend on the arbitrary basis inside a degenerate
-    eigenspace.
+    `value` is the objective at the blocks and `smoothed` its Moreau envelope
+    (equal to `value` without smoothing).  `direction` holds, per block and in
+    the eigenbasis of `decomps`, the vector subgradient (or envelope gradient)
+    averaged over each eigenvalue tie group, so its lift does not depend on
+    the arbitrary basis inside a degenerate eigenspace.
+    """
+
+    value: float
+    smoothed: float
+    decomps: list
+    direction: list
+
+    @property
+    def spectra(self):
+        return [r.values for r in self.decomps]
+
+    def lift(self, parts):
+        """Hermitian blocks U diag(m) U^+ from per-block vectors m in the
+        pass's eigenbases U."""
+        out = []
+        for r, m in zip(self.decomps, parts):
+            G = (r.basis * m) @ r.basis.conj().T
+            out.append(0.5 * (G + G.conj().T))
+        return out
+
+
+def spectral_pass(S, Y, smoothing=None):
+    """Value, Moreau-smoothed value and tie-averaged direction at blocks Y.
+
+    With `smoothing` = lam the direction is the gradient of the Moreau
+    envelope of S with parameter lam; otherwise it is a subgradient of S.
     """
     spectra, decomps = _block_spectra(S, Y)
-    mu = np.asarray(S.oracle.subgradient(spectra), dtype=float)
-    parts = _split(mu, S.block_dims)
-    out = []
-    for r, m in zip(decomps, parts):
+    value = float(S.oracle.eval(spectra))
+    if smoothing is None:
+        smoothed, grad = value, S.oracle.subgradient(spectra)
+    else:
+        _check_smoothing(S, smoothing)
+        smoothed, grad = _moreau_value_grad(S.oracle, spectra, smoothing)
+    direction = []
+    for r, m in zip(decomps, _split(grad, S.block_dims)):
         m = m.copy()
         for grp in tie_groups(r.values):
             m[grp] = np.mean(m[grp])
-        G = (r.basis * m) @ r.basis.conj().T
-        out.append(0.5 * (G + G.conj().T))
-    return out
+        direction.append(m)
+    return SpectralPass(value, smoothed, decomps, direction)
+
+
+def spectral_subgradient(S, Y):
+    """A subgradient of the lifted objective, as Hermitian blocks."""
+    sp = spectral_pass(S, Y)
+    return sp.lift(sp.direction)
 
 
 def value_and_subgradient(S, Y):
     """lift_eval and spectral_subgradient sharing one eigendecomposition pass."""
-    spectra, decomps = _block_spectra(S, Y)
-    val = float(S.oracle.eval(spectra))
-    mu = np.asarray(S.oracle.subgradient(spectra), dtype=float)
-    parts = _split(mu, S.block_dims)
-    out = []
-    for r, m in zip(decomps, parts):
-        m = m.copy()
-        for grp in tie_groups(r.values):
-            m[grp] = np.mean(m[grp])
-        G = (r.basis * m) @ r.basis.conj().T
-        out.append(0.5 * (G + G.conj().T))
-    return val, out
+    sp = spectral_pass(S, Y)
+    return sp.value, sp.lift(sp.direction)
 
 
-def moreau_eval_grad(S, lam_smooth, Y):
-    """Moreau envelope value and gradient of the lifted objective at Y."""
+def _moreau_value_grad(oracle, p, lam):
+    """Moreau envelope value and gradient of a vector function at p.
+
+    One prox call q = prox(p, lam) gives both: f(q) + ||p-q||^2/(2 lam) and
+    (p - q)/lam.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(oracle.prox(p, lam), dtype=float)
+    return float(oracle.eval(q)) + float(np.sum((p - q) ** 2)) / (2 * lam), (p - q) / lam
+
+
+def _check_smoothing(S, lam_smooth):
     if S.oracle.prox is None:
         raise UnsupportedObjectiveError(
             f"objective {S.label!r} has no prox oracle; Moreau smoothing unavailable"
         )
     if not lam_smooth > 0:
         raise ParameterError("smoothing parameter must be positive")
-    spectra, decomps = _block_spectra(S, Y)
-    q = np.asarray(S.oracle.prox(spectra, lam_smooth), dtype=float)
-    value = float(S.oracle.eval(q)) + float(np.sum((spectra - q) ** 2)) / (2 * lam_smooth)
-    gvec = (spectra - q) / lam_smooth
-    parts = _split(gvec, S.block_dims)
-    grads = []
-    for r, m in zip(decomps, parts):
-        m = m.copy()
-        for grp in tie_groups(r.values):
-            m[grp] = np.mean(m[grp])
-        G = (r.basis * m) @ r.basis.conj().T
-        grads.append(0.5 * (G + G.conj().T))
-    return value, grads
 
 
 def moreau_objective(S, lam_smooth):
@@ -225,22 +250,15 @@ def moreau_objective(S, lam_smooth):
     Its conjugate is S* + (lam/2)||.||^2 and its prox composes with the prox
     of S, so the envelope is again a fully equipped objective.
     """
-    if S.oracle.prox is None:
-        raise UnsupportedObjectiveError(
-            f"objective {S.label!r} has no prox oracle; Moreau smoothing unavailable"
-        )
-    if not lam_smooth > 0:
-        raise ParameterError("smoothing parameter must be positive")
+    _check_smoothing(S, lam_smooth)
     base = S.oracle
     lam = float(lam_smooth)
 
     def env_eval(p):
-        q = np.asarray(base.prox(p, lam), dtype=float)
-        return float(base.eval(q)) + float(np.sum((np.asarray(p) - q) ** 2)) / (2 * lam)
+        return _moreau_value_grad(base, p, lam)[0]
 
     def env_grad(p):
-        q = np.asarray(base.prox(p, lam), dtype=float)
-        return (np.asarray(p, dtype=float) - q) / lam
+        return _moreau_value_grad(base, p, lam)[1]
 
     def env_conj(x):
         x = np.asarray(x, dtype=float)

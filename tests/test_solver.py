@@ -12,6 +12,7 @@ from qflow.solver import (
     KempfNessProblem,
     dual_value,
     energy_residual,
+    FlowTrace,
     extract_certificate,
     group_subgradient_method,
     integrate_flow,
@@ -94,6 +95,20 @@ def test_flow_reaches_interior_minimum_on_unit_tensor():
     assert max(qs[i + 1] - qs[i] for i in range(len(qs) - 1)) < 1e-7
 
 
+def test_flow_stops_when_stalled():
+    v = tensors.unit_tensor(2, 3)
+    prob = KempfNessProblem(v)
+    S = builtin_objective("frobenius", prob.signature)
+    x0 = geom.ProductPDPoint(
+        np.zeros(0),
+        [np.diag([2.0, 0.5]).astype(complex) for _ in range(3)],
+    )
+    cfg = FlowConfig(max_iters=1000, ode_step=0.05)
+    tr = integrate_flow(prob, S, x0, cfg)
+    assert tr.status.startswith("stalled")
+    assert tr.iterations < cfg.max_iters
+
+
 def test_flow_monotone_and_step_distance_bound():
     prob = make_problem((3, 2, 2), 33)
     S = builtin_objective("frobenius", prob.signature)
@@ -164,6 +179,28 @@ def test_group_form_matches_manifold_form():
     ) < 1e-10
 
 
+def test_group_method_one_eigh_per_block(monkeypatch):
+    """Each iteration eigendecomposes each moment-map block once; the rest
+    is the final pass and certificate extraction."""
+    v = tensors.normalize(gaussian_tensor((3, 3, 2), 47))
+    S = builtin_objective("trace_dist_to_uniform", (3, 3))
+    cfg = FlowConfig(max_iters=60, step_size=0.3, smoothing=0.1,
+                     smoothing_schedule=True)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    tr, _ = group_subgradient_method(
+        v, S, [np.eye(3, dtype=complex)] * 2, cfg, modes=(0, 1)
+    )
+    assert tr.iterations == cfg.max_iters
+    assert len(calls) <= 2 * tr.iterations + 20
+
+
 def test_group_method_best_value_nonincreasing_bookkeeping():
     dims = (2, 2, 2)
     v = tensors.normalize(gaussian_tensor(dims, 39))
@@ -215,6 +252,17 @@ def test_energy_residual_refines_with_step():
         r.append(energy_residual(tr))
     assert r[0] < 1e-3
     assert r[0] / r[1] >= 1.5
+
+
+def test_energy_residual_trapezoid_sum():
+    """Integrand 1, 3, 2 at t = 0, 1, 3 integrates to 2 + 5 = 7; f drops
+    from 10 to 4, so the defect is |4 - 10 + 7| / (1 + 6)."""
+    tr = FlowTrace()
+    tr.energy_times = [0.0, 1.0, 3.0]
+    tr.energy_half_q2 = [1.0, 2.0, 0.0]
+    tr.energy_conj_half = [0.0, 1.0, 2.0]
+    tr.energy_f = [10.0, 7.0, 4.0]
+    assert abs(energy_residual(tr) - 1.0 / 7.0) < 1e-15
 
 
 def test_energy_residual_requires_conjugate_oracle():

@@ -15,10 +15,10 @@ from qflow.spectral import (
     conjugate_eval,
     eigh,
     lift_eval,
-    moreau_eval_grad,
     moreau_objective,
     project_weighted_l1_ball,
     shifted_objective,
+    spectral_pass,
     spectral_subgradient,
     tie_groups,
     value_and_subgradient,
@@ -206,6 +206,24 @@ def test_moreau_conjugate_identity():
             assert abs(conj - expected) < 1e-9
 
 
+def test_smoothed_pass_matches_moreau_objective():
+    """The solver's smoothed pass gives the value and gradient of the
+    envelope objective."""
+    lam = 0.3
+    for kind, params in ALL_KINDS:
+        S = make(kind, params)
+        E = moreau_objective(S, lam)
+        rng = np.random.default_rng(29)
+        for _ in range(5):
+            Y = sample_point(kind, rng)
+            sp = spectral_pass(S, Y, smoothing=lam)
+            val, G = value_and_subgradient(E, Y)
+            assert sp.value == lift_eval(S, Y)
+            assert sp.smoothed == val
+            for A, B in zip(sp.lift(sp.direction), G):
+                assert np.max(np.abs(A - B)) < 1e-14
+
+
 def test_moreau_requires_prox():
     S = make("frobenius", {})
     stripped = SpectralObjective(
@@ -221,7 +239,7 @@ def test_moreau_requires_prox():
     with pytest.raises(UnsupportedObjectiveError):
         moreau_objective(stripped, 0.1)
     with pytest.raises(UnsupportedObjectiveError):
-        moreau_eval_grad(stripped, 0.1, [np.eye(n) for n in DIMS])
+        spectral_pass(stripped, [np.eye(n) for n in DIMS], smoothing=0.1)
 
 
 def test_shifted_objective():

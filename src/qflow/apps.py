@@ -2,8 +2,9 @@
 and noncommutative rank of matrix pencils.
 
 Each application minimizes a spectral objective of the moment map over the
-scaling orbit, reports the best primal value found, and converts the boundary
-certificate extracted from the run into the matching dual bound.
+scaling orbit through `scale`, which reports the best primal value found and
+the dual bound of the boundary certificate extracted from the run; the
+applications only convert the two into their own units.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ import numpy as np
 from . import tensors
 from .errors import DomainError, ParameterError, ValidationError
 from .geometry import BoundaryCertificate
-from .solver import FlowConfig, KempfNessProblem, dual_value, group_subgradient_method
+from .solver import (
+    FlowConfig,
+    KempfNessProblem,
+    best_dual_on_ray,
+    dual_value,
+    group_subgradient_method,
+)
 from .spectral import builtin_objective
 
 
@@ -98,50 +105,28 @@ def _identity_factors(v, modes):
 
 
 # ---------------------------------------------------------------------------
-# quantum functional
+# the common solve
 
 
-def quantum_functional(v, theta, config=None):
-    """Weighted entropy maximum over the scaling orbit, with a dual bound.
+def scale(v, S, config=None, modes=None):
+    """Minimize S of the moment map over the scaling orbit of v, with a bracket.
 
-    primal_value is the best sum of theta-weighted von Neumann entropies of
-    the moment map found along the run (a lower bound); dual_value comes from
-    the variational expression inf_X Phi^inf(X) + sum theta_i log2 tr
-    2^(-X_i/theta_i), i.e. -dual_value of the certificate, evaluated at a line
-    search over the extracted certificate (an upper bound).  Both bracket the
-    entropy functional.
+    Runs `group_subgradient_method` from the identity.  primal_value is the
+    best value of S found along the run (an upper bound on the infimum);
+    dual_value is `best_dual_on_ray` over the run's certificate, a lower bound
+    that is inf S when the run found no certificate.
     """
     v = tensors.normalize(v)
-    d = v.ndim
-    theta = np.asarray(theta, dtype=float)
-    if theta.size != d or np.any(theta <= 0) or abs(theta.sum() - 1.0) > 1e-12:
-        raise ParameterError(
-            f"theta must be a strictly positive probability vector of length {d}"
-        )
-    modes = tuple(range(d))
-    S = builtin_objective("neg_entropy_weighted", v.shape, theta=theta)
-    # the objective is <= 0; shifting by the entropy ceiling keeps the
-    # subgradient scaling factor nonnegative along the run
-    ceiling = float(sum(th * math.log2(n) for th, n in zip(theta, v.shape)))
+    modes = tuple(range(v.ndim)) if modes is None else tuple(modes)
     if config is None:
-        config = default_config("qfunc")
-    config = replace(config, shift=ceiling)
+        config = default_config("scale")
     trace, _ = group_subgradient_method(v, S, _identity_factors(v, modes), config,
                                         modes=modes)
-    primal = -trace.best_q
-    # X = 0 is always admissible and gives the entropy ceiling
-    dual = ceiling
-    if trace.certificate is not None:
-        problem = KempfNessProblem(v, modes)
-        scales = np.concatenate([np.logspace(-2, 2, 25), -np.logspace(-2, 2, 25)])
-        for c in scales:
-            cand = -dual_value(problem, S, trace.certificate.scaled(float(c)))
-            if cand < dual:
-                dual = cand
+    dual = best_dual_on_ray(KempfNessProblem(v, modes), S, trace.certificate)
     return ApplicationResult(
-        primal_value=primal,
+        primal_value=trace.best_q,
         dual_value=dual,
-        gap=dual - primal,
+        gap=trace.best_q - dual,
         certificate=trace.certificate,
         spectra=trace.best_spectra,
         iterations=trace.iterations,
@@ -151,49 +136,54 @@ def quantum_functional(v, theta, config=None):
 
 
 # ---------------------------------------------------------------------------
+# quantum functional
+
+
+def quantum_functional(v, theta, config=None):
+    """Weighted entropy maximum over the scaling orbit, with a dual bound.
+
+    `scale` minimizes the negated weighted entropy; the result negates its
+    bracket.  primal_value is the best sum of theta-weighted von Neumann
+    entropies of the moment map found along the run (a lower bound);
+    dual_value is the variational expression inf_X Phi^inf(X) + sum theta_i
+    log2 tr 2^(-X_i/theta_i) over the line of the extracted certificate
+    (an upper bound; with no certificate, sum theta_i log2 n_i).  Both
+    bracket the entropy functional.
+    """
+    v = tensors.as_tensor(v)
+    d = v.ndim
+    theta = np.asarray(theta, dtype=float)
+    if theta.size != d or np.any(theta <= 0) or abs(theta.sum() - 1.0) > 1e-12:
+        raise ParameterError(
+            f"theta must be a strictly positive probability vector of length {d}"
+        )
+    S = builtin_objective("neg_entropy_weighted", v.shape, theta=theta)
+    res = scale(v, S, config or default_config("qfunc"))
+    return replace(res, primal_value=-res.primal_value, dual_value=-res.dual_value)
+
+
+# ---------------------------------------------------------------------------
 # G-stable rank
 
 
 def g_stable_rank(v, alpha, config=None):
     """Bracket of the alpha-weighted stable rank under the scaling action.
 
-    rank_lower = 1 / (best max_i ||mu_i||_op / alpha_i found); rank_upper is
-    the reciprocal of the certificate's dual bound after rescaling it into the
-    trace-norm constraint set sum_i alpha_i ||X_i||_tr <= 1.
+    `scale` brackets the smallest max_i ||mu_i||_op / alpha_i over the orbit;
+    rank_lower and rank_upper are the reciprocals of its primal and dual
+    values (rank_upper is inf when the dual is 0).
     """
-    v = tensors.normalize(v)
+    v = tensors.as_tensor(v)
     d = v.ndim
     alpha = np.asarray(alpha, dtype=float)
     if alpha.size != d or np.any(alpha <= 0):
         raise ParameterError(f"alpha must be {d} positive weights")
-    modes = tuple(range(d))
     S = builtin_objective("op_norm_max_weighted", v.shape, alpha=alpha)
-    if config is None:
-        config = default_config("gstable")
-    trace, _ = group_subgradient_method(v, S, _identity_factors(v, modes), config,
-                                        modes=modes)
-    s_best = trace.best_q
-    rank_lower = 1.0 / s_best
-    dual_s = 0.0
-    if trace.certificate is not None:
-        total = float(sum(a * np.sum(np.abs(w))
-                          for a, w in zip(alpha, trace.certificate.weights)))
-        if total > 0:
-            xi = trace.certificate.scaled(1.0 / total)
-            problem = KempfNessProblem(v, modes)
-            dual_s = max(0.0, dual_value(problem, S, xi))
-    rank_upper = math.inf if dual_s <= 0 else 1.0 / dual_s
-    return ApplicationResult(
-        primal_value=s_best,
-        dual_value=dual_s,
-        gap=s_best - dual_s,
-        certificate=trace.certificate,
-        spectra=trace.best_spectra,
-        iterations=trace.iterations,
-        status=trace.status,
-        rank_lower=rank_lower,
-        rank_upper=rank_upper,
-        trace=trace,
+    res = scale(v, S, config or default_config("gstable"))
+    return replace(
+        res,
+        rank_lower=1.0 / res.primal_value,
+        rank_upper=math.inf if res.dual_value <= 0 else 1.0 / res.dual_value,
     )
 
 
@@ -218,10 +208,11 @@ def check_common_kernel(A, tol=1e-10):
 def ncrank(A, config=None):
     """Noncommutative rank of a pencil via left-right tensor scaling.
 
-    Minimizes the summed trace distance of the first two moment-map marginals
-    to the uniform density and converts the optimum through
-    rank = n - (n/2) * value.  The integer is accepted only when the unrounded
-    value sits within a fixed window of 0.25 of it.
+    `scale` brackets the summed trace distance of the first two moment-map
+    marginals to the uniform density; rank = n - (n/2) * value converts its
+    primal and dual values into rank_lower and rank_upper.  The integer is
+    accepted only when the unrounded lower bound sits within a fixed window
+    of 0.25 of it.
     """
     A = _as_pencil(A)
     kern = check_common_kernel(A)
@@ -233,38 +224,18 @@ def ncrank(A, config=None):
             )
         )
     n = A.n
-    v = tensors.normalize(A.tensor())
-    modes = (0, 1)
     S = builtin_objective("trace_dist_to_uniform", (n, n))
-    if config is None:
-        config = default_config("ncrank")
-    trace, _ = group_subgradient_method(v, S, _identity_factors(v, modes), config,
-                                        modes=modes)
-    value = trace.best_q
-    rank_real = n - 0.5 * n * value
+    res = scale(A.tensor(), S, config or default_config("ncrank"), modes=(0, 1))
+    rank_real = n - 0.5 * n * res.primal_value
     r = int(round(rank_real))
     rounded = abs(rank_real - r) < 0.25
-    dual_s = 0.0
-    if trace.certificate is not None:
-        peak = max(float(np.max(np.abs(w))) for w in trace.certificate.weights)
-        if peak > 0:
-            xi = trace.certificate.scaled(1.0 / peak)
-            problem = KempfNessProblem(v, modes)
-            dual_s = max(0.0, dual_value(problem, S, xi))
-    status = trace.status + ("" if rounded else "+unrounded")
-    return ApplicationResult(
-        primal_value=value,
-        dual_value=dual_s,
-        gap=value - dual_s,
-        certificate=trace.certificate,
-        spectra=trace.best_spectra,
-        iterations=trace.iterations,
-        status=status,
+    return replace(
+        res,
+        status=res.status + ("" if rounded else "+unrounded"),
         rank=r if rounded else None,
-        rank_lower=n - 0.5 * n * value,
-        rank_upper=n - 0.5 * n * dual_s,
+        rank_lower=rank_real,
+        rank_upper=n - 0.5 * n * res.dual_value,
         value=rank_real,
-        trace=trace,
     )
 
 

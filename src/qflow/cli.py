@@ -20,7 +20,6 @@ import numpy as np
 
 from . import apps, generate, io, tensors
 from .errors import DomainError, ParameterError, ValidationError
-from .solver import KempfNessProblem, dual_value, group_subgradient_method
 from .spectral import builtin_objective
 
 log = logging.getLogger("qflow")
@@ -129,30 +128,10 @@ def cmd_moment(args):
 
 
 def cmd_scale(args):
-    v = tensors.normalize(_load_tensor(args.input))
+    v = _load_tensor(args.input)
     S = _objective_from_args(args, v.shape)
     cfg = _config(args, "scale")
-    trace, _ = group_subgradient_method(
-        v, S, [np.eye(n, dtype=complex) for n in v.shape], cfg
-    )
-    result = apps.ApplicationResult(
-        primal_value=trace.best_q,
-        dual_value=float("-inf"),
-        gap=float("nan"),
-        certificate=trace.certificate,
-        spectra=trace.best_spectra,
-        iterations=trace.iterations,
-        status=trace.status,
-        trace=trace,
-    )
-    if trace.certificate is not None:
-        problem = KempfNessProblem(v)
-        best = float("-inf")
-        for c in np.logspace(-3, 1, 9):
-            d = dual_value(problem, S, trace.certificate.scaled(float(c)))
-            best = max(best, d)
-        result.dual_value = best
-        result.gap = result.primal_value - best
+    result = apps.scale(v, S, cfg)
     if not math.isfinite(result.primal_value):
         raise FloatingPointError("solver produced a non-finite primal value")
     rec = io.result_record("scale", cfg, result,

@@ -29,7 +29,7 @@ from .geometry import (
     sqrtm_pd,
     transport_from_base,
 )
-from .spectral import conjugate_eval, spectral_pass
+from .spectral import conjugate_eval, infimum, spectral_pass
 from . import tensors
 
 
@@ -45,7 +45,6 @@ class FlowConfig:
     stall_window: int = 500
     seed: int = 0  # recorded in result records only: the solvers are deterministic
     record_every: int = 1
-    shift: float = 0.0  # added to Q in the dynamics; keeps the Q-factor positive
     renorm_every: int = 100
 
     def validate(self):
@@ -55,6 +54,8 @@ class FlowConfig:
             raise ValidationError(f"unknown step rule {self.step_rule!r}")
         if self.smoothing is not None and self.smoothing <= 0:
             raise ValidationError("smoothing parameter must be positive")
+        if self.record_every < 1:
+            raise ValidationError("record_every must be at least 1")
         return self
 
     def step(self, i):
@@ -155,7 +156,8 @@ def integrate_flow(problem, Q, x0, config):
     """Geodesic-Euler discretization of the Q-gradient flow.
 
     Steps are halved whenever the recorded Q value would increase, a backstop
-    for the continuous-time monotonicity of t -> Q(df_x(t)).
+    for the continuous-time monotonicity of t -> Q(df_x(t)).  The dynamics
+    use Q - inf Q, which keeps the Q-factor nonnegative.
     """
     config.validate()
     lam = None
@@ -174,10 +176,11 @@ def integrate_flow(problem, Q, x0, config):
     h = config.ode_step
     h_min = config.ode_step * 2.0 ** -40
     q_prev = None
+    shift = -infimum(Q)
     sp = spectral_pass(Q, problem.differential(x), lam)
     for i in range(config.max_iters):
         q_s = sp.smoothed
-        fac = q_s + config.shift
+        fac = q_s + shift
         direction = [fac * m for m in sp.direction]
         f_val = problem.value(x)
         trace.energy_times.append(t)
@@ -219,7 +222,7 @@ def integrate_flow(problem, Q, x0, config):
 
 
 def _subgradient_loop(trace, S, config, differential, step, f_value):
-    """The Q-subgradient iteration Z_i in d((Q+shift)^2/2)(df), shared by the
+    """The Q-subgradient iteration Z_i in d((Q - inf Q)^2/2)(df), shared by the
     manifold and group forms.
 
     Each iteration makes one spectral pass at differential(): it gives the
@@ -231,6 +234,7 @@ def _subgradient_loop(trace, S, config, differential, step, f_value):
     best_window = math.inf
     since_improve = 0
     r_cum = 0.0
+    shift = -infimum(S)
 
     def record(sp):
         if sp.value < trace.best_q:
@@ -249,7 +253,7 @@ def _subgradient_loop(trace, S, config, differential, step, f_value):
                 TraceSample(float(i), sp.value, f_value(), r_cum, delta,
                             q_smooth=None if lam is None else sp.smoothed)
             )
-        fac = sp.smoothed + config.shift
+        fac = sp.smoothed + shift
         step(i, sp, [fac * m for m in sp.direction], delta)
         r_cum += delta * fac
         trace.iterations = i + 1
@@ -325,8 +329,15 @@ def group_subgradient_method(v, S, g0, config, modes=None):
         np.zeros(0), [0.5 * (gi.conj().T @ gi + (gi.conj().T @ gi).conj().T) for gi in g]
     )
     trace.final_point = x_final
+    # log x_T = log(g^+ g) from the SVD g = U diag(s) V^+, which stays accurate
+    # when the factors are too ill-conditioned for an eigendecomposition of
+    # g^+ g; the divided-out determinant factors e^c add 2c to every eigenvalue
+    logs = []
+    for gi, c in zip(g, scale_log):
+        _, sv, vh = np.linalg.svd(gi)
+        logs.append((vh.conj().T * (2.0 * np.log(sv) + 2.0 * c)) @ vh)
     x0 = ProductPDPoint.identity(tuple(v.shape[m] for m in modes))
-    extract_certificate(trace, x0, log_shifts=[2.0 * s for s in scale_log])
+    extract_certificate(trace, x0, log_final=TangentBlock(np.zeros(0), logs))
     return trace, g
 
 
@@ -335,12 +346,11 @@ def act_normalized(g, v, modes):
     return w / np.linalg.norm(w)
 
 
-def extract_certificate(trace, x0, r_floor=1e-8, dist_floor=1e-6, log_shifts=None):
+def extract_certificate(trace, x0, r_floor=1e-8, dist_floor=1e-6, log_final=None):
     """Direction at infinity from a finished trace: u = log_map(x_T)/R.
 
-    `log_shifts` restores per-block scalar factors that were divided out of
-    the iterates (determinant renormalization): shift c means the true final
-    point is e^c times the stored block, i.e. the log gains c*I.
+    `log_final`, when given, is log_map(x_T, x0) as the caller computed it;
+    the group form passes the log it builds from its factors.
 
     When R (or the travelled distance) is negligible the flow sat at an
     interior near-minimizer and no boundary certificate exists; the trace
@@ -350,13 +360,9 @@ def extract_certificate(trace, x0, r_floor=1e-8, dist_floor=1e-6, log_shifts=Non
     x_final = trace.final_point
     if x_final is None:
         return None
-    u_raw = log_map(x_final, None if _is_identity(x0) else x0)
-    if log_shifts is not None:
-        u_raw = TangentBlock(
-            u_raw.euclid,
-            [B + c * np.eye(B.shape[0]) for B, c in zip(u_raw.blocks, log_shifts)],
-            u_raw.at,
-        )
+    u_raw = log_final
+    if u_raw is None:
+        u_raw = log_map(x_final, None if _is_identity(x0) else x0)
     norm_u = metric_norm(x0, TangentBlock(u_raw.euclid, u_raw.blocks, at=x0))
     if R <= r_floor or norm_u <= dist_floor:
         trace.status = trace.status + "+interior_optimum"
@@ -405,3 +411,49 @@ def dual_value(problem, Q, xi):
         return -math.inf
     rec = problem.recession(xi)
     return -rec - conj
+
+
+# Search bracket for scales of rays whose conjugate has no gauge (finite on
+# every ray, as for the entropy).
+RAY_BRACKET = 1e2
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section steps: the bracket shrinks by GOLDEN**44, about 6e-10.
+GOLDEN_STEPS = 44
+
+
+def best_dual_on_ray(problem, Q, cert):
+    """The largest dual value over the line {c * cert : c real}.
+
+    c -> dual_value(c * cert) is concave, and finite where Q*(-c Y) is: on
+    [-1/gauge(w), 1/gauge(-w)] for an objective with a conjugate gauge (w the
+    certificate's weights), everywhere otherwise, where the search keeps to
+    [-RAY_BRACKET, RAY_BRACKET].  A golden-section search maximizes it; both
+    ends of the bracket and c = 0, whose dual is inf Q, are candidates too.
+    With no certificate the result is inf Q.
+    """
+    best = infimum(Q)
+    if cert is None:
+        return best
+
+    def phi(c):
+        val = dual_value(problem, Q, cert.scaled(c))
+        return -math.inf if math.isnan(val) else val
+
+    gauge = Q.oracle.conjugate_gauge
+    lo, hi = -RAY_BRACKET, RAY_BRACKET
+    if gauge is not None:
+        w = np.concatenate(cert.weights)
+        lo, hi = -1.0 / gauge(w), 1.0 / gauge(-w)
+    a, b = lo, hi
+    c1, c2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    f1, f2 = phi(c1), phi(c2)
+    for _ in range(GOLDEN_STEPS):
+        if f1 < f2:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + GOLDEN * (b - a)
+            f2 = phi(c2)
+        else:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - GOLDEN * (b - a)
+            f1 = phi(c1)
+    return max(best, phi(lo), phi(hi), f1, f2)

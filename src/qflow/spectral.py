@@ -97,7 +97,9 @@ class SymmetricFunctionOracle:
 
     All callables act on the concatenation of per-block vectors (lengths given
     by `arity`).  `prox` solves min_q f(q) + ||p-q||^2/(2*lam); it may be None
-    for objectives without a usable proximal map.
+    for objectives without a usable proximal map.  `conjugate_gauge`, when
+    set, is a gauge whose unit ball is the domain of the conjugate (norm-type
+    objectives, whose conjugate is finite only there).
     """
 
     arity: tuple
@@ -107,6 +109,7 @@ class SymmetricFunctionOracle:
     prox: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     smooth: bool = False
     half_square_conjugate: Optional[Callable[[np.ndarray], float]] = None
+    conjugate_gauge: Optional[Callable[[np.ndarray], float]] = None
 
 
 @dataclass
@@ -158,6 +161,12 @@ def conjugate_eval(S, X):
     """Value of the Fenchel conjugate of the lifted objective at blocks X."""
     spectra, _ = _block_spectra(S, X)
     return float(S.oracle.conjugate_eval(spectra))
+
+
+def infimum(S):
+    """inf S = -S*(0): the dual value of the zero ray, and minus the smallest
+    shift that makes S nonnegative."""
+    return 0.0 - float(S.oracle.conjugate_eval(np.zeros(sum(S.block_dims))))
 
 
 @dataclass(frozen=True)
@@ -276,23 +285,9 @@ def moreau_objective(S, lam_smooth):
         subgradient=env_grad,
         prox=env_prox,
         smooth=True,
+        conjugate_gauge=base.conjugate_gauge,
     )
     return SpectralObjective(oracle, S.block_dims, label=f"moreau[{lam:g}]({S.label})")
-
-
-def shifted_objective(S, shift):
-    """S + shift (constant).  Shifts the conjugate by -shift; prox unchanged."""
-    base = S.oracle
-    c = float(shift)
-    oracle = SymmetricFunctionOracle(
-        arity=base.arity,
-        eval=lambda p: float(base.eval(p)) + c,
-        conjugate_eval=lambda x: float(base.conjugate_eval(x)) - c,
-        subgradient=base.subgradient,
-        prox=base.prox,
-        smooth=base.smooth,
-    )
-    return SpectralObjective(oracle, S.block_dims, label=f"({S.label})+{c:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +383,11 @@ def builtin_objective(kind, block_dims, **params):
         def ev(p):
             return float(np.linalg.norm(p))
 
+        def gauge(x):
+            return float(np.linalg.norm(np.asarray(x, dtype=float)))
+
         def conj(x):
-            x = np.asarray(x, dtype=float)
-            return 0.0 if np.linalg.norm(x) <= 1.0 + 1e-9 else math.inf
+            return 0.0 if gauge(x) <= 1.0 + 1e-9 else math.inf
 
         def sub(p):
             p = np.asarray(p, dtype=float)
@@ -406,6 +403,7 @@ def builtin_objective(kind, block_dims, **params):
             arity=dims, eval=ev, conjugate_eval=conj, subgradient=sub, prox=prox,
             smooth=True,
             half_square_conjugate=lambda s: 0.5 * float(np.asarray(s) @ np.asarray(s)),
+            conjugate_gauge=gauge,
         )
         return SpectralObjective(oracle, dims, label="frobenius")
 
@@ -421,11 +419,13 @@ def builtin_objective(kind, block_dims, **params):
                 for b, a in zip(_split(p, dims), alpha)
             )
 
-        def conj(x):
-            tot = sum(
+        def gauge(x):
+            return sum(
                 a * float(np.sum(np.abs(b))) for b, a in zip(_split(x, dims), alpha)
             )
-            return 0.0 if tot <= 1.0 + 1e-9 else math.inf
+
+        def conj(x):
+            return 0.0 if gauge(x) <= 1.0 + 1e-9 else math.inf
 
         def sub(p):
             blocks = _split(p, dims)
@@ -449,6 +449,7 @@ def builtin_objective(kind, block_dims, **params):
 
         oracle = SymmetricFunctionOracle(
             arity=dims, eval=ev, conjugate_eval=conj, subgradient=sub, prox=prox,
+            conjugate_gauge=gauge,
         )
         return SpectralObjective(oracle, dims, label="op_norm_max_weighted")
 
@@ -462,11 +463,13 @@ def builtin_objective(kind, block_dims, **params):
                 w * float(np.sum(np.abs(b))) for b, w in zip(_split(p, dims), weights)
             )
 
+        def gauge(x):
+            return max(
+                float(np.max(np.abs(b))) / w for b, w in zip(_split(x, dims), weights)
+            )
+
         def conj(x):
-            for b, w in zip(_split(x, dims), weights):
-                if b.size and np.max(np.abs(b)) > w * (1.0 + 1e-9):
-                    return math.inf
-            return 0.0
+            return 0.0 if gauge(x) <= 1.0 + 1e-9 else math.inf
 
         def sub(p):
             return np.concatenate(
@@ -480,6 +483,7 @@ def builtin_objective(kind, block_dims, **params):
 
         oracle = SymmetricFunctionOracle(
             arity=dims, eval=ev, conjugate_eval=conj, subgradient=sub, prox=prox,
+            conjugate_gauge=gauge,
         )
         return SpectralObjective(oracle, dims, label="trace_norm_sum_weighted")
 
@@ -543,13 +547,13 @@ def builtin_objective(kind, block_dims, **params):
                 float(np.sum(np.abs(b - u))) for b, u in zip(_split(p, dims), uniform)
             )
 
+        def gauge(x):
+            return float(np.max(np.abs(np.asarray(x, dtype=float)))) / scale
+
         def conj(x):
-            total = 0.0
-            for b, u in zip(_split(x, dims), uniform):
-                if b.size and np.max(np.abs(b)) > scale * (1.0 + 1e-9):
-                    return math.inf
-                total += float(b @ u)
-            return total
+            if gauge(x) > 1.0 + 1e-9:
+                return math.inf
+            return sum(float(b @ u) for b, u in zip(_split(x, dims), uniform))
 
         def sub(p):
             return np.concatenate(
@@ -566,6 +570,7 @@ def builtin_objective(kind, block_dims, **params):
 
         oracle = SymmetricFunctionOracle(
             arity=dims, eval=ev, conjugate_eval=conj, subgradient=sub, prox=prox,
+            conjugate_gauge=gauge,
         )
         return SpectralObjective(oracle, dims, label="trace_dist_to_uniform")
 

@@ -1,0 +1,56 @@
+"""The public names and the names the benchmark's tracer wraps."""
+
+import importlib.util
+from pathlib import Path
+
+import qflow
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def test_public_api_pinned():
+    assert qflow.__all__ == [
+        "ApplicationResult",
+        "BoundaryCertificate",
+        "FlowConfig",
+        "FlowTrace",
+        "KempfNessProblem",
+        "MatrixPencil",
+        "ProductPDPoint",
+        "SpectralObjective",
+        "TangentBlock",
+        "asymptotic_at_base",
+        "builtin_objective",
+        "certify",
+        "check_common_kernel",
+        "dual_value",
+        "energy_residual",
+        "extract_certificate",
+        "g_stable_rank",
+        "geodesic",
+        "group_subgradient_method",
+        "integrate_flow",
+        "kempf_ness",
+        "log_map",
+        "moment_map",
+        "moreau_objective",
+        "ncrank",
+        "ncrank_blowup_oracle",
+        "q_gradient",
+        "quantum_functional",
+        "recession",
+        "subgradient_method",
+        "unit_tensor",
+    ]
+    for name in qflow.__all__:
+        assert hasattr(qflow, name), name
+
+
+def test_traced_names_resolve():
+    """The tracer getattr()s every target when it installs, so a renamed or
+    deleted qflow function breaks traced benchmark runs."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for span, (mod, attr) in tracing.TARGETS.items():
+        assert callable(getattr(mod, attr, None)), span

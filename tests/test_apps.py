@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from qflow.generate import (
     random_pencil,
     skew_pencil,
 )
-from qflow.solver import FlowConfig
+from qflow.solver import FlowConfig, KempfNessProblem, best_dual_on_ray, dual_value
+from qflow.spectral import builtin_objective
 
 FAST = FlowConfig(max_iters=600, step_size=0.3, smoothing=0.1,
                   smoothing_schedule=True)
@@ -141,6 +143,51 @@ def test_quantum_functional_unit_tensor():
     res = apps.quantum_functional(v, [0.5, 0.25, 0.25], FAST)
     assert abs(res.primal_value - 1.0) < 1e-8
     assert res.gap < 1e-8
+
+
+def test_quantum_functional_escaping_orbit_finite_certificate():
+    """The orbit of a rank-one tensor escapes with group factors whose
+    condition number reaches about 4e9; the certificate must stay finite and
+    certify the exact value 0."""
+    v = tensors.rank_one([[1.0, 1.0], [1.0, -1.0], [0.5, 0.5]])
+    cfg = FlowConfig(max_iters=400, step_size=0.5, smoothing=0.05,
+                     smoothing_schedule=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = apps.quantum_functional(v, [1 / 3, 1 / 3, 1 / 3], cfg)
+    assert res.certificate is not None
+    assert all(np.all(np.isfinite(w)) for w in res.certificate.weights)
+    assert abs(res.primal_value) < 1e-8
+    assert abs(res.dual_value) < 1e-9
+
+
+def _embedded_gaussian():
+    v = np.zeros((3, 3, 3), dtype=complex)
+    v[:2, :2, :2] = gaussian_tensor((2, 2, 2), 0)
+    return v
+
+
+W_STATE = np.zeros((2, 2, 2), dtype=complex)
+W_STATE[1, 0, 0] = W_STATE[0, 1, 0] = W_STATE[0, 0, 1] = 1.0
+
+
+@pytest.mark.parametrize("v", [W_STATE, _embedded_gaussian()], ids=["W", "embedded"])
+def test_quantum_functional_line_search_beats_grid(v):
+    """The upper bound is at most the best of a 50-scale grid over the same
+    certificate (and the no-certificate ceiling)."""
+    theta = [1 / 3, 1 / 3, 1 / 3]
+    cfg = FlowConfig(max_iters=300, step_size=0.5, smoothing=0.05,
+                     smoothing_schedule=True)
+    res = apps.quantum_functional(v, theta, cfg)
+    assert res.certificate is not None
+    S = builtin_objective("neg_entropy_weighted", v.shape, theta=theta)
+    problem = KempfNessProblem(v)
+    grid = sum(th * math.log2(n) for th, n in zip(theta, v.shape))
+    for c in np.concatenate([np.logspace(-2, 2, 25), -np.logspace(-2, 2, 25)]):
+        grid = min(grid, -dual_value(problem, S, res.certificate.scaled(float(c))))
+    assert res.dual_value == -best_dual_on_ray(problem, S, res.certificate)
+    assert res.dual_value <= grid + 1e-9
+    assert res.primal_value <= res.dual_value + 1e-8
 
 
 def test_quantum_functional_duality_sandwich_random():

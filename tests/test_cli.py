@@ -219,3 +219,40 @@ def test_max_iters_zero_reports_initial(tmp_path, capsys):
                  "--max-iters", "0"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["result"]["iterations"] == 0
+
+
+def test_record_every_zero_exit_2(tmp_path, capsys):
+    path = write_unit(tmp_path)
+    assert main(["scale", path, "--record-every", "0"]) == 2
+    assert "record_every" in capsys.readouterr().err
+
+
+def test_scale_entropy_descends(tmp_path, capsys):
+    """The entropy objective is negative: the run must still descend from
+    the identity and report a finite dual bound."""
+    path = str(tmp_path / "g.json")
+    assert main(["gen", "gaussian", "--dims", "3,3,3", "--seed", "7",
+                 "--out", path]) == 0
+    assert main(["scale", path, "--objective", "neg_entropy_weighted",
+                 "--theta", "0.2,0.3,0.5", "--max-iters", "100"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    start = out["trace"][0]["q_value"]
+    res = out["result"]
+    assert res["primal_value"] < start - 0.1
+    assert "interior_optimum" not in res["status"]
+    assert np.isfinite(res["dual_value"])
+    assert res["dual_value"] <= res["primal_value"] + 1e-8
+    assert "shift" not in out["config"]
+
+
+def test_scale_dual_never_below_infimum(tmp_path, capsys):
+    """trace_dist_to_uniform is nonnegative, and so is the dual that scale
+    reports for it (c = 0 is always a candidate)."""
+    path = str(tmp_path / "g.json")
+    assert main(["gen", "gaussian", "--dims", "3,3,3", "--seed", "7",
+                 "--out", path]) == 0
+    assert main(["scale", path, "--objective", "trace_dist_to_uniform",
+                 "--max-iters", "200"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["dual_value"] >= 0.0
+    assert res["dual_value"] <= res["primal_value"] + 1e-8

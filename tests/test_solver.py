@@ -10,6 +10,7 @@ from qflow.generate import gaussian_tensor
 from qflow.solver import (
     FlowConfig,
     KempfNessProblem,
+    best_dual_on_ray,
     dual_value,
     energy_residual,
     FlowTrace,
@@ -19,7 +20,7 @@ from qflow.solver import (
     q_gradient,
     subgradient_method,
 )
-from qflow.spectral import builtin_objective, lift_eval
+from qflow.spectral import builtin_objective, infimum, lift_eval
 
 
 def make_problem(dims, seed):
@@ -368,3 +369,47 @@ def test_config_validation():
         FlowConfig(step_rule="bogus").validate()
     with pytest.raises(ValidationError):
         FlowConfig(smoothing=-0.1).validate()
+    with pytest.raises(ValidationError):
+        FlowConfig(record_every=0).validate()
+
+
+@pytest.mark.parametrize("kind", ["frobenius", "op_norm_max_weighted",
+                                  "trace_norm_sum_weighted", "trace_dist_to_uniform",
+                                  "neg_entropy_weighted", "indicator_trace_ball"])
+def test_best_dual_on_ray_without_certificate_is_infimum(kind):
+    dims = (3, 2, 2)
+    prob = make_problem(dims, 48)
+    params = {"theta": [0.5, 0.25, 0.25]} if kind == "neg_entropy_weighted" else {}
+    S = builtin_objective(kind, dims, **params)
+    best = best_dual_on_ray(prob, S, None)
+    assert best == infimum(S)
+    assert math.copysign(1.0, best) == 1.0 or kind == "neg_entropy_weighted"
+
+
+@pytest.mark.parametrize("kind", ["frobenius", "op_norm_max_weighted",
+                                  "trace_norm_sum_weighted", "trace_dist_to_uniform"])
+def test_best_dual_on_ray_gauge_objectives(kind):
+    """For a norm-type objective the dual along a ray is linear on each side
+    of c = 0 up to the ends of the conjugate's domain, so the search returns
+    the best of the two ends and c = 0."""
+    for seed, dims in ((49, (3, 2, 2)), (50, (2, 2, 2))):
+        prob = make_problem(dims, seed)
+        S = builtin_objective(kind, dims)
+        cfg = FlowConfig(max_iters=150, step_size=0.3, smoothing=0.1,
+                         smoothing_schedule=True)
+        tr, _ = group_subgradient_method(
+            prob.v, S, [np.eye(n, dtype=complex) for n in dims], cfg
+        )
+        cert = tr.certificate
+        assert cert is not None
+        w = np.concatenate(cert.weights)
+        gauge = S.oracle.conjugate_gauge
+        lo, hi = -1.0 / gauge(w), 1.0 / gauge(-w)
+        ends = [dual_value(prob, S, cert.scaled(c)) for c in (lo, hi)]
+        assert all(math.isfinite(d) for d in ends)
+        # just outside the bracket the conjugate is infinite
+        assert dual_value(prob, S, cert.scaled(1.01 * hi)) == -math.inf
+        best = best_dual_on_ray(prob, S, cert)
+        assert abs(best - max(ends + [infimum(S)])) <= 1e-12
+        assert best <= tr.best_q + 1e-8
+

@@ -14,10 +14,10 @@ from qflow.spectral import (
     builtin_objective,
     conjugate_eval,
     eigh,
+    infimum,
     lift_eval,
     moreau_objective,
     project_weighted_l1_ball,
-    shifted_objective,
     spectral_pass,
     spectral_subgradient,
     tie_groups,
@@ -242,13 +242,37 @@ def test_moreau_requires_prox():
         spectral_pass(stripped, [np.eye(n) for n in DIMS], smoothing=0.1)
 
 
-def test_shifted_objective():
-    S = make("frobenius", {})
-    T = shifted_objective(S, 2.5)
-    Y = [np.eye(n) for n in DIMS]
-    assert abs(lift_eval(T, Y) - lift_eval(S, Y) - 2.5) < 1e-12
-    X = [0.1 * np.eye(n) for n in DIMS]
-    assert abs(conjugate_eval(T, X) - conjugate_eval(S, X) + 2.5) < 1e-12
+@pytest.mark.parametrize("kind,params", ALL_KINDS)
+def test_infimum_is_minus_conjugate_at_zero(kind, params):
+    S = make(kind, params)
+    inf_s = infimum(S)
+    assert inf_s == -conjugate_eval(S, [np.zeros((n, n)) for n in DIMS])
+    assert inf_s == infimum(moreau_objective(S, 0.1))
+    if kind == "neg_entropy_weighted":
+        ceiling = sum(th * math.log2(n) for th, n in zip(params["theta"], DIMS))
+        assert abs(inf_s + ceiling) <= 4e-16
+    else:
+        assert math.copysign(1.0, inf_s) == 1.0 and inf_s == 0.0
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        assert lift_eval(S, sample_point(kind, rng)) >= inf_s - 1e-12
+
+
+@pytest.mark.parametrize("kind,params", ALL_KINDS)
+def test_conjugate_gauge_is_domain(kind, params):
+    S = make(kind, params)
+    gauge = S.oracle.conjugate_gauge
+    assert moreau_objective(S, 0.1).oracle.conjugate_gauge is gauge
+    if kind in ("neg_entropy_weighted", "indicator_trace_ball"):
+        assert gauge is None
+        return
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        x = rng.standard_normal(sum(DIMS))
+        g = gauge(x)
+        assert abs(gauge(2.5 * x) - 2.5 * g) <= 1e-12 * g
+        assert math.isfinite(S.oracle.conjugate_eval(x / g))
+        assert S.oracle.conjugate_eval(1.01 * x / g) == math.inf
 
 
 def test_subgradient_basis_stability_under_ties():

@@ -31,7 +31,6 @@ from .solver import (
     group_subgradient_method,
     integrate_flow,
     q_gradient,
-    subgradient_method,
 )
 from .spectral import SpectralObjective, builtin_objective, moreau_objective
 from .tensors import kempf_ness, moment_map, recession, unit_tensor
@@ -66,6 +65,5 @@ __all__ = [
     "q_gradient",
     "quantum_functional",
     "recession",
-    "subgradient_method",
     "unit_tensor",
 ]

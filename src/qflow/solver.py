@@ -1,9 +1,11 @@
 """Q-gradient flow and Q-subgradient methods on products of PD manifolds.
 
-The driving direction at a point x is computed at the base point: transport
-the differential of f to the base, take d(Q^2/2) there (Q times a
-subgradient of Q), and carry the result back to x.  Geodesic Euler steps
-x <- x^1/2 exp(-h G) x^1/2 keep iterates exactly positive definite.
+Both solvers carry group factors g, with iterate x = e^{2c} g^+ g (c the
+log-determinant share divided out at renormalization).  The differential of
+f at x, transported to the base by g, is the moment map of g.v; the driving
+direction Z is d(Q^2/2) there (Q times a subgradient of Q), and the step
+g <- exp(-h Z/2) g moves x to g^+ exp(-h Z) g along a geodesic, so iterates
+stay exactly positive definite.
 
 Certificates (directions at infinity) come from u = log_map(x_T)/R with
 R = integral of Q along the trajectory; by weak duality their dual value
@@ -128,19 +130,6 @@ class KempfNessProblem:
         return ProductPDPoint.identity(self.signature)
 
 
-def _step_from_base(x, sp, direction, scale):
-    """exp_x of the transported base direction: x^1/2 exp(scale*G) x^1/2.
-
-    G has eigenvalues `direction` in the eigenbases of the pass `sp`.
-    """
-    blocks = []
-    for xb, E in zip(x.blocks, sp.lift([np.exp(scale * d) for d in direction])):
-        xs = sqrtm_pd(xb)
-        B = xs @ E @ xs
-        blocks.append(0.5 * (B + B.conj().T))
-    return ProductPDPoint(x.euclid.copy(), blocks)
-
-
 def q_gradient(problem, Q, x):
     """The Q-gradient of f at x (a tangent vector at x); Q must be smooth."""
     if not Q.smooth:
@@ -152,8 +141,68 @@ def q_gradient(problem, Q, x):
     return transport_from_base(x, TangentBlock(np.zeros(0), g0, at=None))
 
 
+def _q_shift(Q):
+    """-inf Q, the shift that keeps the Q-factor Q - inf Q nonnegative."""
+    shift = -infimum(Q)
+    if not math.isfinite(shift):
+        raise UnsupportedObjectiveError(
+            f"objective {Q.label!r} is unbounded below (Q*(0) = +inf)"
+        )
+    return shift
+
+
+class _Orbit:
+    """Group factors g of the iterate x = e^{2c} g^+ g acting on a unit tensor v;
+    c is the per-block log |det| share divided out at renormalization."""
+
+    def __init__(self, v, modes, g, c=None):
+        self.v, self.modes, self.g = v, modes, g
+        self.c = [0.0] * len(g) if c is None else c
+
+    def evaluate(self):
+        """The base-transported differential mu(g.v / ||g.v||) and
+        f(x) = log <v, x.v> = 2 log ||g.v|| + 2 sum c, from one tensor action."""
+        w = tensors.act(self.g, self.v, self.modes)
+        nrm = np.linalg.norm(w)
+        f = 2.0 * (math.log(nrm) + sum(self.c))
+        return tensors.moment_map(w / nrm, self.modes), f
+
+    def advanced(self, sp, direction, delta):
+        """The orbit after g <- exp(-delta Z/2) g, that is x <- g^+ exp(-delta Z) g,
+        where Z has eigenvalues `direction` in the eigenbases of the pass `sp`."""
+        E = sp.lift([np.exp(-0.5 * delta * d) for d in direction])
+        return _Orbit(self.v, self.modes, [Ej @ gj for Ej, gj in zip(E, self.g)],
+                      list(self.c))
+
+    def renormalize(self):
+        """Rescale each factor to unit |det|, moving the share into c so that x
+        is unchanged; returns the number of factors rescaled."""
+        count = 0
+        for j, gj in enumerate(self.g):
+            n = gj.shape[0]
+            det = abs(np.linalg.det(gj))
+            if det > 0 and abs(math.log(det)) > 1e-12:
+                self.g[j] = gj / det ** (1.0 / n)
+                self.c[j] += math.log(det) / n
+                count += 1
+        return count
+
+    def log_and_point(self):
+        """log x and x from the SVD g = U diag(s) V^+: V diag(2 log s + 2c) V^+
+        and its exponential.  The SVD stays accurate when the factors are too
+        ill-conditioned for an eigendecomposition of g^+ g."""
+        logs, blocks = [], []
+        for gj, cj in zip(self.g, self.c):
+            _, sv, vh = np.linalg.svd(gj)
+            ev = 2.0 * np.log(sv) + 2.0 * cj
+            logs.append((vh.conj().T * ev) @ vh)
+            B = (vh.conj().T * np.exp(ev)) @ vh
+            blocks.append(0.5 * (B + B.conj().T))
+        return TangentBlock(np.zeros(0), logs), ProductPDPoint(np.zeros(0), blocks)
+
+
 def integrate_flow(problem, Q, x0, config):
-    """Geodesic-Euler discretization of the Q-gradient flow.
+    """Euler steps of the Q-gradient flow in group form, from g0 = x0^1/2.
 
     Steps are halved whenever the recorded Q value would increase, a backstop
     for the continuous-time monotonicity of t -> Q(df_x(t)).  The dynamics
@@ -167,22 +216,24 @@ def integrate_flow(problem, Q, x0, config):
                 f"objective {Q.label!r} is not smooth; set config.smoothing"
             )
         lam = config.smoothing
+    shift = _q_shift(Q)
+    if x0.euclid.size:
+        raise ValidationError("Kempf-Ness points carry no Euclidean factor")
     # the Moreau envelope carries no half-square conjugate
     hsc = Q.oracle.half_square_conjugate if lam is None else None
     trace = FlowTrace()
-    x = x0
+    orbit = _Orbit(problem.v, problem.modes, [sqrtm_pd(B) for B in x0.blocks])
     t = 0.0
     r_cum = 0.0
     h = config.ode_step
     h_min = config.ode_step * 2.0 ** -40
     q_prev = None
-    shift = -infimum(Q)
-    sp = spectral_pass(Q, problem.differential(x), lam)
+    mu, f_val = orbit.evaluate()
+    sp = spectral_pass(Q, mu, lam)
     for i in range(config.max_iters):
         q_s = sp.smoothed
         fac = q_s + shift
         direction = [fac * m for m in sp.direction]
-        f_val = problem.value(x)
         trace.energy_times.append(t)
         trace.energy_half_q2.append(0.5 * fac ** 2)
         trace.energy_conj_half.append(
@@ -197,12 +248,13 @@ def integrate_flow(problem, Q, x0, config):
             )
         # trial step with halving backstop
         while True:
-            x_new = _step_from_base(x, sp, direction, -h)
-            sp_new = spectral_pass(Q, problem.differential(x_new), lam)
+            trial = orbit.advanced(sp, direction, h)
+            mu, f_trial = trial.evaluate()
+            sp_new = spectral_pass(Q, mu, lam)
             if sp_new.smoothed <= q_s + 1e-9 or h <= h_min:
                 break
             h *= 0.5
-        x, sp = x_new, sp_new
+        orbit, sp, f_val = trial, sp_new, f_trial
         t += h
         r_cum += h * fac
         trace.iterations = i + 1
@@ -214,47 +266,55 @@ def integrate_flow(problem, Q, x0, config):
         trace.status = "max_iters"
     trace.best_q = min(trace.best_q, sp.value)
     trace.samples.append(
-        TraceSample(t, sp.value, problem.value(x), r_cum, h, q_smooth=sp.smoothed)
+        TraceSample(t, sp.value, f_val, r_cum, h, q_smooth=sp.smoothed)
     )
-    trace.final_point = x
+    _, trace.final_point = orbit.log_and_point()
     extract_certificate(trace, x0)
     return trace
 
 
-def _subgradient_loop(trace, S, config, differential, step, f_value):
-    """The Q-subgradient iteration Z_i in d((Q - inf Q)^2/2)(df), shared by the
-    manifold and group forms.
+def group_subgradient_method(v, S, g0, config, modes=None):
+    """Q-subgradient method in group form: g <- exp(-delta_i Z_i/2) g, with
+    Z_i in d((S - inf S)^2/2) at the moment map of g.v.
 
-    Each iteration makes one spectral pass at differential(): it gives the
-    raw and smoothed values, the best spectra and the direction, whose
-    eigenvalues (in the pass's eigenbases) go to step(i, sp, direction,
-    delta), which advances the caller's iterate.  Stops at max_iters or when
-    the best value has not improved for stall_window iterations.
+    Factors are renormalized to unit |det| every renorm_every iterations; the
+    divided-out shares c stay in the iterate x = e^{2c} g^+ g.  Stops at
+    max_iters or when the best value has not improved for stall_window
+    iterations.
     """
+    config.validate()
+    shift = _q_shift(S)
+    v = tensors.normalize(v)
+    modes = tuple(range(v.ndim)) if modes is None else tuple(modes)
+    orbit = _Orbit(v, modes, [np.array(gi, dtype=complex) for gi in g0])
+    trace = FlowTrace()
     best_window = math.inf
     since_improve = 0
     r_cum = 0.0
-    shift = -infimum(S)
 
-    def record(sp):
+    def evaluate(lam=None):
+        mu, f = orbit.evaluate()
+        sp = spectral_pass(S, mu, lam)
         if sp.value < trace.best_q:
             trace.best_q = sp.value
             trace.best_spectra = sp.spectra
+        return sp, f
 
     for i in range(config.max_iters):
         lam = config.smoothing
         if lam is not None and config.smoothing_schedule:
             lam = config.smoothing / math.sqrt(i + 1.0)
-        sp = spectral_pass(S, differential(), lam)
-        record(sp)
+        sp, f = evaluate(lam)
         delta = config.step(i)
         if i % config.record_every == 0:
             trace.samples.append(
-                TraceSample(float(i), sp.value, f_value(), r_cum, delta,
+                TraceSample(float(i), sp.value, f, r_cum, delta,
                             q_smooth=None if lam is None else sp.smoothed)
             )
         fac = sp.smoothed + shift
-        step(i, sp, [fac * m for m in sp.direction], delta)
+        orbit = orbit.advanced(sp, [fac * m for m in sp.direction], delta)
+        if config.renorm_every and (i + 1) % config.renorm_every == 0:
+            trace.renormalizations += orbit.renormalize()
         r_cum += delta * fac
         trace.iterations = i + 1
         # stall detection on best-so-far improvement
@@ -268,82 +328,12 @@ def _subgradient_loop(trace, S, config, differential, step, f_value):
                 break
     if trace.status == "unknown":
         trace.status = "max_iters"
-    sp = spectral_pass(S, differential())
-    record(sp)
-    trace.samples.append(
-        TraceSample(float(trace.iterations), sp.value, f_value(), r_cum, 0.0)
-    )
-    return trace
-
-
-def subgradient_method(problem, Q, x0, config):
-    """Q-subgradient method: x <- exp_x(-delta_i Z_i), Z_i in d(Q^2/2)(df)."""
-    config.validate()
-    x = x0
-
-    def step(i, sp, direction, delta):
-        nonlocal x
-        x = _step_from_base(x, sp, direction, -delta)
-
-    trace = _subgradient_loop(FlowTrace(), Q, config, lambda: problem.differential(x),
-                              step, lambda: problem.value(x))
-    trace.final_point = x
-    extract_certificate(trace, x0)
-    return trace
-
-
-def group_subgradient_method(v, S, g0, config, modes=None):
-    """Subgradient method in group form: g <- exp(-delta Z/2) g.
-
-    Tracks spectra of the moment map along the run; x_i = g_i^+ g_i
-    reproduces the manifold iterates.  Factors are renormalized to unit
-    |det| periodically to stop scalar drift.
-    """
-    config.validate()
-    v = tensors.normalize(v)
-    if modes is None:
-        modes = tuple(range(v.ndim))
-    modes = tuple(modes)
-    g = [np.array(gi, dtype=complex) for gi in g0]
-    scale_log = [0.0] * len(g)
-    trace = FlowTrace()
-
-    def step(i, sp, direction, delta):
-        for j, E in enumerate(sp.lift([np.exp(-0.5 * delta * d) for d in direction])):
-            g[j] = E @ g[j]
-        if config.renorm_every and (i + 1) % config.renorm_every == 0:
-            for j in range(len(g)):
-                n = g[j].shape[0]
-                det = abs(np.linalg.det(g[j]))
-                if det > 0 and abs(math.log(det)) > 1e-12:
-                    g[j] = g[j] / det ** (1.0 / n)
-                    # remember the scalar factor: it carries the trace part
-                    # of the direction at infinity
-                    scale_log[j] += math.log(det) / n
-                    trace.renormalizations += 1
-
-    _subgradient_loop(trace, S, config,
-                      lambda: tensors.moment_map(act_normalized(g, v, modes), modes),
-                      step, lambda: 0.0)
-    x_final = ProductPDPoint(
-        np.zeros(0), [0.5 * (gi.conj().T @ gi + (gi.conj().T @ gi).conj().T) for gi in g]
-    )
-    trace.final_point = x_final
-    # log x_T = log(g^+ g) from the SVD g = U diag(s) V^+, which stays accurate
-    # when the factors are too ill-conditioned for an eigendecomposition of
-    # g^+ g; the divided-out determinant factors e^c add 2c to every eigenvalue
-    logs = []
-    for gi, c in zip(g, scale_log):
-        _, sv, vh = np.linalg.svd(gi)
-        logs.append((vh.conj().T * (2.0 * np.log(sv) + 2.0 * c)) @ vh)
+    sp, f = evaluate()
+    trace.samples.append(TraceSample(float(trace.iterations), sp.value, f, r_cum, 0.0))
+    log_final, trace.final_point = orbit.log_and_point()
     x0 = ProductPDPoint.identity(tuple(v.shape[m] for m in modes))
-    extract_certificate(trace, x0, log_final=TangentBlock(np.zeros(0), logs))
-    return trace, g
-
-
-def act_normalized(g, v, modes):
-    w = tensors.act(g, v, modes)
-    return w / np.linalg.norm(w)
+    extract_certificate(trace, x0, log_final=log_final)
+    return trace, orbit.g
 
 
 def extract_certificate(trace, x0, r_floor=1e-8, dist_floor=1e-6, log_final=None):

@@ -39,7 +39,6 @@ def test_public_api_pinned():
         "q_gradient",
         "quantum_functional",
         "recession",
-        "subgradient_method",
         "unit_tensor",
     ]
     for name in qflow.__all__:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qflow import geometry as geom
+from qflow import solver
 from qflow import tensors
 from qflow.errors import UnsupportedObjectiveError, ValidationError
 from qflow.generate import gaussian_tensor
@@ -18,14 +19,23 @@ from qflow.solver import (
     group_subgradient_method,
     integrate_flow,
     q_gradient,
-    subgradient_method,
 )
-from qflow.spectral import builtin_objective, infimum, lift_eval
+from qflow.spectral import (
+    SpectralObjective,
+    SymmetricFunctionOracle,
+    builtin_objective,
+    infimum,
+    lift_eval,
+)
 
 
 def make_problem(dims, seed):
     v = tensors.normalize(gaussian_tensor(dims, seed))
     return KempfNessProblem(v)
+
+
+def identity_factors(dims):
+    return [np.eye(n, dtype=complex) for n in dims]
 
 
 def test_q_gradient_chain_rule():
@@ -143,13 +153,17 @@ def test_nonsmooth_flow_without_smoothing_rejected():
 
 
 def test_subgradient_matches_flow_to_first_order():
+    """The run renormalizes at its last step, so its final point must carry
+    the divided-out determinant shares."""
     prob = make_problem((2, 2, 2), 36)
     S = builtin_objective("frobenius", prob.signature)
     h = 1e-3
     cfg_f = FlowConfig(max_iters=100, ode_step=h)
     cfg_s = FlowConfig(max_iters=100, step_rule="constant", step_size=h)
     tr_f = integrate_flow(prob, S, prob.identity_point(), cfg_f)
-    tr_s = subgradient_method(prob, S, prob.identity_point(), cfg_s)
+    tr_s, _ = group_subgradient_method(prob.v, S, identity_factors(prob.signature),
+                                       cfg_s)
+    assert tr_s.renormalizations > 0
     d = geom.distance(tr_f.final_point, tr_s.final_point)
     assert d < 10 * h
 
@@ -158,22 +172,26 @@ def test_zero_step_is_stationary():
     prob = make_problem((2, 2), 37)
     S = builtin_objective("frobenius", prob.signature)
     cfg = FlowConfig(max_iters=10, step_rule="constant", step_size=1e-30)
-    tr = subgradient_method(prob, S, prob.identity_point(), cfg)
+    tr, _ = group_subgradient_method(prob.v, S, identity_factors(prob.signature), cfg)
     assert geom.distance(tr.final_point, prob.identity_point()) < 1e-12
 
 
 def test_group_form_matches_manifold_form():
+    """Reference: the manifold-form iteration x <- exp_x(-delta Q grad_x f),
+    built from the public geodesic and Q-gradient."""
     dims = (3, 2, 2)
     v = tensors.normalize(gaussian_tensor(dims, 38))
     prob = KempfNessProblem(v)
-    S = builtin_objective("trace_dist_to_uniform", dims)
-    cfg = FlowConfig(max_iters=50, step_rule="constant", step_size=0.05,
-                     renorm_every=0)
-    tr_m = subgradient_method(prob, S, prob.identity_point(), cfg)
-    tr_g, g = group_subgradient_method(
-        v, S, [np.eye(n, dtype=complex) for n in dims], cfg
-    )
-    assert geom.distance(tr_m.final_point, tr_g.final_point) < 1e-8
+    S = builtin_objective("frobenius", dims)
+    delta = 0.05
+    cfg = FlowConfig(max_iters=50, step_rule="constant", step_size=delta,
+                     renorm_every=0, tol_stall=0.0)
+    x = prob.identity_point()
+    for _ in range(cfg.max_iters):
+        x = geom.geodesic(x, q_gradient(prob, S, x), -delta)
+    tr_g, g = group_subgradient_method(v, S, identity_factors(dims), cfg)
+    assert tr_g.iterations == cfg.max_iters
+    assert geom.distance(x, tr_g.final_point) < 1e-8
     x_from_g = [gi.conj().T @ gi for gi in g]
     assert max(
         np.max(np.abs(a - b)) for a, b in zip(x_from_g, tr_g.final_point.blocks)
@@ -181,25 +199,42 @@ def test_group_form_matches_manifold_form():
 
 
 def test_group_method_one_eigh_per_block(monkeypatch):
-    """Each iteration eigendecomposes each moment-map block once; the rest
-    is the final pass and certificate extraction."""
+    """Each iteration of either solver eigendecomposes each moment-map block
+    once per trial step; the rest is the start, the final pass and
+    certificate extraction."""
     v = tensors.normalize(gaussian_tensor((3, 3, 2), 47))
     S = builtin_objective("trace_dist_to_uniform", (3, 3))
     cfg = FlowConfig(max_iters=60, step_size=0.3, smoothing=0.1,
                      smoothing_schedule=True)
     calls = []
+    passes = []
     eigh = np.linalg.eigh
+    spectral_pass = solver.spectral_pass
 
     def counted(*args, **kwargs):
         calls.append(1)
         return eigh(*args, **kwargs)
 
+    def counted_pass(*args, **kwargs):
+        passes.append(1)
+        return spectral_pass(*args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(solver, "spectral_pass", counted_pass)
     tr, _ = group_subgradient_method(
         v, S, [np.eye(3, dtype=complex)] * 2, cfg, modes=(0, 1)
     )
     assert tr.iterations == cfg.max_iters
     assert len(calls) <= 2 * tr.iterations + 20
+    # the flow: one pass per trial step, halvings included
+    prob = KempfNessProblem(v, (0, 1))
+    calls.clear()
+    passes.clear()
+    tr = integrate_flow(prob, S, prob.identity_point(),
+                        FlowConfig(max_iters=60, ode_step=0.05, smoothing=0.1))
+    assert tr.iterations == 60
+    assert len(passes) >= tr.iterations + 1
+    assert len(calls) <= 2 * len(passes) + 20
 
 
 def test_group_method_best_value_nonincreasing_bookkeeping():
@@ -231,6 +266,8 @@ def test_group_method_renormalization_logged():
     # the run ends on a renormalization step, so the factors are unit-|det|
     for gi in g:
         assert abs(abs(np.linalg.det(gi)) - 1.0) < 1e-8
+    # f is recorded at the iterate, divided-out shares included
+    assert abs(tr.samples[-1].f_value - tensors.kempf_ness(v, tr.final_point)) < 1e-10
 
 
 def test_unit_tensor_group_run_stays_optimal():
@@ -357,9 +394,28 @@ def test_stall_detection():
     prob = KempfNessProblem(v)
     S = builtin_objective("frobenius", prob.signature)
     cfg = FlowConfig(max_iters=5000, step_size=0.1, stall_window=50)
-    tr = subgradient_method(prob, S, prob.identity_point(), cfg)
+    tr, _ = group_subgradient_method(v, S, identity_factors(prob.signature), cfg)
     assert tr.status.startswith("stalled")
     assert tr.iterations < 5000
+
+
+def test_unbounded_objective_rejected():
+    """An objective with inf Q = -inf (Q*(0) = +inf) has no finite Q-shift."""
+    prob = make_problem((2, 2, 2), 51)
+    dims = prob.signature
+    linear = SymmetricFunctionOracle(
+        arity=dims,
+        eval=lambda p: float(np.sum(p)),
+        conjugate_eval=lambda x: 0.0 if np.allclose(x, 1.0) else math.inf,
+        subgradient=lambda p: np.ones_like(p),
+        smooth=True,
+    )
+    S = SpectralObjective(linear, dims, "linear")
+    with pytest.raises(UnsupportedObjectiveError):
+        group_subgradient_method(prob.v, S, identity_factors(dims),
+                                 FlowConfig(max_iters=20))
+    with pytest.raises(UnsupportedObjectiveError):
+        integrate_flow(prob, S, prob.identity_point(), FlowConfig(max_iters=20))
 
 
 def test_config_validation():

@@ -151,12 +151,6 @@ def quantum_functional(v, theta, config=None):
     bracket the entropy functional.
     """
     v = tensors.as_tensor(v)
-    d = v.ndim
-    theta = np.asarray(theta, dtype=float)
-    if theta.size != d or np.any(theta <= 0) or abs(theta.sum() - 1.0) > 1e-12:
-        raise ParameterError(
-            f"theta must be a strictly positive probability vector of length {d}"
-        )
     S = builtin_objective("neg_entropy_weighted", v.shape, theta=theta)
     res = scale(v, S, config or default_config("qfunc"))
     return replace(res, primal_value=-res.primal_value, dual_value=-res.dual_value)
@@ -174,10 +168,6 @@ def g_stable_rank(v, alpha, config=None):
     values (rank_upper is inf when the dual is 0).
     """
     v = tensors.as_tensor(v)
-    d = v.ndim
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.size != d or np.any(alpha <= 0):
-        raise ParameterError(f"alpha must be {d} positive weights")
     S = builtin_objective("op_norm_max_weighted", v.shape, alpha=alpha)
     res = scale(v, S, config or default_config("gstable"))
     return replace(

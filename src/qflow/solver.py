@@ -31,7 +31,7 @@ from .geometry import (
     sqrtm_pd,
     transport_from_base,
 )
-from .spectral import conjugate_eval, infimum, spectral_pass
+from .spectral import _check_blocks, infimum, spectral_pass
 from . import tensors
 
 
@@ -80,9 +80,7 @@ class TraceSample:
 class FlowTrace:
     samples: list = field(default_factory=list)
     final_point: Optional[ProductPDPoint] = None
-    final_direction: Optional[TangentBlock] = None
     certificate: Optional[BoundaryCertificate] = None
-    energy_residual: Optional[float] = None
     status: str = "unknown"
     iterations: int = 0
     best_q: float = math.inf
@@ -237,8 +235,7 @@ def integrate_flow(problem, Q, x0, config):
         trace.energy_times.append(t)
         trace.energy_half_q2.append(0.5 * fac ** 2)
         trace.energy_conj_half.append(
-            None if hsc is None
-            else float(hsc(np.concatenate([np.sort(d)[::-1] for d in direction])))
+            None if hsc is None else float(hsc(np.concatenate(direction)))
         )
         trace.energy_f.append(f_val)
         trace.best_q = min(trace.best_q, sp.value)
@@ -357,11 +354,9 @@ def extract_certificate(trace, x0, r_floor=1e-8, dist_floor=1e-6, log_final=None
     if R <= r_floor or norm_u <= dist_floor:
         trace.status = trace.status + "+interior_optimum"
         trace.certificate = None
-        trace.final_direction = None
         return None
     u = u_raw.scaled(1.0 / R)
     u.at = x0
-    trace.final_direction = u
     trace.certificate = asymptotic_at_base(x0, u)
     return trace.certificate
 
@@ -393,14 +388,41 @@ def energy_residual(trace, problem=None, Q=None):
     return abs(fT - f0 + integral) / (1.0 + abs(f0 - fT))
 
 
+# Largest entry of k^+ k - I accepted in a certificate basis k.  Bases from
+# the solvers and from records are unitary to about 1e-15; dual_value reads
+# the spectrum of k diag(w) k^+ as w, which a non-unitary k breaks (with
+# k = 0.5 I the spectrum is w/4 and the reported "bound" can exceed inf Q).
+UNITARY_TOL = 1e-8
+
+
+def _ray_spectrum(Q, xi):
+    """The concatenated weights of a certificate, checked to have one unitary
+    basis and one weight vector per block of Q."""
+    _check_blocks(Q, xi.bases)
+    weights = [np.asarray(w, dtype=float) for w in xi.weights]
+    if [w.shape for w in weights] != [(n,) for n in Q.block_dims]:
+        raise ValidationError(f"weight shapes {[w.shape for w in weights]} "
+                              f"do not match block dims {Q.block_dims}")
+    for k in xi.bases:
+        k = np.asarray(k)
+        dev = float(np.max(np.abs(k.conj().T @ k - np.eye(len(k)))))
+        if not dev <= UNITARY_TOL:
+            raise ValidationError(f"certificate basis is not unitary: "
+                                  f"max|k^+ k - I| = {dev:.3e}")
+    return np.concatenate(weights)
+
+
 def dual_value(problem, Q, xi):
-    """Dual objective -f^inf(xi) - Q*(-Y_xi); lower-bounds inf_x Q(df_x)."""
-    Y = xi.tangent_at_base()
-    conj = conjugate_eval(Q, [-B for B in Y.blocks])
+    """Dual objective -f^inf(xi) - Q*(-Y_xi); lower-bounds inf_x Q(df_x).
+
+    Q* is unitarily invariant, so with Y_xi = k diag(w) k^+ for unitary
+    bases k it only sees the spectrum -w, and the oracle's conjugate, a
+    symmetric function, takes the weights in any order.
+    """
+    conj = float(Q.oracle.conjugate_eval(-_ray_spectrum(Q, xi)))
     if not np.isfinite(conj):
         return -math.inf
-    rec = problem.recession(xi)
-    return -rec - conj
+    return -problem.recession(xi) - conj
 
 
 # Search bracket for scales of rays whose conjugate has no gauge (finite on

@@ -42,18 +42,6 @@ def check_hermitian(H, name="matrix"):
     return H
 
 
-def _canonical_phases(basis):
-    """Fix the free phase of each eigenvector: first nonzero entry real positive."""
-    out = np.array(basis, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size:
-            ph = col[nz[0]]
-            out[:, j] = col * (ph.conjugate() / abs(ph))
-    return out
-
-
 @dataclass(frozen=True)
 class EighResult:
     """Eigenvalues sorted nonincreasing with an aligned unitary basis."""
@@ -65,14 +53,15 @@ class EighResult:
 def eigh(H, name="matrix"):
     """Hermitian eigendecomposition with nonincreasing eigenvalues.
 
-    Deterministic for a fixed input: numpy's eigh plus phase canonicalization
-    of each eigenvector column.
+    The input is checked to be Hermitian.  Deterministic for a fixed input
+    because numpy's eigh is; the phase of each eigenvector column is whatever
+    numpy returns, with no canonicalization, since every consumer of a basis
+    (lifts, recessions, duals, subspace pairs) is invariant under a phase on
+    each column.
     """
     H = check_hermitian(H, name)
     w, U = np.linalg.eigh(H)
-    w = w[::-1].copy()
-    U = _canonical_phases(U[:, ::-1])
-    return EighResult(values=w, basis=U)
+    return EighResult(values=w[::-1].copy(), basis=U[:, ::-1])
 
 
 def tie_groups(lam, tol=TIE_TOL):

@@ -282,6 +282,23 @@ def test_certify_zero_certificate_constant():
     assert abs(apps.certify(A, S, xi)) < 1e-12
 
 
+def test_certify_rejects_non_unitary_bases():
+    """The dual reads the spectrum of k diag(w) k^+ as w, so a basis that is
+    not unitary is rejected: with 0.5 I it would report 1.25 > inf S = -1."""
+    v = tensors.unit_tensor(2, 3)
+    S = builtin_objective("neg_entropy_weighted", (2, 2, 2), theta=[1 / 3] * 3)
+
+    def cert(scale):
+        return apps.BoundaryCertificate(
+            np.zeros(0), [scale * np.eye(2, dtype=complex)] * 3,
+            [np.array([-1.0, -1.0])] * 3,
+        )
+
+    assert abs(apps.certify(v, S, cert(1.0)) + 1.0) < 1e-12
+    with pytest.raises(ValidationError, match="not unitary"):
+        apps.certify(v, S, cert(0.5))
+
+
 def test_moment_limit_consistency():
     """Late-run moment-map spectra cluster near the best sample."""
     dims = (3, 2, 2)

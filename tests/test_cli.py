@@ -213,6 +213,21 @@ def test_certify_dims_mismatch_exit_2(tmp_path):
     assert main(["certify", path, str(cert_path)]) == 2
 
 
+def test_certify_non_unitary_exit_2(tmp_path, capsys):
+    path = write_unit(tmp_path)
+    from qflow.geometry import BoundaryCertificate
+
+    theta = ",".join([repr(1 / 3)] * 3)
+    for scale, code in ((1.0, 0), (0.5, 2)):
+        cert = BoundaryCertificate(np.zeros(0), [scale * np.eye(2, dtype=complex)] * 3,
+                                   [np.array([-1.0, -1.0])] * 3)
+        cert_path = tmp_path / f"cert{scale}.json"
+        cert_path.write_text(json.dumps(io.certificate_to_record(cert)))
+        assert main(["certify", path, str(cert_path), "--objective",
+                     "neg_entropy_weighted", "--theta", theta]) == code
+    assert abs(json.loads(capsys.readouterr().out)["dual_value"] + 1.0) < 1e-12
+
+
 def test_max_iters_zero_reports_initial(tmp_path, capsys):
     path = write_unit(tmp_path)
     assert main(["scale", path, "--objective", "frobenius",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qflow import apps
 from qflow import geometry as geom
 from qflow import solver
 from qflow import tensors
@@ -21,11 +22,15 @@ from qflow.solver import (
     q_gradient,
 )
 from qflow.spectral import (
+    EighResult,
     SpectralObjective,
+    SpectralPass,
     SymmetricFunctionOracle,
     builtin_objective,
+    conjugate_eval,
     infimum,
     lift_eval,
+    spectral_pass,
 )
 
 
@@ -36,6 +41,20 @@ def make_problem(dims, seed):
 
 def identity_factors(dims):
     return [np.eye(n, dtype=complex) for n in dims]
+
+
+def random_unitary(rng, n):
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(M)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_certificate(rng, dims):
+    """A ray with random unitary bases and nonincreasing Gaussian weights."""
+    return geom.BoundaryCertificate(
+        np.zeros(0), [random_unitary(rng, n) for n in dims],
+        [np.sort(rng.standard_normal(n))[::-1] for n in dims],
+    )
 
 
 def test_q_gradient_chain_rule():
@@ -235,6 +254,13 @@ def test_group_method_one_eigh_per_block(monkeypatch):
     assert tr.iterations == 60
     assert len(passes) >= tr.iterations + 1
     assert len(calls) <= 2 * len(passes) + 20
+    # certify reads the certificate's weights and eigendecomposes nothing
+    dims = (3, 3, 3)
+    cert = random_certificate(np.random.default_rng(52), dims)
+    S = builtin_objective("neg_entropy_weighted", dims, theta=[0.2, 0.3, 0.5])
+    calls.clear()
+    assert math.isfinite(apps.certify(gaussian_tensor(dims, 52), S, cert))
+    assert len(calls) == 0
 
 
 def test_group_method_best_value_nonincreasing_bookkeeping():
@@ -356,6 +382,108 @@ def test_extract_certificate_interior_status():
     )
     assert tr.certificate is None
     assert "interior_optimum" in tr.status
+
+
+def matrix_dual_reference(problem, Q, xi):
+    """The dual through the matrix Y_xi = k diag(w) k^+: the lifted conjugate
+    eigendecomposes each block of -Y_xi."""
+    conj = conjugate_eval(Q, [-B for B in xi.tangent_at_base().blocks])
+    if not np.isfinite(conj):
+        return -math.inf
+    return -problem.recession(xi) - conj
+
+
+def test_certificate_phases_do_not_matter():
+    """A unit phase on each basis column changes no dual value, recession,
+    Fortin-Reutenauer pair or lifted direction; the dual read from the
+    weights equals the matrix formula on generic, near-tied and 1e6-scale
+    rays."""
+    rng = np.random.default_rng(54)
+
+    def rephased(bases):
+        return [k * np.exp(2j * np.pi * rng.random(k.shape[1])) for k in bases]
+
+    dims = (3, 2, 2)
+    prob = make_problem(dims, 54)
+    for kind, params in (("frobenius", {}), ("op_norm_max_weighted", {}),
+                         ("trace_dist_to_uniform", {}),
+                         ("neg_entropy_weighted", {"theta": [0.5, 0.25, 0.25]})):
+        S = builtin_objective(kind, dims, **params)
+        gauge = S.oracle.conjugate_gauge
+        finite = 0
+        for trial in range(12):
+            cert = random_certificate(rng, dims)
+            if trial % 2:
+                for w in cert.weights:
+                    w[1] = w[0] - 1e-10
+            scales = [1.0, 1e6]
+            if gauge is not None:
+                scales.append(0.5 / gauge(-np.concatenate(cert.weights)))
+            for c in scales:
+                xi = cert.scaled(c)
+                eta = geom.BoundaryCertificate(xi.euclid_dir, rephased(xi.bases),
+                                               xi.weights)
+                d = dual_value(prob, S, xi)
+                ref = matrix_dual_reference(prob, S, xi)
+                assert abs(prob.recession(eta) - prob.recession(xi)) <= 1e-12
+                if d == -math.inf:
+                    assert ref == -math.inf
+                    assert dual_value(prob, S, eta) == -math.inf
+                    continue
+                finite += 1
+                assert abs(d - ref) <= 1e-12 * (1.0 + abs(d))
+                assert abs(dual_value(prob, S, eta) - d) <= 1e-12
+        assert finite >= 12
+    # a pencil U M_k V whose M_k vanish on rows :2, columns 1:, and the ray
+    # with bases U and V^T cut at those dimensions
+    n = 4
+    U, V = random_unitary(rng, n), random_unitary(rng, n)
+    mats = []
+    for _ in range(3):
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        M[:2, 1:] = 0.0
+        mats.append(U @ M @ V)
+    A = apps.MatrixPencil(mats)
+    cert = geom.BoundaryCertificate(
+        np.zeros(0), [U, V.T],
+        [np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, -1.0, -1.0])],
+    )
+    pair = apps.fortin_reutenauer_pair(A, cert)
+    assert pair["dim_sum"] == 5 and pair["residual"] < 1e-12
+    for _ in range(3):
+        other = apps.fortin_reutenauer_pair(
+            A, geom.BoundaryCertificate(cert.euclid_dir, rephased(cert.bases),
+                                        cert.weights))
+        assert other["dim_sum"] == pair["dim_sum"]
+        assert abs(other["residual"] - pair["residual"]) <= 1e-12
+    # the lift of a tie-averaged direction, at a generic and a fully tied point
+    for v in (gaussian_tensor((3, 3, 2), 55), tensors.unit_tensor(3, 3)):
+        mu = tensors.moment_map(tensors.normalize(v))
+        S = builtin_objective("trace_dist_to_uniform", v.shape)
+        sp = spectral_pass(S, mu, 0.1)
+        decomps = [EighResult(r.values, k)
+                   for r, k in zip(sp.decomps, rephased([r.basis for r in sp.decomps]))]
+        moved = SpectralPass(sp.value, sp.smoothed, decomps, sp.direction)
+        for a, b in zip(sp.lift(sp.direction), moved.lift(sp.direction)):
+            assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_dual_value_checks_certificate_shape_and_unitarity():
+    dims = (2, 2)
+    prob = make_problem(dims, 56)
+    S = builtin_objective("frobenius", dims)
+    I2 = np.eye(2, dtype=complex)
+    w = np.array([0.3, -0.3])
+    for bases, weights in (([I2], [w]),  # one block short
+                           ([I2, np.eye(3)], [w, np.zeros(3)]),  # wrong dim
+                           ([I2, I2], [w, np.zeros(3)]),  # weights too long
+                           ([I2, I2 + 1e-7], [w, w])):  # beyond UNITARY_TOL
+        with pytest.raises(ValidationError):
+            dual_value(prob, S, geom.BoundaryCertificate(np.zeros(0), bases, weights))
+    near = I2 + 1e-10 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert math.isfinite(
+        dual_value(prob, S, geom.BoundaryCertificate(np.zeros(0), [I2, near], [w, w]))
+    )
 
 
 def test_dual_value_infeasible_certificate():

@@ -72,7 +72,7 @@ def _config(args, app):
     if args.step is not None:
         over["step_size"] = args.step
     if args.smooth is not None:
-        over["smoothing"] = args.smooth if args.smooth > 0 else None
+        over["smoothing"] = None if args.smooth <= 0 else args.smooth  # NaN fails validate
         if args.smooth <= 0:
             over["smoothing_schedule"] = False
     if args.tol is not None:

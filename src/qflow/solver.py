@@ -1,15 +1,16 @@
-"""Q-gradient flow and Q-subgradient methods on products of PD manifolds.
+"""Q-gradient flow and Q-subgradient method on products of PD manifolds.
 
-Both solvers carry group factors g, with iterate x = e^{2c} g^+ g (c the
-log-determinant share divided out at renormalization).  The differential of
-f at x, transported to the base by g, is the moment map of g.v; the driving
-direction Z is d(Q^2/2) there (Q times a subgradient of Q), and the step
-g <- exp(-h Z/2) g moves x to g^+ exp(-h Z) g along a geodesic, so iterates
-stay exactly positive definite.
-
-Certificates (directions at infinity) come from u = log_map(x_T)/R with
-R = integral of Q along the trajectory; by weak duality their dual value
-lower-bounds inf_x Q(df_x).
+Both solvers run one loop over group factors g, with iterate x = e^{2c} g^+ g
+(c the log-determinant share divided out at renormalization).  The moment map
+of g.v is the differential of f at x transported to the base; step i drives
+g <- exp(-h Z/2) g, a geodesic step x <- g^+ exp(-h Z) g, with Z = d(Q^2/2)
+there, and smooths Q to its Moreau envelope at level lambda_i = smoothing
+(over sqrt(i+1) under smoothing_schedule) when smoothing is set.  Two step
+policies set h and the stop: the subgradient method's schedule and
+best-window stall; the flow's constant step with a halving backstop, energy
+record and consecutive-value stall.  Certificates u = log_map(x_T)/R, with
+R = integral of Q along the trajectory, lower-bound inf_x Q(df_x) by weak
+duality.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ from . import tensors
 
 @dataclass
 class FlowConfig:
+    """Settings of both solvers.  Whenever smoothing is set, both solvers
+    (integrate_flow on a smooth Q too) follow the Moreau envelope of Q at level
+    lambda_i = smoothing, or smoothing / sqrt(i+1) under smoothing_schedule."""
+
     max_iters: int = 2000
     step_rule: str = "sqrt"  # "constant" or "sqrt": step_size / sqrt(i+1)
     step_size: float = 1.0
@@ -50,12 +55,16 @@ class FlowConfig:
     renorm_every: int = 100
 
     def validate(self):
-        if self.max_iters < 0 or self.step_size <= 0 or self.ode_step <= 0:
-            raise ValidationError("iteration counts and steps must be positive")
+        # written so that NaN fails every test
+        if not (self.max_iters >= 0 and 0 < self.step_size < math.inf
+                and 0 < self.ode_step < math.inf):
+            raise ValidationError("iteration counts and steps must be positive and finite")
         if self.step_rule not in ("constant", "sqrt"):
             raise ValidationError(f"unknown step rule {self.step_rule!r}")
-        if self.smoothing is not None and self.smoothing <= 0:
-            raise ValidationError("smoothing parameter must be positive")
+        if self.smoothing is not None and not 0 < self.smoothing < math.inf:
+            raise ValidationError("smoothing parameter must be positive and finite")
+        if not 0 <= self.tol_stall < math.inf:
+            raise ValidationError("stall tolerance must be nonnegative and finite")
         if self.record_every < 1:
             raise ValidationError("record_every must be at least 1")
         return self
@@ -64,6 +73,11 @@ class FlowConfig:
         if self.step_rule == "constant":
             return self.step_size
         return self.step_size / math.sqrt(i + 1.0)
+
+    def smoothing_at(self, i):
+        if self.smoothing is None or not self.smoothing_schedule:
+            return self.smoothing
+        return self.smoothing / math.sqrt(i + 1.0)
 
 
 @dataclass
@@ -106,10 +120,7 @@ class KempfNessProblem:
 
     def __post_init__(self):
         self.v = tensors.normalize(self.v)
-        if self.modes is None:
-            self.modes = tuple(range(self.v.ndim))
-        else:
-            self.modes = tuple(self.modes)
+        self.modes = tuple(range(self.v.ndim)) if self.modes is None else tuple(self.modes)
 
     @property
     def signature(self):
@@ -139,16 +150,6 @@ def q_gradient(problem, Q, x):
     return transport_from_base(x, TangentBlock(np.zeros(0), g0, at=None))
 
 
-def _q_shift(Q):
-    """-inf Q, the shift that keeps the Q-factor Q - inf Q nonnegative."""
-    shift = -infimum(Q)
-    if not math.isfinite(shift):
-        raise UnsupportedObjectiveError(
-            f"objective {Q.label!r} is unbounded below (Q*(0) = +inf)"
-        )
-    return shift
-
-
 class _Orbit:
     """Group factors g of the iterate x = e^{2c} g^+ g acting on a unit tensor v;
     c is the per-block log |det| share divided out at renormalization."""
@@ -165,10 +166,10 @@ class _Orbit:
         f = 2.0 * (math.log(nrm) + sum(self.c))
         return tensors.moment_map(w / nrm, self.modes), f
 
-    def advanced(self, sp, direction, delta):
+    def advanced(self, sp, fac, delta):
         """The orbit after g <- exp(-delta Z/2) g, that is x <- g^+ exp(-delta Z) g,
-        where Z has eigenvalues `direction` in the eigenbases of the pass `sp`."""
-        E = sp.lift([np.exp(-0.5 * delta * d) for d in direction])
+        where Z has eigenvalues fac * sp.direction in the eigenbases of `sp`."""
+        E = sp.lift([np.exp(-0.5 * delta * (fac * m)) for m in sp.direction])
         return _Orbit(self.v, self.modes, [Ej @ gj for Ej, gj in zip(E, self.g)],
                       list(self.c))
 
@@ -199,145 +200,143 @@ class _Orbit:
         return TangentBlock(np.zeros(0), logs), ProductPDPoint(np.zeros(0), blocks)
 
 
+def _descend(problem, g0, Q, config, policy, x0=None):
+    """The loop of both solvers, from the factors g0.  It folds each orbit's
+    pass into best_q and the samples; `policy.advance` steps the orbit and
+    returns the next orbit, its pass (taken once) and f, the step taken and
+    whether the run stalled; `policy.t` and `policy.h` are the clock and step
+    of the samples.  Certificates are relative to x0, by default the identity."""
+    config.validate()
+    shift = -infimum(Q)  # Q - inf Q keeps the Q-factor nonnegative
+    if not math.isfinite(shift):
+        raise UnsupportedObjectiveError(
+            f"objective {Q.label!r} is unbounded below (Q*(0) = +inf)"
+        )
+    orbit = _Orbit(problem.v, problem.modes, [np.array(gi, dtype=complex) for gi in g0])
+    trace = FlowTrace()
+    r_cum = 0.0
+
+    def pass_at(orbit, i):
+        mu, f = orbit.evaluate()
+        return spectral_pass(Q, mu, config.smoothing_at(i)), f
+
+    def observe(sp, f, keep):
+        if sp.value < trace.best_q:
+            trace.best_q, trace.best_spectra = sp.value, sp.spectra
+        if keep:
+            trace.samples.append(
+                TraceSample(policy.t, sp.value, f, r_cum, policy.h, q_smooth=sp.smoothed))
+
+    sp, f = pass_at(orbit, 0)
+    stalled = False
+    for i in range(config.max_iters):
+        observe(sp, f, i % config.record_every == 0)
+        fac = sp.smoothed + shift
+        orbit, sp, f, h, stalled = policy.advance(trace, orbit, sp, fac, f, i,
+                                                  lambda o: pass_at(o, i + 1))
+        r_cum += h * fac
+        trace.iterations = i + 1
+        if stalled:
+            break
+    trace.status = "stalled" if stalled else "max_iters"
+    observe(sp, f, True)
+    log_final, trace.final_point = orbit.log_and_point()
+    # the default base is the identity, where the factors give log x_T directly
+    base = problem.identity_point() if x0 is None else x0
+    extract_certificate(trace, base, log_final=log_final if x0 is None else None)
+    return trace, orbit.g
+
+
+class _SubgradientSteps:
+    """group_subgradient_method's steps, on the clock t = step count.  The
+    stall rule reads best_q before the next orbit's value is folded in."""
+
+    def __init__(self, config):
+        self.config, self.t, self.h = config, 0.0, config.step(0)
+        self.best_window, self.improved = math.inf, -1
+
+    def advance(self, trace, orbit, sp, fac, f, i, pass_at):
+        delta, self.t, self.h = self.h, float(i + 1), self.config.step(i + 1)
+        orbit = orbit.advanced(sp, fac, delta)
+        if self.config.renorm_every and (i + 1) % self.config.renorm_every == 0:
+            trace.renormalizations += orbit.renormalize()
+        tol = self.config.tol_stall * (1.0 + abs(trace.best_q))
+        if trace.best_q < self.best_window - tol:
+            self.best_window, self.improved = trace.best_q, i
+        # a step that improves best_q never stalls, whatever stall_window is
+        stalled = 0 < i - self.improved >= self.config.stall_window
+        return (orbit, *pass_at(orbit), delta, stalled)
+
+
+class _FlowSteps:
+    """integrate_flow's steps, on the clock t = sum of the steps taken."""
+
+    def __init__(self, Q, config):
+        self.h, self.h_min = config.ode_step, config.ode_step * 2.0 ** -40
+        # q_prev = inf: the first step has no previous value and never stalls
+        self.config, self.t, self.q_prev = config, 0.0, math.inf
+        # the Moreau envelope carries no half-square conjugate
+        self.hsc = Q.oracle.half_square_conjugate if config.smoothing is None else None
+
+    def advance(self, trace, orbit, sp, fac, f, i, pass_at):
+        trace.energy_times.append(self.t)
+        trace.energy_half_q2.append(0.5 * fac ** 2)
+        trace.energy_conj_half.append(None if self.hsc is None else
+                                      float(self.hsc(fac * np.concatenate(sp.direction))))
+        trace.energy_f.append(f)
+        q, self.q_prev = self.q_prev, sp.smoothed
+        stalled = abs(q - sp.smoothed) <= self.config.tol_stall * (1.0 + abs(sp.smoothed))
+        # trials are smoothed at the next level; when a schedule shrinks lambda,
+        # the envelope rises, so this orbit is measured again at that level
+        same = self.config.smoothing_at(i + 1) == self.config.smoothing_at(i)
+        q_bar = sp.smoothed if same else pass_at(orbit)[0].smoothed
+        while True:
+            trial = orbit.advanced(sp, fac, self.h)
+            sp_next, f = pass_at(trial)
+            if sp_next.smoothed <= q_bar + 1e-9 or self.h <= self.h_min:
+                self.t += self.h
+                return trial, sp_next, f, self.h, stalled
+            self.h *= 0.5
+
+
 def integrate_flow(problem, Q, x0, config):
     """Euler steps of the Q-gradient flow in group form, from g0 = x0^1/2.
 
-    Steps are halved whenever the recorded Q value would increase, a backstop
-    for the continuous-time monotonicity of t -> Q(df_x(t)).  The dynamics
-    use Q - inf Q, which keeps the Q-factor nonnegative.
+    The step ode_step is halved for good whenever the smoothed Q value would
+    rise, a backstop for the monotonicity of t -> Q(df_x(t)); the run stalls
+    when two consecutive values agree within tol_stall.  A nonsmooth Q needs
+    config.smoothing; a set smoothing, even on a smooth Q, makes the flow
+    follow the Moreau envelope at the subgradient method's level lambda_i and
+    leaves the energy record without the half-square conjugate.
     """
-    config.validate()
-    lam = None
-    if not Q.smooth:
-        if config.smoothing is None:
-            raise UnsupportedObjectiveError(
-                f"objective {Q.label!r} is not smooth; set config.smoothing"
-            )
-        lam = config.smoothing
-    shift = _q_shift(Q)
+    if not Q.smooth and config.smoothing is None:
+        raise UnsupportedObjectiveError(
+            f"objective {Q.label!r} is not smooth; set config.smoothing"
+        )
     if x0.euclid.size:
         raise ValidationError("Kempf-Ness points carry no Euclidean factor")
-    # the Moreau envelope carries no half-square conjugate
-    hsc = Q.oracle.half_square_conjugate if lam is None else None
-    trace = FlowTrace()
-    orbit = _Orbit(problem.v, problem.modes, [sqrtm_pd(B) for B in x0.blocks])
-    t = 0.0
-    r_cum = 0.0
-    h = config.ode_step
-    h_min = config.ode_step * 2.0 ** -40
-    q_prev = None
-    mu, f_val = orbit.evaluate()
-    sp = spectral_pass(Q, mu, lam)
-    for i in range(config.max_iters):
-        q_s = sp.smoothed
-        fac = q_s + shift
-        direction = [fac * m for m in sp.direction]
-        trace.energy_times.append(t)
-        trace.energy_half_q2.append(0.5 * fac ** 2)
-        trace.energy_conj_half.append(
-            None if hsc is None else float(hsc(np.concatenate(direction)))
-        )
-        trace.energy_f.append(f_val)
-        trace.best_q = min(trace.best_q, sp.value)
-        if i % config.record_every == 0:
-            trace.samples.append(
-                TraceSample(t, sp.value, f_val, r_cum, h, q_smooth=q_s)
-            )
-        # trial step with halving backstop
-        while True:
-            trial = orbit.advanced(sp, direction, h)
-            mu, f_trial = trial.evaluate()
-            sp_new = spectral_pass(Q, mu, lam)
-            if sp_new.smoothed <= q_s + 1e-9 or h <= h_min:
-                break
-            h *= 0.5
-        orbit, sp, f_val = trial, sp_new, f_trial
-        t += h
-        r_cum += h * fac
-        trace.iterations = i + 1
-        if q_prev is not None and abs(q_prev - q_s) <= config.tol_stall * (1.0 + abs(q_s)):
-            trace.status = "stalled"
-            break
-        q_prev = q_s
-    if trace.status == "unknown":
-        trace.status = "max_iters"
-    trace.best_q = min(trace.best_q, sp.value)
-    trace.samples.append(
-        TraceSample(t, sp.value, f_val, r_cum, h, q_smooth=sp.smoothed)
-    )
-    _, trace.final_point = orbit.log_and_point()
-    extract_certificate(trace, x0)
-    return trace
+    g0 = [sqrtm_pd(B) for B in x0.blocks]
+    return _descend(problem, g0, Q, config, _FlowSteps(Q, config), x0)[0]
 
 
 def group_subgradient_method(v, S, g0, config, modes=None):
     """Q-subgradient method in group form: g <- exp(-delta_i Z_i/2) g, with
-    Z_i in d((S - inf S)^2/2) at the moment map of g.v.
+    delta_i = config.step(i) and Z_i in d((S - inf S)^2/2) at the moment map
+    of g.v.
 
     Factors are renormalized to unit |det| every renorm_every iterations; the
     divided-out shares c stay in the iterate x = e^{2c} g^+ g.  Stops at
-    max_iters or when the best value has not improved for stall_window
-    iterations.
+    max_iters or when the best value has not improved by tol_stall for
+    stall_window iterations.
     """
-    config.validate()
-    shift = _q_shift(S)
-    v = tensors.normalize(v)
-    modes = tuple(range(v.ndim)) if modes is None else tuple(modes)
-    orbit = _Orbit(v, modes, [np.array(gi, dtype=complex) for gi in g0])
-    trace = FlowTrace()
-    best_window = math.inf
-    since_improve = 0
-    r_cum = 0.0
-
-    def evaluate(lam=None):
-        mu, f = orbit.evaluate()
-        sp = spectral_pass(S, mu, lam)
-        if sp.value < trace.best_q:
-            trace.best_q = sp.value
-            trace.best_spectra = sp.spectra
-        return sp, f
-
-    for i in range(config.max_iters):
-        lam = config.smoothing
-        if lam is not None and config.smoothing_schedule:
-            lam = config.smoothing / math.sqrt(i + 1.0)
-        sp, f = evaluate(lam)
-        delta = config.step(i)
-        if i % config.record_every == 0:
-            trace.samples.append(
-                TraceSample(float(i), sp.value, f, r_cum, delta,
-                            q_smooth=None if lam is None else sp.smoothed)
-            )
-        fac = sp.smoothed + shift
-        orbit = orbit.advanced(sp, [fac * m for m in sp.direction], delta)
-        if config.renorm_every and (i + 1) % config.renorm_every == 0:
-            trace.renormalizations += orbit.renormalize()
-        r_cum += delta * fac
-        trace.iterations = i + 1
-        # stall detection on best-so-far improvement
-        if trace.best_q < best_window - config.tol_stall * (1.0 + abs(trace.best_q)):
-            best_window = trace.best_q
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve >= config.stall_window:
-                trace.status = "stalled"
-                break
-    if trace.status == "unknown":
-        trace.status = "max_iters"
-    sp, f = evaluate()
-    trace.samples.append(TraceSample(float(trace.iterations), sp.value, f, r_cum, 0.0))
-    log_final, trace.final_point = orbit.log_and_point()
-    x0 = ProductPDPoint.identity(tuple(v.shape[m] for m in modes))
-    extract_certificate(trace, x0, log_final=log_final)
-    return trace, orbit.g
+    return _descend(KempfNessProblem(v, modes), g0, S, config, _SubgradientSteps(config))
 
 
 def extract_certificate(trace, x0, r_floor=1e-8, dist_floor=1e-6, log_final=None):
     """Direction at infinity from a finished trace: u = log_map(x_T)/R.
 
     `log_final`, when given, is log_map(x_T, x0) as the caller computed it;
-    the group form passes the log it builds from its factors.
+    the subgradient method passes the log it builds from its factors.
 
     When R (or the travelled distance) is negligible the flow sat at an
     interior near-minimizer and no boundary certificate exists; the trace

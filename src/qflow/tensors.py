@@ -145,10 +145,11 @@ def _certificate_weights(v, xi, modes):
     full_k = [None] * d
     full_w = [np.zeros(n) for n in v.shape]
     for k, w, ax in zip(bases, weights, modes):
-        if k.shape[0] != v.shape[ax]:
+        w = np.asarray(w, dtype=float)
+        if k.shape[0] != v.shape[ax] or w.shape != (v.shape[ax],):
             raise ValidationError("certificate dims do not match tensor")
         full_k[ax] = k
-        full_w[ax] = np.asarray(w, dtype=float)
+        full_w[ax] = w
     return full_k, full_w
 
 

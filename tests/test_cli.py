@@ -242,6 +242,15 @@ def test_record_every_zero_exit_2(tmp_path, capsys):
     assert "record_every" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--step", "inf"), ("--step", "nan"),
+                                        ("--smooth", "nan"), ("--smooth", "inf"),
+                                        ("--tol", "nan"), ("--tol", "-1")])
+def test_invalid_solver_settings_exit_2(tmp_path, capsys, flag, value):
+    path = write_unit(tmp_path)
+    assert main(["scale", path, flag, value]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_scale_entropy_descends(tmp_path, capsys):
     """The entropy objective is negative: the run must still descend from
     the identity and report a finite dual bound."""

@@ -296,6 +296,32 @@ def test_group_method_renormalization_logged():
     assert abs(tr.samples[-1].f_value - tensors.kempf_ness(v, tr.final_point)) < 1e-10
 
 
+@pytest.mark.parametrize("form", ["flow", "group"])
+@pytest.mark.parametrize("smoothing", [None, 0.1])
+def test_shared_bookkeeping(form, smoothing):
+    """Both solvers keep the spectra of their best value and follow the
+    Moreau envelope whenever smoothing is set, smooth objectives included."""
+    prob = make_problem((3, 2, 2), 53)
+    S = builtin_objective("frobenius", prob.signature)
+    cfg = FlowConfig(max_iters=40, ode_step=0.05, step_size=0.3,
+                     smoothing=smoothing, smoothing_schedule=True)
+    if form == "flow":
+        tr = integrate_flow(prob, S, prob.identity_point(), cfg)
+        # the backstop compares envelopes at one level: a shrinking lambda
+        # alone must not halve the step
+        assert tr.samples[-1].step == cfg.ode_step
+    else:
+        tr, _ = group_subgradient_method(prob.v, S, identity_factors(prob.signature),
+                                         cfg)
+    assert tr.best_spectra is not None
+    assert float(S.oracle.eval(np.concatenate(tr.best_spectra))) == tr.best_q
+    for s in tr.samples:
+        if smoothing is None:
+            assert s.q_smooth == s.q_value
+        else:
+            assert s.q_smooth < s.q_value - 1e-6
+
+
 def test_unit_tensor_group_run_stays_optimal():
     v = tensors.unit_tensor(3, 3)
     S = builtin_objective("trace_dist_to_uniform", v.shape)
@@ -555,6 +581,13 @@ def test_config_validation():
         FlowConfig(smoothing=-0.1).validate()
     with pytest.raises(ValidationError):
         FlowConfig(record_every=0).validate()
+    for bad in (math.inf, math.nan):
+        for name in ("step_size", "ode_step", "smoothing", "tol_stall"):
+            with pytest.raises(ValidationError):
+                FlowConfig(**{name: bad}).validate()
+    with pytest.raises(ValidationError):
+        FlowConfig(tol_stall=-1e-9).validate()
+    FlowConfig(tol_stall=0.0, smoothing=0.1).validate()
 
 
 @pytest.mark.parametrize("kind", ["frobenius", "op_norm_max_weighted",

@@ -137,6 +137,16 @@ def test_recession_accepts_certificate():
     assert abs(tensors.recession(v, xi) - tensors.recession(v, cert)) < 1e-9
 
 
+def test_recession_rejects_wrong_weight_lengths():
+    v = tensors.unit_tensor(2, 3)
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(ValidationError):
+        tensors.recession(v, geom.BoundaryCertificate(np.zeros(0), [eye] * 3,
+                                                      [np.ones(3)] * 3))
+    ok = geom.BoundaryCertificate(np.zeros(0), [eye] * 3, [np.ones(2)] * 3)
+    assert abs(tensors.recession(v, ok) - 3.0) < 1e-12
+
+
 def test_recession_partial_modes_zero_weight_elsewhere():
     v = tensors.unit_tensor(2, 3)
     xi = geom.TangentBlock(np.zeros(0), [np.diag([1.0, 0.0])])

@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import apps, generate, io, tensors
-from .errors import DomainError, ParameterError, ValidationError
+from .errors import DomainError, ParameterError, UnsupportedObjectiveError, ValidationError
 from .spectral import builtin_objective
 
 log = logging.getLogger("qflow")
@@ -304,7 +304,8 @@ def main(argv=None):
         log.error("precondition failed: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ValidationError, ParameterError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, ParameterError, UnsupportedObjectiveError, OSError,
+            json.JSONDecodeError) as exc:
         log.error("invalid input: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

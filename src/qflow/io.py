@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 
 import numpy as np
 
@@ -25,22 +27,45 @@ def tensor_to_record(v, kind="tensor"):
     return {"kind": kind, "dims": [int(n) for n in v.shape], "entries": entries}
 
 
+def _integer(x, what):
+    """x as an int; bools, strings and non-integral numbers are rejected."""
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValidationError(f"{what} must be integers, got {x!r}")
+    return x
+
+
+def _real(x, what):
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+        raise ValidationError(f"{what} must be a finite number, got {x!r}")
+    return float(x)
+
+
 def tensor_from_record(rec):
-    dims = rec.get("dims")
-    if not dims or any(int(n) <= 0 for n in dims):
+    dims = rec.get("dims") if isinstance(rec, dict) else None
+    if not isinstance(dims, list) or not dims:
         raise ValidationError(f"bad dims field: {dims!r}")
-    v = np.zeros(tuple(int(n) for n in dims), dtype=complex)
+    dims = tuple(_integer(n, "dims") for n in dims)
+    if any(n <= 0 for n in dims):
+        raise ValidationError(f"bad dims field: {list(dims)!r}")
+    v = np.zeros(dims, dtype=complex)
+    entries = rec.get("entries", [])
+    if not isinstance(entries, list):
+        raise ValidationError(f"entries must be a list, got {entries!r}")
     seen = set()
-    for e in rec.get("entries", []):
-        idx = tuple(int(i) for i in e["idx"])
+    for e in entries:
+        if not isinstance(e, dict) or not isinstance(e.get("idx"), list):
+            raise ValidationError(f"entry {e!r} has no idx list")
+        idx = tuple(_integer(i, "indices") for i in e["idx"])
         if len(idx) != len(dims) or any(
             not 0 <= i < n for i, n in zip(idx, dims)
         ):
-            raise ValidationError(f"index {list(idx)} out of range for dims {dims}")
+            raise ValidationError(f"index {list(idx)} out of range for dims {list(dims)}")
         if idx in seen:
             raise ValidationError(f"duplicate index {list(idx)}")
         seen.add(idx)
-        v[idx] = float(e.get("re", 0.0)) + 1j * float(e.get("im", 0.0))
+        v[idx] = _real(e.get("re", 0.0), "re") + 1j * _real(e.get("im", 0.0), "im")
     return v
 
 
@@ -62,6 +87,8 @@ def load_instance(path):
     ('pencil', MatrixPencil)."""
     with open(path) as fh:
         rec = json.load(fh)
+    if not isinstance(rec, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {type(rec).__name__}")
     kind = rec.get("kind", "tensor")
     if kind == "pencil":
         return kind, pencil_from_record(rec)
@@ -104,7 +131,7 @@ def certificate_from_record(rec):
             bases=[_matrix_from_json(d) for d in rec["bases"]],
             weights=[np.asarray(w, dtype=float) for w in rec["weights"]],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed certificate record: {exc}")
 
 

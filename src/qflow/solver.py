@@ -16,12 +16,13 @@ duality.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import UnsupportedObjectiveError, ValidationError
+from .errors import DomainError, UnsupportedObjectiveError, ValidationError
 from .geometry import (
     BoundaryCertificate,
     ProductPDPoint,
@@ -52,7 +53,7 @@ class FlowConfig:
     stall_window: int = 500
     seed: int = 0  # recorded in result records only: the solvers are deterministic
     record_every: int = 1
-    renorm_every: int = 100
+    renorm_every: int = 100  # 0 never renormalizes
 
     def validate(self):
         # written so that NaN fails every test
@@ -65,8 +66,16 @@ class FlowConfig:
             raise ValidationError("smoothing parameter must be positive and finite")
         if not 0 <= self.tol_stall < math.inf:
             raise ValidationError("stall tolerance must be nonnegative and finite")
+        counts = (self.max_iters, self.stall_window, self.record_every, self.renorm_every)
+        if not all(isinstance(n, numbers.Integral) for n in counts):
+            raise ValidationError("max_iters, stall_window, record_every and "
+                                  "renorm_every must be integers")
         if self.record_every < 1:
             raise ValidationError("record_every must be at least 1")
+        if self.stall_window < 1:
+            raise ValidationError("stall_window must be at least 1")
+        if self.renorm_every < 0:
+            raise ValidationError("renorm_every must be nonnegative (0: never)")
         return self
 
     def step(self, i):
@@ -228,6 +237,8 @@ def _descend(problem, g0, Q, config, policy, x0=None):
                 TraceSample(policy.t, sp.value, f, r_cum, policy.h, q_smooth=sp.smoothed))
 
     sp, f = pass_at(orbit, 0)
+    if not math.isfinite(sp.value):
+        raise DomainError(f"objective {Q.label!r} is {sp.value} at the start point")
     stalled = False
     for i in range(config.max_iters):
         observe(sp, f, i % config.record_every == 0)

@@ -10,6 +10,7 @@ of blocks (one block per tensor mode).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -24,6 +25,13 @@ LN2 = math.log(2.0)
 # Spread below which eigenvalues are treated as a tie group when selecting
 # subgradients (keeps the lifted subgradient basis-stable).
 TIE_TOL = 1e-9
+
+# Relative slack of the domain test of a norm's conjugate, dual(x) <= 1 (and
+# of the trace-ball indicator).  Rays rescaled onto the dual unit sphere, such
+# as the ends 1/gauge(w) of the certificate line search, land a few ulps off it
+# in floating point; the slack keeps them in, at the price of a dual bound up
+# to this fraction above the one of the ray scaled back onto the ball.
+DOMAIN_SLACK = 1e-9
 
 
 def check_hermitian(H, name="matrix"):
@@ -85,13 +93,12 @@ class SymmetricFunctionOracle:
     """Oracle bundle for a symmetric convex function of concatenated block spectra.
 
     All callables act on the concatenation of per-block vectors (lengths given
-    by `arity`).  `prox` solves min_q f(q) + ||p-q||^2/(2*lam); it may be None
-    for objectives without a usable proximal map.  `conjugate_gauge`, when
-    set, is a gauge whose unit ball is the domain of the conjugate (norm-type
-    objectives, whose conjugate is finite only there).
+    by `SpectralObjective.block_dims`).  `prox` solves min_q f(q) +
+    ||p-q||^2/(2*lam); it may be None for objectives without a usable proximal
+    map.  `conjugate_gauge`, when set, is a gauge whose unit ball is the
+    domain of the conjugate (norm-type objectives: finite only there).
     """
 
-    arity: tuple
     eval: Callable[[np.ndarray], float]
     conjugate_eval: Callable[[np.ndarray], float]
     subgradient: Callable[[np.ndarray], np.ndarray]
@@ -118,7 +125,7 @@ def _split(p, dims):
     p = np.asarray(p, dtype=float)
     if p.size != sum(dims):
         raise ValidationError(f"vector length {p.size} != sum of block dims {dims}")
-    return np.split(p, np.cumsum(dims)[:-1])
+    return [p[end - n:end] for n, end in zip(dims, itertools.accumulate(dims))]
 
 
 def _check_blocks(S, Y):
@@ -268,7 +275,6 @@ def moreau_objective(S, lam_smooth):
         return p + (t / (t + lam)) * (q - p)
 
     oracle = SymmetricFunctionOracle(
-        arity=base.arity,
         eval=env_eval,
         conjugate_eval=env_conj,
         subgradient=env_grad,
@@ -298,10 +304,6 @@ def project_weighted_l1_ball(p, w, r):
     ok = np.nonzero(theta_cand < ratio[order])[0]
     theta = theta_cand[ok[-1]] if ok.size else theta_cand[0]
     return np.sign(p) * np.maximum(a - theta * w, 0.0)
-
-
-def _soft_threshold(p, t):
-    return np.sign(p) * np.maximum(np.abs(p) - t, 0.0)
 
 
 def _lambert_w_exp(y):
@@ -355,66 +357,112 @@ def _entropy_value_block(q, theta):
 # built-in objectives
 
 
+def _positive(name, values, d):
+    """`values` as d positive finite weights (written so that NaN fails)."""
+    w = np.asarray(values, dtype=float).reshape(-1)
+    if w.size != d or not np.all((w > 0) & (w < math.inf)):
+        raise ParameterError(f"{name} must be {d} positive finite values, got {w}")
+    return w
+
+
+def _block_norm_pair(dims, w):
+    """The block-l1 norm sum_i w_i ||p_i||_1 and its dual, the block-linf norm
+    max_i ||p_i||_inf / w_i, with a subgradient of the first and the
+    projections onto the lam-balls of both (a clip for the block-linf ball)."""
+    wc = np.repeat(w, dims)
+
+    def l1(p):
+        return sum(wi * float(np.sum(np.abs(b))) for b, wi in zip(_split(p, dims), w))
+
+    def linf(p):
+        # one vector op: x -> x / w_i is monotone in floating point too, so the
+        # max of |p_j| / w_j over a block is max |p_i| / w_i
+        return float(np.max(np.abs(np.asarray(p, dtype=float)) / wc))
+
+    def l1_sub(p):
+        return wc * np.sign(np.asarray(p, dtype=float))
+
+    def l1_ball(p, lam):
+        return project_weighted_l1_ball(p, wc, lam)
+
+    def linf_ball(p, lam):
+        return np.clip(p, -lam * wc, lam * wc)
+
+    return l1, linf, l1_sub, l1_ball, linf_ball
+
+
+def _norm_objective(label, dims, norm, dual, dual_ball, sub, shift=None, smooth=False):
+    """p -> norm(p - u) from a norm, its dual, the projection dual_ball(p, lam)
+    onto {dual <= lam}, a subgradient of the norm and a shift u (per-block
+    vectors; None is u = 0).  The conjugate is x.u on the dual unit ball and
+    +inf off it (so the conjugate gauge is the dual norm), the prox is
+    u + p' - dual_ball(p', lam) with p' = p - u (Moreau decomposition), and a
+    smooth norm's half-square conjugate is dual^2/2."""
+    u = None if shift is None else np.concatenate(shift)
+
+    def conj(x):
+        if not dual(x) <= 1.0 + DOMAIN_SLACK:
+            return math.inf
+        if u is None:
+            return 0.0
+        return sum(float(b @ c) for b, c in zip(_split(x, dims), shift))
+
+    def prox(p, lam):
+        p = np.asarray(p, dtype=float)
+        if u is None:
+            return p - dual_ball(p, lam)
+        q = p - u
+        return u + (q - dual_ball(q, lam))
+
+    oracle = SymmetricFunctionOracle(
+        eval=norm if u is None else lambda p: norm(np.asarray(p, dtype=float) - u),
+        conjugate_eval=conj,
+        subgradient=sub if u is None else lambda p: sub(np.asarray(p, dtype=float) - u),
+        prox=prox,
+        smooth=smooth,
+        half_square_conjugate=(lambda x: 0.5 * dual(x) ** 2) if smooth else None,
+        conjugate_gauge=dual,
+    )
+    return SpectralObjective(oracle, dims, label=label)
+
+
 def builtin_objective(kind, block_dims, **params):
     """Construct one of the built-in spectral objectives.
 
     kinds: frobenius, op_norm_max_weighted (alpha), trace_norm_sum_weighted
     (weights), neg_entropy_weighted (theta), trace_dist_to_uniform (scale),
     indicator_trace_ball (radius).
+
+    All but the entropy come from norms.  frobenius is self-dual; the block-l1
+    norm sum_i w_i ||p_i||_1 (trace_norm_sum_weighted) and the block-linf norm
+    max_i ||p_i||_inf / w_i (op_norm_max_weighted) are a dual pair.
+    trace_dist_to_uniform is block-l1 with weights `scale` at p minus the
+    uniform spectra; indicator_trace_ball is the indicator of the radius ball
+    of block-l1 with unit weights, and its conjugate radius times block-linf.
     """
     dims = tuple(int(n) for n in block_dims)
     if any(n <= 0 for n in dims):
         raise ParameterError(f"block dims must be positive, got {dims}")
     d = len(dims)
-    ntot = sum(dims)
 
     if kind == "frobenius":
-        def ev(p):
+        def norm(p):
             return float(np.linalg.norm(p))
 
-        def gauge(x):
-            return float(np.linalg.norm(np.asarray(x, dtype=float)))
-
-        def conj(x):
-            return 0.0 if gauge(x) <= 1.0 + 1e-9 else math.inf
+        def ball(p, lam):
+            nrm = np.linalg.norm(p)
+            return p * (lam / nrm) if nrm > lam else p
 
         def sub(p):
             p = np.asarray(p, dtype=float)
             nrm = np.linalg.norm(p)
             return p / nrm if nrm > 0 else np.zeros_like(p)
 
-        def prox(p, lam):
-            p = np.asarray(p, dtype=float)
-            nrm = np.linalg.norm(p)
-            return p * max(0.0, 1.0 - lam / nrm) if nrm > 0 else p.copy()
-
-        oracle = SymmetricFunctionOracle(
-            arity=dims, eval=ev, conjugate_eval=conj, subgradient=sub, prox=prox,
-            smooth=True,
-            half_square_conjugate=lambda s: 0.5 * float(np.asarray(s) @ np.asarray(s)),
-            conjugate_gauge=gauge,
-        )
-        return SpectralObjective(oracle, dims, label="frobenius")
+        return _norm_objective(kind, dims, norm, norm, ball, sub, smooth=True)
 
     if kind == "op_norm_max_weighted":
-        alpha = np.asarray(params.get("alpha", np.ones(d)), dtype=float)
-        if alpha.size != d or np.any(alpha <= 0):
-            raise ParameterError(f"alpha must be {d} positive weights, got {alpha}")
-        wcoord = np.concatenate([np.full(n, a) for n, a in zip(dims, alpha)])
-
-        def ev(p):
-            return max(
-                float(np.max(np.abs(b))) / a if b.size else 0.0
-                for b, a in zip(_split(p, dims), alpha)
-            )
-
-        def gauge(x):
-            return sum(
-                a * float(np.sum(np.abs(b))) for b, a in zip(_split(x, dims), alpha)
-            )
-
-        def conj(x):
-            return 0.0 if gauge(x) <= 1.0 + 1e-9 else math.inf
+        alpha = _positive("alpha", params.get("alpha", np.ones(d)), d)
+        l1, linf, _, l1_ball, _ = _block_norm_pair(dims, alpha)
 
         def sub(p):
             blocks = _split(p, dims)
@@ -432,53 +480,18 @@ def builtin_objective(kind, block_dims, **params):
                     g[i][at] = share * np.sign(b[at]) / (alpha[i] * cnt)
             return np.concatenate(g)
 
-        def prox(p, lam):
-            p = np.asarray(p, dtype=float)
-            return p - project_weighted_l1_ball(p, wcoord, lam)
-
-        oracle = SymmetricFunctionOracle(
-            arity=dims, eval=ev, conjugate_eval=conj, subgradient=sub, prox=prox,
-            conjugate_gauge=gauge,
-        )
-        return SpectralObjective(oracle, dims, label="op_norm_max_weighted")
+        return _norm_objective(kind, dims, linf, l1, l1_ball, sub)
 
     if kind == "trace_norm_sum_weighted":
-        weights = np.asarray(params.get("weights", np.ones(d)), dtype=float)
-        if weights.size != d or np.any(weights <= 0):
-            raise ParameterError(f"weights must be {d} positive values, got {weights}")
-
-        def ev(p):
-            return sum(
-                w * float(np.sum(np.abs(b))) for b, w in zip(_split(p, dims), weights)
-            )
-
-        def gauge(x):
-            return max(
-                float(np.max(np.abs(b))) / w for b, w in zip(_split(x, dims), weights)
-            )
-
-        def conj(x):
-            return 0.0 if gauge(x) <= 1.0 + 1e-9 else math.inf
-
-        def sub(p):
-            return np.concatenate(
-                [w * np.sign(b) for b, w in zip(_split(p, dims), weights)]
-            )
-
-        def prox(p, lam):
-            return np.concatenate(
-                [_soft_threshold(b, lam * w) for b, w in zip(_split(p, dims), weights)]
-            )
-
-        oracle = SymmetricFunctionOracle(
-            arity=dims, eval=ev, conjugate_eval=conj, subgradient=sub, prox=prox,
-            conjugate_gauge=gauge,
-        )
-        return SpectralObjective(oracle, dims, label="trace_norm_sum_weighted")
+        weights = _positive("weights", params.get("weights", np.ones(d)), d)
+        l1, linf, l1_sub, _, linf_ball = _block_norm_pair(dims, weights)
+        return _norm_objective(kind, dims, l1, linf, linf_ball, l1_sub)
 
     if kind == "neg_entropy_weighted":
         theta = np.asarray(params["theta"], dtype=float)
-        if theta.size != d or np.any(theta <= 0) or abs(np.sum(theta) - 1.0) > 1e-12:
+        # written so that NaN fails
+        if not (theta.size == d and np.all(theta > 0)
+                and abs(np.sum(theta) - 1.0) <= 1e-12):
             raise ParameterError(
                 f"theta must be a strictly positive probability vector of length {d}"
             )
@@ -521,70 +534,26 @@ def builtin_objective(kind, block_dims, **params):
             )
 
         oracle = SymmetricFunctionOracle(
-            arity=dims, eval=ev, conjugate_eval=conj, subgradient=sub, prox=prox,
+            eval=ev, conjugate_eval=conj, subgradient=sub, prox=prox,
         )
         return SpectralObjective(oracle, dims, label="neg_entropy_weighted")
 
     if kind == "trace_dist_to_uniform":
-        scale = float(params.get("scale", 1.0))
-        if scale <= 0:
-            raise ParameterError("scale must be positive")
+        (scale,) = _positive("scale", params.get("scale", 1.0), 1)
+        l1, linf, l1_sub, _, linf_ball = _block_norm_pair(dims, np.full(d, scale))
         uniform = [np.full(n, 1.0 / n) for n in dims]
-
-        def ev(p):
-            return scale * sum(
-                float(np.sum(np.abs(b - u))) for b, u in zip(_split(p, dims), uniform)
-            )
-
-        def gauge(x):
-            return float(np.max(np.abs(np.asarray(x, dtype=float)))) / scale
-
-        def conj(x):
-            if gauge(x) > 1.0 + 1e-9:
-                return math.inf
-            return sum(float(b @ u) for b, u in zip(_split(x, dims), uniform))
-
-        def sub(p):
-            return np.concatenate(
-                [scale * np.sign(b - u) for b, u in zip(_split(p, dims), uniform)]
-            )
-
-        def prox(p, lam):
-            return np.concatenate(
-                [
-                    u + _soft_threshold(b - u, lam * scale)
-                    for b, u in zip(_split(p, dims), uniform)
-                ]
-            )
-
-        oracle = SymmetricFunctionOracle(
-            arity=dims, eval=ev, conjugate_eval=conj, subgradient=sub, prox=prox,
-            conjugate_gauge=gauge,
-        )
-        return SpectralObjective(oracle, dims, label="trace_dist_to_uniform")
+        return _norm_objective(kind, dims, l1, linf, linf_ball, l1_sub, shift=uniform)
 
     if kind == "indicator_trace_ball":
-        radius = float(params.get("radius", 1.0))
-        if radius <= 0:
-            raise ParameterError("radius must be positive")
-
-        def ev(p):
-            return 0.0 if float(np.sum(np.abs(p))) <= radius * (1.0 + 1e-9) else math.inf
-
-        def conj(x):
-            x = np.asarray(x, dtype=float)
-            return radius * float(np.max(np.abs(x))) if x.size else 0.0
-
-        def sub(p):
-            return np.zeros(ntot)
-
-        def prox_fixed(p, lam):
-            # projection; lam is irrelevant for an indicator
-            return project_weighted_l1_ball(p, np.ones(ntot), radius)
-
+        (radius,) = _positive("radius", params.get("radius", 1.0), 1)
+        l1, linf, _, l1_ball, _ = _block_norm_pair(dims, np.ones(d))
         oracle = SymmetricFunctionOracle(
-            arity=dims, eval=ev, conjugate_eval=conj, subgradient=sub, prox=prox_fixed,
+            eval=lambda p: 0.0 if l1(p) <= radius * (1.0 + DOMAIN_SLACK) else math.inf,
+            conjugate_eval=lambda x: radius * linf(x),
+            subgradient=lambda p: np.zeros(sum(dims)),
+            # the projection onto the ball; lam is irrelevant for an indicator
+            prox=lambda p, lam: l1_ball(p, radius),
         )
-        return SpectralObjective(oracle, dims, label="indicator_trace_ball")
+        return SpectralObjective(oracle, dims, label=kind)
 
     raise ParameterError(f"unknown objective kind {kind!r}")

@@ -106,6 +106,25 @@ def test_missing_file_exit_2(tmp_path):
     assert main(["moment", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("command,text", [
+    ("moment", {"dims": [2, 2], "entries": [{"idx": [0, 0], "re": "abc"}]}),
+    ("moment", {"dims": [2, 2], "entries": [{"re": 1.0}]}),
+    ("moment", [{"dims": [2, 2]}]),
+    ("moment", {"dims": 5}),
+    ("moment", {"dims": [2.5, 3, 3], "entries": [{"idx": [0, 0, 0], "re": 1.0}]}),
+    ("moment", {"dims": [2, 2], "entries": [{"idx": [0, 0.5], "re": 1.0}]}),
+    ("certify", {"euclid_dir": [], "weights": [[1.0, 0.0]] * 3,
+                 "bases": [{"re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0]] * 2}] * 3}),
+])
+def test_malformed_input_exit_2(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(text))
+    args = [command, str(bad)] if command == "moment" else [command, write_unit(tmp_path),
+                                                             str(bad)]
+    assert main(args) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_ncrank_identity(tmp_path, capsys):
     path = write_pencil(tmp_path, identity_pencil(3))
     assert main(["ncrank", path, "--max-iters", "400"]) == 0
@@ -249,6 +268,27 @@ def test_invalid_solver_settings_exit_2(tmp_path, capsys, flag, value):
     path = write_unit(tmp_path)
     assert main(["scale", path, flag, value]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["gstable", "UNIT", "--alpha", "nan,1,1"],
+    ["scale", "UNIT", "--objective", "trace_norm_sum_weighted", "--alpha", "inf,1,1"],
+    ["scale", "UNIT", "--objective", "op_norm_max_weighted", "--alpha", "1,nan,1"],
+    ["scale", "UNIT", "--objective", "indicator_trace_ball", "--radius", "nan"],
+])
+def test_non_finite_objective_parameters_exit_2(tmp_path, capsys, args):
+    path = write_unit(tmp_path, n=3)
+    assert main([path if a == "UNIT" else a for a in args]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_objective_infinite_at_start_exit_4(tmp_path, capsys):
+    """The default radius 1 is below ||mu||_1 = 3 of every 3-mode moment map."""
+    path = str(tmp_path / "g.json")
+    assert main(["gen", "gaussian", "--dims", "2,2,2", "--seed", "3",
+                 "--out", path]) == 0
+    assert main(["scale", path, "--objective", "indicator_trace_ball"]) == 4
+    assert "indicator_trace_ball" in capsys.readouterr().err
 
 
 def test_scale_entropy_descends(tmp_path, capsys):

@@ -7,7 +7,7 @@ from qflow import apps
 from qflow import geometry as geom
 from qflow import solver
 from qflow import tensors
-from qflow.errors import UnsupportedObjectiveError, ValidationError
+from qflow.errors import DomainError, UnsupportedObjectiveError, ValidationError
 from qflow.generate import gaussian_tensor
 from qflow.solver import (
     FlowConfig,
@@ -558,7 +558,6 @@ def test_unbounded_objective_rejected():
     prob = make_problem((2, 2, 2), 51)
     dims = prob.signature
     linear = SymmetricFunctionOracle(
-        arity=dims,
         eval=lambda p: float(np.sum(p)),
         conjugate_eval=lambda x: 0.0 if np.allclose(x, 1.0) else math.inf,
         subgradient=lambda p: np.ones_like(p),
@@ -570,6 +569,19 @@ def test_unbounded_objective_rejected():
                                  FlowConfig(max_iters=20))
     with pytest.raises(UnsupportedObjectiveError):
         integrate_flow(prob, S, prob.identity_point(), FlowConfig(max_iters=20))
+
+
+def test_objective_infinite_at_start_rejected():
+    """The trace-ball indicator with radius 1 is +inf on every 3-mode moment
+    map (||mu||_1 = 3); both solvers refuse to start instead of stepping on
+    an infinite value."""
+    prob = make_problem((2, 2, 2), 3)
+    S = builtin_objective("indicator_trace_ball", prob.signature)
+    cfg = FlowConfig(max_iters=20, smoothing=0.1)
+    with pytest.raises(DomainError, match="indicator_trace_ball"):
+        group_subgradient_method(prob.v, S, identity_factors(prob.signature), cfg)
+    with pytest.raises(DomainError, match="indicator_trace_ball"):
+        integrate_flow(prob, S, prob.identity_point(), cfg)
 
 
 def test_config_validation():
@@ -587,7 +599,13 @@ def test_config_validation():
                 FlowConfig(**{name: bad}).validate()
     with pytest.raises(ValidationError):
         FlowConfig(tol_stall=-1e-9).validate()
-    FlowConfig(tol_stall=0.0, smoothing=0.1).validate()
+    bad_counts = [("stall_window", 0), ("stall_window", -3), ("renorm_every", -1),
+                  ("record_every", 1.5), ("stall_window", 2.0), ("max_iters", 10.5)]
+    for name, bad in bad_counts:
+        with pytest.raises(ValidationError, match=name):
+            FlowConfig(**{name: bad}).validate()
+    FlowConfig(tol_stall=0.0, smoothing=0.1, renorm_every=0, stall_window=1,
+               max_iters=np.int64(3)).validate()
 
 
 @pytest.mark.parametrize("kind", ["frobenius", "op_norm_max_weighted",

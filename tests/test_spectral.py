@@ -228,7 +228,6 @@ def test_moreau_requires_prox():
     S = make("frobenius", {})
     stripped = SpectralObjective(
         oracle=type(S.oracle)(
-            arity=S.oracle.arity,
             eval=S.oracle.eval,
             conjugate_eval=S.oracle.conjugate_eval,
             subgradient=S.oracle.subgradient,
@@ -275,6 +274,35 @@ def test_conjugate_gauge_is_domain(kind, params):
         assert S.oracle.conjugate_eval(1.01 * x / g) == math.inf
 
 
+def test_block_norms_are_a_dual_pair():
+    """op_norm_max_weighted(alpha) is the block-linf norm max_i ||p_i||_inf /
+    alpha_i and trace_norm_sum_weighted(weights=alpha) the block-l1 norm
+    sum_i alpha_i ||p_i||_1: each one's conjugate gauge is the other, which
+    is the support function of its unit ball.  trace_dist_to_uniform(scale)
+    is the block-l1 norm with weights `scale` of p minus the uniform spectra."""
+    alpha = [0.7, 2.0]
+    linf = make("op_norm_max_weighted", {"alpha": alpha}).oracle
+    l1 = make("trace_norm_sum_weighted", {"weights": alpha}).oracle
+    dist = make("trace_dist_to_uniform", {"scale": 1.7}).oracle
+    l1_scale = make("trace_norm_sum_weighted", {"weights": [1.7, 1.7]}).oracle
+    wc = np.repeat(alpha, DIMS)
+    uniform = np.concatenate([np.full(n, 1.0 / n) for n in DIMS])
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        p = rng.standard_normal(sum(DIMS)) * 10.0 ** rng.uniform(-3, 3)
+        assert linf.conjugate_gauge(p) == l1.eval(p)
+        assert l1.conjugate_gauge(p) == linf.eval(p)
+        assert dist.eval(p) == l1_scale.eval(p - uniform)
+        # the definitions, block by block, bit for bit
+        blocks = np.split(p, np.cumsum(DIMS)[:-1])
+        assert linf.eval(p) == max(np.max(np.abs(b)) / a for b, a in zip(blocks, alpha))
+        assert l1.eval(p) == sum(a * np.sum(np.abs(b)) for b, a in zip(blocks, alpha))
+        # support functions of the unit balls: the block-l1 ball has vertices
+        # +-e_j / w_j, the block-linf ball the sign patterns times w
+        assert np.max(np.abs(p) / wc) == linf.eval(p)
+        assert abs(np.abs(p) @ wc - l1.eval(p)) <= 1e-14 * l1.eval(p)
+
+
 def test_subgradient_basis_stability_under_ties():
     S = make("trace_norm_sum_weighted", {"weights": [1.0, 0.5]})
     rng = np.random.default_rng(29)
@@ -302,6 +330,20 @@ def test_parameter_validation():
         builtin_objective("indicator_trace_ball", DIMS, radius=-1.0)
     with pytest.raises(ParameterError):
         builtin_objective("no_such_kind", DIMS)
+    # non-finite parameters, NaN included
+    bad = [("trace_dist_to_uniform", {"scale": math.nan}),
+           ("trace_dist_to_uniform", {"scale": math.inf}),
+           ("op_norm_max_weighted", {"alpha": [math.nan, 1.0]}),
+           ("op_norm_max_weighted", {"alpha": [math.inf, 1.0]}),
+           ("trace_norm_sum_weighted", {"weights": [math.inf, 1.0]}),
+           ("trace_norm_sum_weighted", {"weights": [1.0, math.nan]}),
+           ("neg_entropy_weighted", {"theta": [math.nan, math.nan]}),
+           ("neg_entropy_weighted", {"theta": [math.inf, 0.5]}),
+           ("indicator_trace_ball", {"radius": math.nan}),
+           ("indicator_trace_ball", {"radius": math.inf})]
+    for kind, params in bad:
+        with pytest.raises(ParameterError):
+            builtin_objective(kind, DIMS, **params)
 
 
 def test_frobenius_half_square_conjugate():

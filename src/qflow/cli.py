@@ -14,12 +14,13 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import apps, generate, io, tensors
 from .errors import DomainError, ParameterError, UnsupportedObjectiveError, ValidationError
+from .solver import FlowConfig
 from .spectral import builtin_objective
 
 log = logging.getLogger("qflow")
@@ -41,61 +42,74 @@ def _digest(path):
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
+def _emit(rec, out):
+    text = io.save_record(rec, out)
+    if not out:
         print(text)
 
 
-def _floats(s):
-    return [float(x) for x in s.split(",")]
+def _list_of(item):
+    """argparse type: a comma-separated list of `item` values."""
+    def parse(text):
+        return [item(x) for x in text.split(",")]
+    parse.__name__ = f"{item.__name__} list"  # argparse names the type by it
+    return parse
+
+
+_FLOATS = _list_of(float)
 
 
 def _add_solver_flags(p):
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--smooth", type=float, default=None,
+    """Each flag's dest is the FlowConfig field it overrides."""
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--step", dest="step_size", metavar="STEP", type=float)
+    p.add_argument("--smooth", dest="smoothing", metavar="SMOOTH", type=float,
                    help="Moreau smoothing parameter (0 disables)")
-    p.add_argument("--tol", type=float, default=None, help="stall tolerance")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--record-every", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--tol", dest="tol_stall", metavar="TOL", type=float,
+                   help="stall tolerance")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--record-every", type=int)
+    p.add_argument("--out")
 
 
-def _config(args, app):
-    cfg = apps.default_config(app)
-    over = {"seed": args.seed}
-    if args.max_iters is not None:
-        over["max_iters"] = args.max_iters
-    if args.step is not None:
-        over["step_size"] = args.step
-    if args.smooth is not None:
-        over["smoothing"] = None if args.smooth <= 0 else args.smooth  # NaN fails validate
-        if args.smooth <= 0:
-            over["smoothing_schedule"] = False
-    if args.tol is not None:
-        over["tol_stall"] = args.tol
-    if args.record_every is not None:
-        over["record_every"] = args.record_every
-    return replace(cfg, **over)
+def _config(args):
+    """The command's default config, overridden by the solver flags given."""
+    over = {f.name: getattr(args, f.name) for f in fields(FlowConfig)
+            if getattr(args, f.name, None) is not None}
+    if over.get("smoothing", 1.0) <= 0:  # NaN is kept and fails validate
+        over.update(smoothing=None, smoothing_schedule=False)
+    return replace(apps.default_config(args.command), **over)
+
+
+# objective kind -> {flag it takes: builtin_objective parameter the flag sets}
+_OBJECTIVE_FLAGS = {
+    "frobenius": {},
+    "op_norm_max_weighted": {"alpha": "alpha"},
+    "trace_norm_sum_weighted": {"alpha": "weights"},
+    "neg_entropy_weighted": {"theta": "theta"},
+    "trace_dist_to_uniform": {},
+    "indicator_trace_ball": {"radius": "radius"},
+}
+
+
+def _add_objective_flags(p):
+    p.add_argument("--objective", default="frobenius")
+    p.add_argument("--theta", type=_FLOATS)
+    p.add_argument("--alpha", type=_FLOATS)
+    p.add_argument("--radius", type=float)
 
 
 def _objective_from_args(args, dims):
     kind = args.objective
-    params = {}
-    if kind == "op_norm_max_weighted" and args.alpha:
-        params["alpha"] = _floats(args.alpha)
-    if kind == "trace_norm_sum_weighted" and args.alpha:
-        params["weights"] = _floats(args.alpha)
-    if kind == "neg_entropy_weighted":
-        if not args.theta:
-            raise ParameterError("neg_entropy_weighted requires --theta")
-        params["theta"] = _floats(args.theta)
-    if kind == "indicator_trace_ball" and args.radius is not None:
-        params["radius"] = args.radius
-    return builtin_objective(kind, dims, **params)
+    given = {f: getattr(args, f) for f in ("theta", "alpha", "radius")
+             if getattr(args, f) is not None}
+    # an unknown kind passes its flags on, and builtin_objective rejects it
+    takes = _OBJECTIVE_FLAGS.get(kind, {f: f for f in given})
+    stray = sorted(given.keys() - takes.keys())
+    if stray:
+        raise ParameterError(
+            f"objective {kind} takes no {', '.join('--' + f for f in stray)}")
+    return builtin_objective(kind, dims, **{takes[f]: v for f, v in given.items()})
 
 
 def _load_tensor(path):
@@ -103,12 +117,6 @@ def _load_tensor(path):
     if kind == "pencil":
         return inst.tensor()
     return inst
-
-
-def _check_finite(result):
-    for val in (result.primal_value, result.dual_value):
-        if val is not None and math.isnan(val):
-            raise FloatingPointError(f"non-finite result value {val}")
 
 
 # ---------------------------------------------------------------------------
@@ -123,72 +131,63 @@ def cmd_moment(args):
         "spectra": [s.tolist() for s in tensors.spectrum(mu)],
         "moment_map": [io._matrix_to_json(B) for B in mu],
     }
-    _emit(json.dumps(rec, sort_keys=True, indent=1), args.out)
+    _emit(rec, args.out)
     return EXIT_OK
 
 
-def cmd_scale(args):
+def _run_scale(args, cfg):
     v = _load_tensor(args.input)
     S = _objective_from_args(args, v.shape)
-    cfg = _config(args, "scale")
-    result = apps.scale(v, S, cfg)
-    if not math.isfinite(result.primal_value):
-        raise FloatingPointError("solver produced a non-finite primal value")
-    rec = io.result_record("scale", cfg, result,
-                           extra={"instance": _digest(args.input),
-                                  "objective": S.label})
-    _emit(io.save_record(rec), args.out)
-    return EXIT_OK
+    return apps.scale(v, S, cfg), {"objective": S.label}
 
 
-def cmd_qfunc(args):
+def _run_qfunc(args, cfg):
     v = _load_tensor(args.input)
-    if not args.theta:
+    theta = args.theta
+    if theta is None:
         theta = [1.0 / v.ndim] * v.ndim
         theta[-1] = 1.0 - sum(theta[:-1])
-    else:
-        theta = _floats(args.theta)
-    cfg = _config(args, "qfunc")
-    result = apps.quantum_functional(v, theta, cfg)
-    _check_finite(result)
-    rec = io.result_record("qfunc", cfg, result,
-                           extra={"instance": _digest(args.input),
-                                  "theta": list(theta)})
-    _emit(io.save_record(rec), args.out)
-    return EXIT_OK
+    return apps.quantum_functional(v, theta, cfg), {"theta": theta}
 
 
-def cmd_gstable(args):
+def _run_gstable(args, cfg):
     v = _load_tensor(args.input)
-    if not args.alpha:
-        raise ParameterError("gstable requires --alpha")
-    alpha = _floats(args.alpha)
-    if len(alpha) != v.ndim:
-        raise ParameterError(
-            f"alpha has length {len(alpha)} but the tensor has {v.ndim} modes"
-        )
-    cfg = _config(args, "gstable")
-    result = apps.g_stable_rank(v, alpha, cfg)
-    _check_finite(result)
-    rec = io.result_record("gstable", cfg, result,
-                           extra={"instance": _digest(args.input),
-                                  "alpha": list(alpha)})
-    _emit(io.save_record(rec), args.out)
-    return EXIT_OK
+    return apps.g_stable_rank(v, args.alpha, cfg), {"alpha": args.alpha}
 
 
-def cmd_ncrank(args):
+def _run_ncrank(args, cfg):
     kind, inst = io.load_instance(args.input)
     if kind != "pencil":
         raise ValidationError("ncrank requires a pencil file")
-    cfg = _config(args, "ncrank")
     result = apps.ncrank(inst, cfg)
-    _check_finite(result)
-    rec = io.result_record("ncrank", cfg, result,
-                           extra={"instance": _digest(args.input)})
-    _emit(io.save_record(rec), args.out)
     print(f"ncrank: rank={result.rank} value={result.value:.6f}",
           file=sys.stderr)
+    return result, {}
+
+
+# solve command -> (help, run(args, config) -> (result, extra record fields),
+#                   adds the command's own flags)
+_SOLVE_COMMANDS = {
+    "scale": ("minimize a spectral objective of the moment map", _run_scale,
+              _add_objective_flags),
+    "qfunc": ("weighted-entropy quantum functional", _run_qfunc,
+              lambda p: p.add_argument("--theta", type=_FLOATS)),
+    "gstable": ("G-stable rank bracket", _run_gstable,
+                lambda p: p.add_argument("--alpha", type=_FLOATS, required=True)),
+    "ncrank": ("noncommutative rank of a pencil", _run_ncrank, lambda p: None),
+}
+
+
+def cmd_solve(args):
+    cfg = _config(args)
+    result, extra = args.run(args, cfg)
+    # the dual may be infinite (no bound found) but never NaN
+    if not math.isfinite(result.primal_value) or math.isnan(result.dual_value):
+        raise FloatingPointError(f"non-finite result: primal {result.primal_value}, "
+                                 f"dual {result.dual_value}")
+    rec = io.result_record(args.command, cfg, result,
+                           instance=_digest(args.input), **extra)
+    _emit(rec, args.out)
     return EXIT_OK
 
 
@@ -198,11 +197,10 @@ def cmd_certify(args):
         cert = io.certificate_from_record(json.load(fh))
     v = inst.tensor() if kind == "pencil" else inst
     modes = tuple(range(len(cert.bases))) if kind != "pencil" else (0, 1)
-    if tuple(v.shape[i] for i in modes) != cert.dims:
+    dims = tuple(v.shape[i] for i in modes)
+    if dims != cert.dims:
         raise ValidationError(
-            f"certificate dims {cert.dims} do not match instance modes "
-            f"{tuple(v.shape[i] for i in modes)}"
-        )
+            f"certificate dims {cert.dims} do not match instance modes {dims}")
     S = _objective_from_args(args, cert.dims)
     value = apps.certify(inst, S, cert, modes=modes)
     rec = {"dual_value": value, "instance": _digest(args.input),
@@ -210,20 +208,22 @@ def cmd_certify(args):
     if args.primal is not None:
         rec["primal_value"] = args.primal
         rec["weak_duality_ok"] = bool(value <= args.primal + 1e-8)
-    _emit(json.dumps(rec, sort_keys=True, indent=1), args.out)
+    _emit(rec, args.out)
     return EXIT_OK
 
 
 def cmd_gen(args):
-    dims = [int(x) for x in args.dims.split(",")]
-    obj = generate.generate(args.kind, dims, seed=args.seed)
+    if min(args.dims) < 1 or args.seed < 0:
+        raise ParameterError(f"gen needs positive dims and a nonnegative seed, "
+                             f"got dims {args.dims} and seed {args.seed}")
+    obj = generate.generate(args.kind, args.dims, seed=args.seed)
     if isinstance(obj, apps.MatrixPencil):
         rec = io.pencil_to_record(obj)
     else:
         rec = io.tensor_to_record(obj)
     rec["seed"] = args.seed
     rec["generator"] = args.kind
-    _emit(json.dumps(rec, sort_keys=True, indent=1), args.out)
+    _emit(rec, args.out)
     return EXIT_OK
 
 
@@ -240,52 +240,30 @@ def build_parser():
 
     sp = sub.add_parser("moment", help="moment map and spectra of a tensor")
     sp.add_argument("input")
-    sp.add_argument("--out", default=None)
+    sp.add_argument("--out")
     sp.set_defaults(fn=cmd_moment)
 
-    sp = sub.add_parser("scale", help="minimize a spectral objective of the moment map")
-    sp.add_argument("input")
-    sp.add_argument("--objective", default="frobenius")
-    sp.add_argument("--theta", default=None)
-    sp.add_argument("--alpha", default=None)
-    sp.add_argument("--radius", type=float, default=None)
-    _add_solver_flags(sp)
-    sp.set_defaults(fn=cmd_scale)
-
-    sp = sub.add_parser("qfunc", help="weighted-entropy quantum functional")
-    sp.add_argument("input")
-    sp.add_argument("--theta", default=None)
-    _add_solver_flags(sp)
-    sp.set_defaults(fn=cmd_qfunc)
-
-    sp = sub.add_parser("gstable", help="G-stable rank bracket")
-    sp.add_argument("input")
-    sp.add_argument("--alpha", default=None)
-    _add_solver_flags(sp)
-    sp.set_defaults(fn=cmd_gstable)
-
-    sp = sub.add_parser("ncrank", help="noncommutative rank of a pencil")
-    sp.add_argument("input")
-    _add_solver_flags(sp)
-    sp.set_defaults(fn=cmd_ncrank)
+    for name, (help_, run, add_flags) in _SOLVE_COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("input")
+        add_flags(sp)
+        _add_solver_flags(sp)
+        sp.set_defaults(fn=cmd_solve, run=run)
 
     sp = sub.add_parser("certify", help="evaluate a boundary certificate")
     sp.add_argument("input")
     sp.add_argument("certificate")
-    sp.add_argument("--objective", default="frobenius")
-    sp.add_argument("--theta", default=None)
-    sp.add_argument("--alpha", default=None)
-    sp.add_argument("--radius", type=float, default=None)
-    sp.add_argument("--primal", type=float, default=None)
-    sp.add_argument("--out", default=None)
+    _add_objective_flags(sp)
+    sp.add_argument("--primal", type=float)
+    sp.add_argument("--out")
     sp.set_defaults(fn=cmd_certify)
 
     sp = sub.add_parser("gen", help="generate a seeded tensor or pencil file")
     sp.add_argument("kind", choices=["gaussian", "unit", "rank_one",
                                      "skew_pencil", "random_pencil"])
-    sp.add_argument("--dims", default="2,2,2")
+    sp.add_argument("--dims", type=_list_of(int), default="2,2,2")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
+    sp.add_argument("--out")
     sp.set_defaults(fn=cmd_gen)
 
     return p

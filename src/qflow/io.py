@@ -135,11 +135,14 @@ def certificate_from_record(rec):
         raise ValidationError(f"malformed certificate record: {exc}")
 
 
-def trace_summary(trace, max_samples=50):
+_TRACE_SAMPLES = 50
+
+
+def trace_summary(trace):
     """Downsampled (t, Q, f, R) table from a flow trace."""
     samples = trace.samples
-    if len(samples) > max_samples:
-        idx = np.unique(np.linspace(0, len(samples) - 1, max_samples).astype(int))
+    if len(samples) > _TRACE_SAMPLES:
+        idx = np.unique(np.linspace(0, len(samples) - 1, _TRACE_SAMPLES).astype(int))
         samples = [samples[i] for i in idx]
     return [
         {"t": s.t, "q_value": s.q_value, "f_value": s.f_value, "r_cum": s.r_cum}
@@ -147,33 +150,23 @@ def trace_summary(trace, max_samples=50):
     ]
 
 
-def result_record(command, config, result=None, extra=None):
-    """Assemble the canonical result record for a CLI run."""
+def result_record(command, config, result, **extra):
+    """The canonical result record of a CLI run; the certificate and the trace
+    of `result` get records of their own."""
     from . import __version__
 
+    values = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)
+              if f.name not in ("certificate", "trace")}
+    if values["spectra"] is not None:
+        values["spectra"] = [np.asarray(s).tolist() for s in values["spectra"]]
     rec = {
         "command": command,
         "config": dataclasses.asdict(config),
         "versions": {"qflow": __version__},
+        "result": values,
+        "certificate": certificate_to_record(result.certificate),
     }
-    if result is not None:
-        rec["result"] = {
-            "primal_value": result.primal_value,
-            "dual_value": result.dual_value,
-            "gap": result.gap,
-            "iterations": result.iterations,
-            "status": result.status,
-            "rank": result.rank,
-            "rank_lower": result.rank_lower,
-            "rank_upper": result.rank_upper,
-            "value": result.value,
-            "spectra": [np.asarray(s).tolist() for s in result.spectra]
-            if result.spectra is not None
-            else None,
-        }
-        rec["certificate"] = certificate_to_record(result.certificate)
-        if result.trace is not None:
-            rec["trace"] = trace_summary(result.trace)
-    if extra:
-        rec.update(extra)
+    if result.trace is not None:
+        rec["trace"] = trace_summary(result.trace)
+    rec.update(extra)
     return rec

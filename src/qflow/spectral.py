@@ -488,8 +488,8 @@ def builtin_objective(kind, block_dims, **params):
         return _norm_objective(kind, dims, l1, linf, linf_ball, l1_sub)
 
     if kind == "neg_entropy_weighted":
-        theta = np.asarray(params["theta"], dtype=float)
-        # written so that NaN fails
+        theta = np.asarray(params.get("theta", ()), dtype=float)
+        # written so that NaN and a missing theta fail
         if not (theta.size == d and np.all(theta > 0)
                 and abs(np.sum(theta) - 1.0) <= 1e-12):
             raise ParameterError(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from qflow import apps, io, tensors
 from qflow.cli import main
 from qflow.errors import ValidationError
 from qflow.generate import identity_pencil, random_pencil, skew_pencil
+from qflow.geometry import BoundaryCertificate
 
 
 def write_unit(tmp_path, n=2, d=3, name="unit.json"):
@@ -138,6 +140,57 @@ def test_ncrank_common_kernel_exit_4(tmp_path, capsys):
     path = write_pencil(tmp_path, apps.MatrixPencil([E11]))
     assert main(["ncrank", path]) == 4
     assert "kernel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,extra", [
+    (["scale", "UNIT"], {"objective"}),
+    (["qfunc", "UNIT"], {"theta"}),
+    (["gstable", "UNIT", "--alpha", "1,1,1"], {"alpha"}),
+    (["ncrank", "PENCIL"], set()),
+])
+def test_result_record_keys(tmp_path, capsys, args, extra):
+    """A solve record's "result" holds every ApplicationResult field but the
+    certificate and the trace, which are records of their own."""
+    paths = {"UNIT": write_unit(tmp_path), "PENCIL": write_pencil(tmp_path, identity_pencil(2))}
+    assert main([paths.get(a, a) for a in args] + ["--max-iters", "5"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    fields = {f.name for f in dataclasses.fields(apps.ApplicationResult)}
+    assert set(rec["result"]) == fields - {"certificate", "trace"}
+    assert set(rec) == {"command", "config", "versions", "result", "certificate",
+                        "instance", "trace"} | extra
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["gen", "unit", "--dims", "2.5,3"], "dims"),
+    (["gen", "gaussian", "--dims", "2,2", "--seed", "-1"], "seed"),
+    (["gen", "gaussian", "--dims", "0,3"], "dims"),
+    (["gstable", "UNIT", "--alpha", "1,,1"], "alpha"),
+    (["qfunc", "UNIT", "--theta", "abc"], "theta"),
+])
+def test_malformed_flag_values_exit_2(tmp_path, capsys, args, flag):
+    path = write_unit(tmp_path)
+    assert main([path if a == "UNIT" else a for a in args]) == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,flag,kind", [
+    (["scale", "UNIT", "--alpha", "1,2,3"], "--alpha", "frobenius"),
+    (["scale", "UNIT", "--objective", "trace_dist_to_uniform", "--theta", "0.2,0.3,0.5"],
+     "--theta", "trace_dist_to_uniform"),
+    (["scale", "UNIT", "--objective", "neg_entropy_weighted", "--theta", "0.2,0.3,0.5",
+      "--radius", "2"], "--radius", "neg_entropy_weighted"),
+    (["certify", "UNIT", "CERT", "--objective", "op_norm_max_weighted", "--theta", "1,0,0"],
+     "--theta", "op_norm_max_weighted"),
+])
+def test_objective_flag_the_kind_does_not_take_exit_2(tmp_path, capsys, args, flag, kind):
+    cert = BoundaryCertificate(np.zeros(0), [np.eye(2, dtype=complex)] * 3,
+                               [np.array([-1.0, -1.0])] * 3)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(io.certificate_to_record(cert)))
+    paths = {"UNIT": write_unit(tmp_path), "CERT": str(cert_path)}
+    assert main([paths.get(a, a) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and kind in err
 
 
 def test_gstable_alpha_mismatch_exit_2(tmp_path):

@@ -325,6 +325,8 @@ def test_parameter_validation():
     with pytest.raises(ParameterError):
         builtin_objective("neg_entropy_weighted", DIMS, theta=[0.7, 0.7])
     with pytest.raises(ParameterError):
+        builtin_objective("neg_entropy_weighted", DIMS)
+    with pytest.raises(ParameterError):
         builtin_objective("op_norm_max_weighted", DIMS, alpha=[1.0, -1.0])
     with pytest.raises(ParameterError):
         builtin_objective("indicator_trace_ball", DIMS, radius=-1.0)

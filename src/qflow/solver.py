@@ -8,9 +8,9 @@ there, and smooths Q to its Moreau envelope at level lambda_i = smoothing
 (over sqrt(i+1) under smoothing_schedule) when smoothing is set.  Two step
 policies set h and the stop: the subgradient method's schedule and
 best-window stall; the flow's constant step with a halving backstop, energy
-record and consecutive-value stall.  Certificates u = log_map(x_T)/R, with
-R = integral of Q along the trajectory, lower-bound inf_x Q(df_x) by weak
-duality.
+record and consecutive-value stall.  Certificates u = log_{x0}(x_T)/R from
+the start x0 = g0^+ g0, R = integral of Q, read off one SVD of g g0^-1 per
+block, lower-bound inf_x Q(df_x) by weak duality.
 """
 
 from __future__ import annotations
@@ -27,14 +27,17 @@ from .geometry import (
     BoundaryCertificate,
     ProductPDPoint,
     TangentBlock,
-    asymptotic_at_base,
-    log_map,
-    metric_norm,
     sqrtm_pd,
     transport_from_base,
 )
 from .spectral import _check_blocks, infimum, spectral_pass
 from . import tensors
+
+# A run with R (the integral of Q) at most R_FLOOR, or that ends at most
+# DIST_FLOOR from its start, sat at an interior near-minimizer: it has no
+# boundary certificate.
+R_FLOOR = 1e-8
+DIST_FLOOR = 1e-6
 
 
 @dataclass
@@ -195,33 +198,48 @@ class _Orbit:
                 count += 1
         return count
 
-    def log_and_point(self):
-        """log x and x from the SVD g = U diag(s) V^+: V diag(2 log s + 2c) V^+
-        and its exponential.  The SVD stays accurate when the factors are too
-        ill-conditioned for an eigendecomposition of g^+ g."""
-        logs, blocks = [], []
-        for gj, cj in zip(self.g, self.c):
-            _, sv, vh = np.linalg.svd(gj)
+    def certify(self, trace, g0):
+        """Set the certificate log_{x0}(x)/R of the run from x0 = g0^+ g0 to
+        x = e^{2c} g^+ g, R = trace.r_cumulative, and return x, from one SVD
+        per block: with g g0^-1 = U diag(s) V^+, ev = 2 log s + 2c and
+        a = g0^+ V, x = a diag(e^ev) a^+ and the ray has weights ev/R on the
+        unitary QR factor of a (positive diagonal).  The SVD stays accurate on
+        factors too ill-conditioned for an eigendecomposition of x.  Below
+        R_FLOOR or DIST_FLOOR there is no certificate and the status says so."""
+        bases, evs, blocks = [], [], []
+        for gj, g0j, cj in zip(self.g, g0, self.c):
+            _, sv, vh = np.linalg.svd(np.linalg.solve(g0j.T, gj.T).T)
             ev = 2.0 * np.log(sv) + 2.0 * cj
-            logs.append((vh.conj().T * ev) @ vh)
-            B = (vh.conj().T * np.exp(ev)) @ vh
+            a = g0j.conj().T @ vh.conj().T
+            B = (a * np.exp(ev)) @ a.conj().T
             blocks.append(0.5 * (B + B.conj().T))
-        return TangentBlock(np.zeros(0), logs), ProductPDPoint(np.zeros(0), blocks)
+            q, r = np.linalg.qr(a)
+            bases.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+            evs.append(ev)
+        R = trace.r_cumulative
+        if R <= R_FLOOR or np.linalg.norm(np.concatenate(evs)) <= DIST_FLOOR:
+            trace.certificate = None
+            trace.status += "+interior_optimum"
+        else:
+            trace.certificate = BoundaryCertificate(np.zeros(0), bases, [ev / R for ev in evs])
+        return ProductPDPoint(np.zeros(0), blocks)
 
 
-def _descend(problem, g0, Q, config, policy, x0=None):
+def _descend(problem, g0, Q, config, policy):
     """The loop of both solvers, from the factors g0.  It folds each orbit's
     pass into best_q and the samples; `policy.advance` steps the orbit and
     returns the next orbit, its pass (taken once) and f, the step taken and
     whether the run stalled; `policy.t` and `policy.h` are the clock and step
-    of the samples.  Certificates are relative to x0, by default the identity."""
+    of the samples.  Certificates are relative to the start x0 = g0^+ g0."""
     config.validate()
     shift = -infimum(Q)  # Q - inf Q keeps the Q-factor nonnegative
     if not math.isfinite(shift):
         raise UnsupportedObjectiveError(
             f"objective {Q.label!r} is unbounded below (Q*(0) = +inf)"
         )
-    orbit = _Orbit(problem.v, problem.modes, [np.array(gi, dtype=complex) for gi in g0])
+    # only advanced orbits are renormalized, so start keeps the factors g0
+    start = orbit = _Orbit(problem.v, problem.modes,
+                           [np.array(gi, dtype=complex) for gi in g0])
     trace = FlowTrace()
     r_cum = 0.0
 
@@ -251,10 +269,7 @@ def _descend(problem, g0, Q, config, policy, x0=None):
             break
     trace.status = "stalled" if stalled else "max_iters"
     observe(sp, f, True)
-    log_final, trace.final_point = orbit.log_and_point()
-    # the default base is the identity, where the factors give log x_T directly
-    base = problem.identity_point() if x0 is None else x0
-    extract_certificate(trace, base, log_final=log_final if x0 is None else None)
+    trace.final_point = orbit.certify(trace, start.g)
     return trace, orbit.g
 
 
@@ -318,7 +333,8 @@ def integrate_flow(problem, Q, x0, config):
     when two consecutive values agree within tol_stall.  A nonsmooth Q needs
     config.smoothing; a set smoothing, even on a smooth Q, makes the flow
     follow the Moreau envelope at the subgradient method's level lambda_i and
-    leaves the energy record without the half-square conjugate.
+    leaves the energy record without the half-square conjugate.  The
+    certificate is relative to x0 (one SVD per block, see _Orbit.certify).
     """
     if not Q.smooth and config.smoothing is None:
         raise UnsupportedObjectiveError(
@@ -326,8 +342,9 @@ def integrate_flow(problem, Q, x0, config):
         )
     if x0.euclid.size:
         raise ValidationError("Kempf-Ness points carry no Euclidean factor")
+    x0.validate()
     g0 = [sqrtm_pd(B) for B in x0.blocks]
-    return _descend(problem, g0, Q, config, _FlowSteps(Q, config), x0)[0]
+    return _descend(problem, g0, Q, config, _FlowSteps(Q, config))[0]
 
 
 def group_subgradient_method(v, S, g0, config, modes=None):
@@ -338,46 +355,27 @@ def group_subgradient_method(v, S, g0, config, modes=None):
     Factors are renormalized to unit |det| every renorm_every iterations; the
     divided-out shares c stay in the iterate x = e^{2c} g^+ g.  Stops at
     max_iters or when the best value has not improved by tol_stall for
-    stall_window iterations.
+    stall_window iterations.  The certificate is relative to x0 = g0^+ g0.
     """
     return _descend(KempfNessProblem(v, modes), g0, S, config, _SubgradientSteps(config))
 
 
-def extract_certificate(trace, x0, r_floor=1e-8, dist_floor=1e-6, log_final=None):
-    """Direction at infinity from a finished trace: u = log_map(x_T)/R.
-
-    `log_final`, when given, is log_map(x_T, x0) as the caller computed it;
-    the subgradient method passes the log it builds from its factors.
-
-    When R (or the travelled distance) is negligible the flow sat at an
-    interior near-minimizer and no boundary certificate exists; the trace
-    status records this instead of failing.
-    """
-    R = trace.r_cumulative
-    x_final = trace.final_point
-    if x_final is None:
+def extract_certificate(trace, x0):
+    """Direction at infinity from a finished trace: u = log_{x0}(x_T)/R, by
+    the solvers' formula (_Orbit.certify) on g = x_T^1/2 and g0 = x0^1/2.
+    Below R_FLOOR or DIST_FLOOR the run sat at an interior near-minimizer:
+    the trace status records this, and the certificate is None."""
+    x = trace.final_point
+    if x is None:
         return None
-    u_raw = log_final
-    if u_raw is None:
-        u_raw = log_map(x_final, None if _is_identity(x0) else x0)
-    norm_u = metric_norm(x0, TangentBlock(u_raw.euclid, u_raw.blocks, at=x0))
-    if R <= r_floor or norm_u <= dist_floor:
-        trace.status = trace.status + "+interior_optimum"
-        trace.certificate = None
-        return None
-    u = u_raw.scaled(1.0 / R)
-    u.at = x0
-    trace.certificate = asymptotic_at_base(x0, u)
+    if x0.dims != x.dims or x0.euclid.size or x.euclid.size:
+        raise ValidationError("x0 and x_T must be Kempf-Ness points of one signature")
+    _Orbit(None, None, [sqrtm_pd(B) for B in x.blocks]).certify(
+        trace, [sqrtm_pd(B) for B in x0.blocks])
     return trace.certificate
 
 
-def _is_identity(x):
-    return all(
-        np.allclose(B, np.eye(B.shape[0]), atol=1e-14) for B in x.blocks
-    ) and not np.any(x.euclid)
-
-
-def energy_residual(trace, problem=None, Q=None):
+def energy_residual(trace):
     """Relative defect of the energy identity over a recorded flow trace.
 
     Uses trapezoidal quadrature of (1/2)Q^2(df) + (Q^2/2)^*(-xdot) against

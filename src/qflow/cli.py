@@ -192,15 +192,13 @@ def cmd_solve(args):
 
 
 def cmd_certify(args):
+    # JSON has no NaN or infinity, and weak duality needs a number to compare
+    if args.primal is not None and not math.isfinite(args.primal):
+        raise ParameterError(f"--primal must be finite, got {args.primal}")
     kind, inst = io.load_instance(args.input)
     with open(args.certificate) as fh:
         cert = io.certificate_from_record(json.load(fh))
-    v = inst.tensor() if kind == "pencil" else inst
     modes = tuple(range(len(cert.bases))) if kind != "pencil" else (0, 1)
-    dims = tuple(v.shape[i] for i in modes)
-    if dims != cert.dims:
-        raise ValidationError(
-            f"certificate dims {cert.dims} do not match instance modes {dims}")
     S = _objective_from_args(args, cert.dims)
     value = apps.certify(inst, S, cert, modes=modes)
     rec = {"dual_value": value, "instance": _digest(args.input),

@@ -1,16 +1,17 @@
 """Q-gradient flow and Q-subgradient method on products of PD manifolds.
 
-Both solvers run one loop over group factors g, with iterate x = e^{2c} g^+ g
-(c the log-determinant share divided out at renormalization).  The moment map
-of g.v is the differential of f at x transported to the base; step i drives
-g <- exp(-h Z/2) g, a geodesic step x <- g^+ exp(-h Z) g, with Z = d(Q^2/2)
-there, and smooths Q to its Moreau envelope at level lambda_i = smoothing
-(over sqrt(i+1) under smoothing_schedule) when smoothing is set.  Two step
-policies set h and the stop: the subgradient method's schedule and
-best-window stall; the flow's constant step with a halving backstop, energy
-record and consecutive-value stall.  Certificates u = log_{x0}(x_T)/R from
-the start x0 = g0^+ g0, R = integral of Q, read off one SVD of g g0^-1 per
-block, lower-bound inf_x Q(df_x) by weak duality.
+Both solvers run one loop over group factors g, with iterate x = e^{2c} g^+ g.
+The moment map of g.v is the differential of f at x transported to the base;
+step i is the geodesic step x <- g^+ exp(-h Z) g, with Z = d(Q^2/2) there:
+per block, its unit-determinant part acts on g and its scalar goes into c (f
+is linear in that scalar, the moment map blind to it), so |det g| stays fixed.
+Q is smoothed to its Moreau envelope at level lambda_i = smoothing (over
+sqrt(i+1) under smoothing_schedule) when smoothing is set.  Two step policies
+set h and the stop: the subgradient method's schedule and best-window stall;
+the flow's constant step with a halving backstop, energy record and
+consecutive-value stall.  Certificates u = log_{x0}(x_T)/R from the start
+x0 = g0^+ g0, R = integral of Q, read off one SVD of g g0^-1 per block,
+lower-bound inf_x Q(df_x) by weak duality.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class FlowConfig:
     stall_window: int = 500
     seed: int = 0  # recorded in result records only: the solvers are deterministic
     record_every: int = 1
-    renorm_every: int = 100  # 0 never renormalizes
 
     def validate(self):
         # written so that NaN fails every test
@@ -69,16 +69,13 @@ class FlowConfig:
             raise ValidationError("smoothing parameter must be positive and finite")
         if not 0 <= self.tol_stall < math.inf:
             raise ValidationError("stall tolerance must be nonnegative and finite")
-        counts = (self.max_iters, self.stall_window, self.record_every, self.renorm_every)
+        counts = (self.max_iters, self.stall_window, self.record_every)
         if not all(isinstance(n, numbers.Integral) for n in counts):
-            raise ValidationError("max_iters, stall_window, record_every and "
-                                  "renorm_every must be integers")
+            raise ValidationError("max_iters, stall_window and record_every must be ints")
         if self.record_every < 1:
             raise ValidationError("record_every must be at least 1")
         if self.stall_window < 1:
             raise ValidationError("stall_window must be at least 1")
-        if self.renorm_every < 0:
-            raise ValidationError("renorm_every must be nonnegative (0: never)")
         return self
 
     def step(self, i):
@@ -111,7 +108,6 @@ class FlowTrace:
     iterations: int = 0
     best_q: float = math.inf
     best_spectra: Optional[list] = None
-    renormalizations: int = 0
     # per-step energy data (populated by integrate_flow)
     energy_times: list = field(default_factory=list)
     energy_half_q2: list = field(default_factory=list)
@@ -133,6 +129,8 @@ class KempfNessProblem:
     def __post_init__(self):
         self.v = tensors.normalize(self.v)
         self.modes = tuple(range(self.v.ndim)) if self.modes is None else tuple(self.modes)
+        if sorted(self.modes) != [m for m in range(self.v.ndim) if m in self.modes]:
+            raise ValidationError(f"modes {self.modes} are not distinct axes of v")
 
     @property
     def signature(self):
@@ -164,7 +162,7 @@ def q_gradient(problem, Q, x):
 
 class _Orbit:
     """Group factors g of the iterate x = e^{2c} g^+ g acting on a unit tensor v;
-    c is the per-block log |det| share divided out at renormalization."""
+    c holds each block's scale, so steps leave |det g| unchanged."""
 
     def __init__(self, v, modes, g, c=None):
         self.v, self.modes, self.g = v, modes, g
@@ -179,24 +177,15 @@ class _Orbit:
         return tensors.moment_map(w / nrm, self.modes), f
 
     def advanced(self, sp, fac, delta):
-        """The orbit after g <- exp(-delta Z/2) g, that is x <- g^+ exp(-delta Z) g,
-        where Z has eigenvalues fac * sp.direction in the eigenbases of `sp`."""
-        E = sp.lift([np.exp(-0.5 * delta * (fac * m)) for m in sp.direction])
+        """The orbit after x <- g^+ exp(-delta Z) g, where Z = U diag(fac m) U^+
+        per block, U and m the eigenbasis and direction in `sp`: with
+        z = -delta fac m/2, g <- U diag(e^{z - mean z}) U^+ g and c <- c + mean z."""
+        zs = [(-0.5 * delta * fac) * m for m in sp.direction]
+        # on these short vectors ndarray.mean costs ten times as much
+        means = [sum(z.tolist()) / len(z) for z in zs]
+        E = sp.lift([np.exp(z - mz) for z, mz in zip(zs, means)])
         return _Orbit(self.v, self.modes, [Ej @ gj for Ej, gj in zip(E, self.g)],
-                      list(self.c))
-
-    def renormalize(self):
-        """Rescale each factor to unit |det|, moving the share into c so that x
-        is unchanged; returns the number of factors rescaled."""
-        count = 0
-        for j, gj in enumerate(self.g):
-            n = gj.shape[0]
-            det = abs(np.linalg.det(gj))
-            if det > 0 and abs(math.log(det)) > 1e-12:
-                self.g[j] = gj / det ** (1.0 / n)
-                self.c[j] += math.log(det) / n
-                count += 1
-        return count
+                      [cj + mz for cj, mz in zip(self.c, means)])
 
     def certify(self, trace, g0):
         """Set the certificate log_{x0}(x)/R of the run from x0 = g0^+ g0 to
@@ -230,16 +219,16 @@ def _descend(problem, g0, Q, config, policy):
     pass into best_q and the samples; `policy.advance` steps the orbit and
     returns the next orbit, its pass (taken once) and f, the step taken and
     whether the run stalled; `policy.t` and `policy.h` are the clock and step
-    of the samples.  Certificates are relative to the start x0 = g0^+ g0."""
+    of the samples.  Certificates are relative to the start x0 = g0^+ g0.
+    Returns the trace and the final factors e^c g, with (e^c g)^+ (e^c g) = x_T."""
     config.validate()
     shift = -infimum(Q)  # Q - inf Q keeps the Q-factor nonnegative
     if not math.isfinite(shift):
         raise UnsupportedObjectiveError(
             f"objective {Q.label!r} is unbounded below (Q*(0) = +inf)"
         )
-    # only advanced orbits are renormalized, so start keeps the factors g0
-    start = orbit = _Orbit(problem.v, problem.modes,
-                           [np.array(gi, dtype=complex) for gi in g0])
+    g0 = [np.array(gi, dtype=complex) for gi in g0]
+    orbit = _Orbit(problem.v, problem.modes, g0)
     trace = FlowTrace()
     r_cum = 0.0
 
@@ -269,8 +258,8 @@ def _descend(problem, g0, Q, config, policy):
             break
     trace.status = "stalled" if stalled else "max_iters"
     observe(sp, f, True)
-    trace.final_point = orbit.certify(trace, start.g)
-    return trace, orbit.g
+    trace.final_point = orbit.certify(trace, g0)
+    return trace, [math.exp(cj) * gj for cj, gj in zip(orbit.c, orbit.g)]
 
 
 class _SubgradientSteps:
@@ -284,8 +273,6 @@ class _SubgradientSteps:
     def advance(self, trace, orbit, sp, fac, f, i, pass_at):
         delta, self.t, self.h = self.h, float(i + 1), self.config.step(i + 1)
         orbit = orbit.advanced(sp, fac, delta)
-        if self.config.renorm_every and (i + 1) % self.config.renorm_every == 0:
-            trace.renormalizations += orbit.renormalize()
         tol = self.config.tol_stall * (1.0 + abs(trace.best_q))
         if trace.best_q < self.best_window - tol:
             self.best_window, self.improved = trace.best_q, i
@@ -352,10 +339,10 @@ def group_subgradient_method(v, S, g0, config, modes=None):
     delta_i = config.step(i) and Z_i in d((S - inf S)^2/2) at the moment map
     of g.v.
 
-    Factors are renormalized to unit |det| every renorm_every iterations; the
-    divided-out shares c stay in the iterate x = e^{2c} g^+ g.  Stops at
-    max_iters or when the best value has not improved by tol_stall for
-    stall_window iterations.  The certificate is relative to x0 = g0^+ g0.
+    Each step keeps |det g| and moves its scalar part into the shares c of
+    the iterate x = e^{2c} g^+ g; the returned factors carry c back, so their
+    g^+ g is the final point.  Stops at max_iters or when the best value has
+    not improved by tol_stall for stall_window iterations.  The certificate is relative to x0 = g0^+ g0.
     """
     return _descend(KempfNessProblem(v, modes), g0, S, config, _SubgradientSteps(config))
 
@@ -427,6 +414,9 @@ def dual_value(problem, Q, xi):
     bases k it only sees the spectrum -w, and the oracle's conjugate, a
     symmetric function, takes the weights in any order.
     """
+    if tuple(Q.block_dims) != problem.signature:
+        raise ValidationError(f"objective block dims {Q.block_dims} do not match "
+                              f"the problem's signature {problem.signature}")
     conj = float(Q.oracle.conjugate_eval(-_ray_spectrum(Q, xi)))
     if not np.isfinite(conj):
         return -math.inf

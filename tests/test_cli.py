@@ -18,6 +18,13 @@ def write_unit(tmp_path, n=2, d=3, name="unit.json"):
     return str(path)
 
 
+def write_cert(tmp_path, bases, weights, name="cert.json"):
+    path = tmp_path / name
+    cert = BoundaryCertificate(np.zeros(0), bases, weights)
+    path.write_text(json.dumps(io.certificate_to_record(cert)))
+    return str(path)
+
+
 def write_pencil(tmp_path, pencil, name="pencil.json"):
     path = tmp_path / name
     path.write_text(json.dumps(io.pencil_to_record(pencil)))
@@ -158,6 +165,10 @@ def test_result_record_keys(tmp_path, capsys, args, extra):
     assert set(rec["result"]) == fields - {"certificate", "trace"}
     assert set(rec) == {"command", "config", "versions", "result", "certificate",
                         "instance", "trace"} | extra
+    # the FlowConfig fields: adding or removing a solver knob changes records
+    assert set(rec["config"]) == {"max_iters", "step_rule", "step_size", "smoothing",
+                                  "smoothing_schedule", "ode_step", "tol_stall",
+                                  "stall_window", "seed", "record_every"}
 
 
 @pytest.mark.parametrize("args,flag", [
@@ -166,10 +177,13 @@ def test_result_record_keys(tmp_path, capsys, args, extra):
     (["gen", "gaussian", "--dims", "0,3"], "dims"),
     (["gstable", "UNIT", "--alpha", "1,,1"], "alpha"),
     (["qfunc", "UNIT", "--theta", "abc"], "theta"),
+    (["certify", "UNIT", "CERT", "--primal", "nan"], "primal"),
 ])
 def test_malformed_flag_values_exit_2(tmp_path, capsys, args, flag):
-    path = write_unit(tmp_path)
-    assert main([path if a == "UNIT" else a for a in args]) == 2
+    paths = {"UNIT": write_unit(tmp_path),
+             "CERT": write_cert(tmp_path, [np.eye(2, dtype=complex)] * 3,
+                                [np.array([-1.0, -1.0])] * 3)}
+    assert main([paths.get(a, a) for a in args]) == 2
     assert flag in capsys.readouterr().err
 
 
@@ -183,11 +197,9 @@ def test_malformed_flag_values_exit_2(tmp_path, capsys, args, flag):
      "--theta", "op_norm_max_weighted"),
 ])
 def test_objective_flag_the_kind_does_not_take_exit_2(tmp_path, capsys, args, flag, kind):
-    cert = BoundaryCertificate(np.zeros(0), [np.eye(2, dtype=complex)] * 3,
-                               [np.array([-1.0, -1.0])] * 3)
-    cert_path = tmp_path / "cert.json"
-    cert_path.write_text(json.dumps(io.certificate_to_record(cert)))
-    paths = {"UNIT": write_unit(tmp_path), "CERT": str(cert_path)}
+    paths = {"UNIT": write_unit(tmp_path),
+             "CERT": write_cert(tmp_path, [np.eye(2, dtype=complex)] * 3,
+                                [np.array([-1.0, -1.0])] * 3)}
     assert main([paths.get(a, a) for a in args]) == 2
     err = capsys.readouterr().err
     assert flag in err and kind in err
@@ -276,13 +288,11 @@ def test_certify_roundtrip(tmp_path, capsys):
 
 def test_certify_dims_mismatch_exit_2(tmp_path):
     path = write_unit(tmp_path)
-    cert_path = tmp_path / "cert.json"
-    from qflow.geometry import BoundaryCertificate
-
-    cert = BoundaryCertificate(np.zeros(0), [np.eye(3, dtype=complex)] * 3,
-                               [np.zeros(3)] * 3)
-    cert_path.write_text(json.dumps(io.certificate_to_record(cert)))
-    assert main(["certify", path, str(cert_path)]) == 2
+    # 3x3 bases on a 2x2x2 tensor, and more blocks than the tensor has modes
+    for n, blocks in ((3, 3), (2, 4)):
+        cert = write_cert(tmp_path, [np.eye(n, dtype=complex)] * blocks,
+                          [np.zeros(n)] * blocks)
+        assert main(["certify", path, cert]) == 2
 
 
 def test_certify_non_unitary_exit_2(tmp_path, capsys):

@@ -172,8 +172,7 @@ def test_nonsmooth_flow_without_smoothing_rejected():
 
 
 def test_subgradient_matches_flow_to_first_order():
-    """The run renormalizes at its last step, so its final point must carry
-    the divided-out determinant shares."""
+    """Both final points carry the scale that the steps moved into c."""
     prob = make_problem((2, 2, 2), 36)
     S = builtin_objective("frobenius", prob.signature)
     h = 1e-3
@@ -182,7 +181,6 @@ def test_subgradient_matches_flow_to_first_order():
     tr_f = integrate_flow(prob, S, prob.identity_point(), cfg_f)
     tr_s, _ = group_subgradient_method(prob.v, S, identity_factors(prob.signature),
                                        cfg_s)
-    assert tr_s.renormalizations > 0
     d = geom.distance(tr_f.final_point, tr_s.final_point)
     assert d < 10 * h
 
@@ -204,7 +202,7 @@ def test_group_form_matches_manifold_form():
     S = builtin_objective("frobenius", dims)
     delta = 0.05
     cfg = FlowConfig(max_iters=50, step_rule="constant", step_size=delta,
-                     renorm_every=0, tol_stall=0.0)
+                     tol_stall=0.0)
     x = prob.identity_point()
     for _ in range(cfg.max_iters):
         x = geom.geodesic(x, q_gradient(prob, S, x), -delta)
@@ -279,21 +277,52 @@ def test_group_method_best_value_nonincreasing_bookkeeping():
     assert tr.best_q <= best + 1e-12
 
 
-def test_group_method_renormalization_logged():
+def test_group_method_f_at_iterate():
     dims = (2, 2)
     v = tensors.normalize(gaussian_tensor(dims, 40))
     S = builtin_objective("frobenius", dims)
-    cfg = FlowConfig(max_iters=200, step_size=0.2, renorm_every=100,
-                     tol_stall=0.0)
+    cfg = FlowConfig(max_iters=200, step_size=0.2, tol_stall=0.0)
     tr, g = group_subgradient_method(
         v, S, [np.eye(n, dtype=complex) for n in dims], cfg
     )
-    assert tr.renormalizations > 0
-    # the run ends on a renormalization step, so the factors are unit-|det|
-    for gi in g:
-        assert abs(abs(np.linalg.det(gi)) - 1.0) < 1e-8
-    # f is recorded at the iterate, divided-out shares included
+    # f is recorded at the iterate, the shares c included
     assert abs(tr.samples[-1].f_value - tensors.kempf_ness(v, tr.final_point)) < 1e-10
+
+
+def test_orbit_step_moves_scale_into_c():
+    """The split step (unit-determinant part on g, scalar into c) gives the
+    iterate of the unsplit step g <- exp(-delta Z/2) g and keeps |det g|."""
+    rng = np.random.default_rng(53)
+    dims = (3, 2, 4)
+    g = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in dims]
+    c = list(rng.standard_normal(len(dims)))
+    Y = []
+    for n in dims:
+        H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        Y.append(H + H.conj().T)
+    sp = spectral_pass(builtin_objective("frobenius", dims), Y)
+    fac, delta = 1.7, 0.3
+    moved = solver._Orbit(None, None, g, c).advanced(sp, fac, delta)
+    E = sp.lift([np.exp(-0.5 * delta * fac * m) for m in sp.direction])
+    for gj, cj, Ej, gn, cn in zip(g, c, E, moved.g, moved.c):
+        ref = math.exp(2 * cj) * (Ej @ gj).conj().T @ (Ej @ gj)
+        got = math.exp(2 * cn) * gn.conj().T @ gn
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        det0 = abs(np.linalg.det(gj))
+        assert abs(abs(np.linalg.det(gn)) - det0) <= 1e-12 * det0
+
+
+def test_group_method_factors_give_final_point():
+    """The returned factors carry their shares back: g^+ g is the final point
+    for the default config."""
+    dims = (3, 2, 2)
+    v = tensors.normalize(gaussian_tensor(dims, 54))
+    S = builtin_objective("frobenius", dims)
+    tr, g = group_subgradient_method(v, S, identity_factors(dims),
+                                     FlowConfig(max_iters=200))
+    assert tr.iterations == 200
+    for gi, B in zip(g, tr.final_point.blocks):
+        assert np.max(np.abs(gi.conj().T @ gi - B)) <= 1e-10 * np.max(np.abs(B))
 
 
 @pytest.mark.parametrize("form", ["flow", "group"])
@@ -596,6 +625,14 @@ def test_dual_value_checks_certificate_shape_and_unitarity():
                            ([I2, I2 + 1e-7], [w, w])):  # beyond UNITARY_TOL
         with pytest.raises(ValidationError):
             dual_value(prob, S, geom.BoundaryCertificate(np.zeros(0), bases, weights))
+    # an objective and certificate of another signature than the problem's,
+    # on a ray where the conjugate is infinite
+    with pytest.raises(ValidationError):
+        dual_value(prob, builtin_objective("frobenius", (2, 2, 2)),
+                   geom.BoundaryCertificate(np.zeros(0), [I2] * 3, [10 * w] * 3))
+    for modes in ((0, 0), (0, 2), (-1,)):
+        with pytest.raises(ValidationError):
+            KempfNessProblem(prob.v, modes)
     near = I2 + 1e-10 * np.array([[0.0, 1.0], [1.0, 0.0]])
     assert math.isfinite(
         dual_value(prob, S, geom.BoundaryCertificate(np.zeros(0), [I2, near], [w, w]))
@@ -689,12 +726,12 @@ def test_config_validation():
                 FlowConfig(**{name: bad}).validate()
     with pytest.raises(ValidationError):
         FlowConfig(tol_stall=-1e-9).validate()
-    bad_counts = [("stall_window", 0), ("stall_window", -3), ("renorm_every", -1),
+    bad_counts = [("stall_window", 0), ("stall_window", -3),
                   ("record_every", 1.5), ("stall_window", 2.0), ("max_iters", 10.5)]
     for name, bad in bad_counts:
         with pytest.raises(ValidationError, match=name):
             FlowConfig(**{name: bad}).validate()
-    FlowConfig(tol_stall=0.0, smoothing=0.1, renorm_every=0, stall_window=1,
+    FlowConfig(tol_stall=0.0, smoothing=0.1, stall_window=1,
                max_iters=np.int64(3)).validate()
 
 

@@ -108,20 +108,22 @@ def _identity_factors(v, modes):
 # the common solve
 
 
-def scale(v, S, config=None, modes=None):
+def scale(v, S, config=None, modes=None, stop_below=None):
     """Minimize S of the moment map over the scaling orbit of v, with a bracket.
 
     Runs `group_subgradient_method` from the identity.  primal_value is the
     best value of S found along the run (an upper bound on the infimum);
     dual_value is `best_dual_on_ray` over the run's certificate, a lower bound
-    that is inf S when the run found no certificate.
+    that is inf S when the run found no certificate.  With stop_below set,
+    the run stops with status `certified` as soon as the primal value is
+    below it; a caller sets it where that alone decides its answer.
     """
     v = tensors.normalize(v)
     modes = tuple(range(v.ndim)) if modes is None else tuple(modes)
     if config is None:
         config = default_config("scale")
     trace, _ = group_subgradient_method(v, S, _identity_factors(v, modes), config,
-                                        modes=modes)
+                                        modes=modes, stop_below=stop_below)
     dual = best_dual_on_ray(KempfNessProblem(v, modes), S, trace.certificate)
     return ApplicationResult(
         primal_value=trace.best_q,
@@ -195,14 +197,35 @@ def check_common_kernel(A, tol=1e-10):
     return out
 
 
+# Margin of the full-rank test best_q < 2/n - FULL_RANK_EPS.  Exactly, a
+# rank-deficient pencil has S >= 2/n at every point of its orbit, and
+# inf S = 2/n when its rank is n - 1; its runs approach 2/n, and in floating
+# point they reach it from below: 0.6666666666666661 < 2/3 on a planted 3x3
+# pencil of rank 2.  The computed S is off from the exact S of the iterate by
+# the rounding of the tensor action, the moment map and the eigh of n x n
+# marginals of trace 1: a few n^2 eps for well-conditioned factors.  On 32
+# planted pencils of rank n - 1 (n = 3 to 6, default config, cond(g) up to
+# 2e6) best_q fell at most 8e-16 below 2/n.  1e-9 stays six orders above
+# that, and far below the margin by which best_q undercuts 2/n on full-rank
+# pencils when the stop fires (at least 0.04 on the 50 seeded random
+# pencils of acceptance criterion 7), so it does not delay the stop there.
+FULL_RANK_EPS = 1e-9
+
+
 def ncrank(A, config=None):
     """Noncommutative rank of a pencil via left-right tensor scaling.
 
-    `scale` brackets the summed trace distance of the first two moment-map
+    `scale` brackets the summed trace distance S of the first two moment-map
     marginals to the uniform density; rank = n - (n/2) * value converts its
-    primal and dual values into rank_lower and rank_upper.  The integer is
-    accepted only when the unrounded lower bound sits within a fixed window
-    of 0.25 of it.
+    primal and dual values into rank_lower and rank_upper.
+
+    Any orbit point with S < 2/n proves full rank (the 1/n test of Garg,
+    Gurvits, Oliveira and Wigderson): rank_lower > n - 1.  So the run stops
+    with status `certified` and rank n once its best value is below
+    2/n - FULL_RANK_EPS (the margin is argued at FULL_RANK_EPS).  Otherwise
+    the run goes on to its stall or max_iters stop, and the integer nearest
+    rank_lower is accepted only when it sits within a fixed window of 0.25 of
+    it (status `+unrounded` and rank None when not).
     """
     A = _as_pencil(A)
     kern = check_common_kernel(A)
@@ -215,10 +238,16 @@ def ncrank(A, config=None):
         )
     n = A.n
     S = builtin_objective("trace_dist_to_uniform", (n, n))
-    res = scale(A.tensor(), S, config or default_config("ncrank"), modes=(0, 1))
+    full_rank_below = 2.0 / n - FULL_RANK_EPS
+    res = scale(A.tensor(), S, config or default_config("ncrank"), modes=(0, 1),
+                stop_below=full_rank_below)
     rank_real = n - 0.5 * n * res.primal_value
-    r = int(round(rank_real))
-    rounded = abs(rank_real - r) < 0.25
+    if res.primal_value < full_rank_below:
+        # rank_lower > n - 1: round() could still give n - 1
+        r, rounded = n, True
+    else:
+        r = int(round(rank_real))
+        rounded = abs(rank_real - r) < 0.25
     return replace(
         res,
         status=res.status + ("" if rounded else "+unrounded"),

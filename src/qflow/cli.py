@@ -198,11 +198,13 @@ def cmd_certify(args):
     kind, inst = io.load_instance(args.input)
     with open(args.certificate) as fh:
         cert = io.certificate_from_record(json.load(fh))
-    modes = tuple(range(len(cert.bases))) if kind != "pencil" else (0, 1)
+    # every mode of a tensor, as `scale` uses: a certificate with another
+    # block count is for another problem and is rejected
+    modes = (0, 1) if kind == "pencil" else tuple(range(inst.ndim))
     S = _objective_from_args(args, cert.dims)
     value = apps.certify(inst, S, cert, modes=modes)
     rec = {"dual_value": value, "instance": _digest(args.input),
-           "objective": S.label}
+           "objective": S.label, "modes": list(modes)}
     if args.primal is not None:
         rec["primal_value"] = args.primal
         rec["weak_duality_ok"] = bool(value <= args.primal + 1e-8)

@@ -97,8 +97,20 @@ def load_instance(path):
     raise ValidationError(f"unknown file kind {kind!r}")
 
 
+def _finite(x):
+    """x with every non-finite float, an infinite bound for one, as None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite(y) for k, y in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(y) for y in x]
+    return x
+
+
 def save_record(rec, path=None):
-    text = json.dumps(rec, sort_keys=True, indent=1)
+    """Write rec as strict JSON: a non-finite float (no bound) becomes null."""
+    text = json.dumps(_finite(rec), sort_keys=True, indent=1, allow_nan=False)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

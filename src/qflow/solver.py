@@ -9,9 +9,10 @@ Q is smoothed to its Moreau envelope at level lambda_i = smoothing (over
 sqrt(i+1) under smoothing_schedule) when smoothing is set.  Two step policies
 set h and the stop: the subgradient method's schedule and best-window stall;
 the flow's constant step with a halving backstop, energy record and
-consecutive-value stall.  Certificates u = log_{x0}(x_T)/R from the start
-x0 = g0^+ g0, R = integral of Q, read off one SVD of g g0^-1 per block,
-lower-bound inf_x Q(df_x) by weak duality.
+consecutive-value stall.  A caller's threshold on the best value, when
+given, stops the loop early with status `certified`.  Certificates
+u = log_{x0}(x_T)/R from the start x0 = g0^+ g0, R = integral of Q, read off
+one SVD of g g0^-1 per block, lower-bound inf_x Q(df_x) by weak duality.
 """
 
 from __future__ import annotations
@@ -214,12 +215,17 @@ class _Orbit:
         return ProductPDPoint(np.zeros(0), blocks)
 
 
-def _descend(problem, g0, Q, config, policy):
+def _descend(problem, g0, Q, config, policy, stop_below=None):
     """The loop of both solvers, from the factors g0.  It folds each orbit's
     pass into best_q and the samples; `policy.advance` steps the orbit and
     returns the next orbit, its pass (taken once) and f, the step taken and
     whether the run stalled; `policy.t` and `policy.h` are the clock and step
     of the samples.  Certificates are relative to the start x0 = g0^+ g0.
+
+    With stop_below set, the loop stops after the first step at which
+    best_q < stop_below, and the status is `certified` whenever the final
+    best_q is below it; the caller picks a threshold that decides its
+    answer.  With stop_below None the run is the same, step for step.
     Returns the trace and the final factors e^c g, with (e^c g)^+ (e^c g) = x_T."""
     config.validate()
     shift = -infimum(Q)  # Q - inf Q keeps the Q-factor nonnegative
@@ -246,6 +252,8 @@ def _descend(problem, g0, Q, config, policy):
     sp, f = pass_at(orbit, 0)
     if not math.isfinite(sp.value):
         raise DomainError(f"objective {Q.label!r} is {sp.value} at the start point")
+    # no best_q is below -inf: without a threshold the run never certifies
+    stop = -math.inf if stop_below is None else stop_below
     stalled = False
     for i in range(config.max_iters):
         observe(sp, f, i % config.record_every == 0)
@@ -254,10 +262,11 @@ def _descend(problem, g0, Q, config, policy):
                                                   lambda o: pass_at(o, i + 1))
         r_cum += h * fac
         trace.iterations = i + 1
-        if stalled:
+        if stalled or trace.best_q < stop:
             break
-    trace.status = "stalled" if stalled else "max_iters"
     observe(sp, f, True)
+    trace.status = ("certified" if trace.best_q < stop else
+                    "stalled" if stalled else "max_iters")
     trace.final_point = orbit.certify(trace, g0)
     return trace, [math.exp(cj) * gj for cj, gj in zip(orbit.c, orbit.g)]
 
@@ -334,17 +343,20 @@ def integrate_flow(problem, Q, x0, config):
     return _descend(problem, g0, Q, config, _FlowSteps(Q, config))[0]
 
 
-def group_subgradient_method(v, S, g0, config, modes=None):
+def group_subgradient_method(v, S, g0, config, modes=None, stop_below=None):
     """Q-subgradient method in group form: g <- exp(-delta_i Z_i/2) g, with
     delta_i = config.step(i) and Z_i in d((S - inf S)^2/2) at the moment map
     of g.v.
 
     Each step keeps |det g| and moves its scalar part into the shares c of
     the iterate x = e^{2c} g^+ g; the returned factors carry c back, so their
-    g^+ g is the final point.  Stops at max_iters or when the best value has
-    not improved by tol_stall for stall_window iterations.  The certificate is relative to x0 = g0^+ g0.
+    g^+ g is the final point.  Stops at max_iters, when the best value has
+    not improved by tol_stall for stall_window iterations, or (status
+    `certified`) once the best value is below stop_below, if that is set.
+    The certificate is relative to x0 = g0^+ g0.
     """
-    return _descend(KempfNessProblem(v, modes), g0, S, config, _SubgradientSteps(config))
+    return _descend(KempfNessProblem(v, modes), g0, S, config, _SubgradientSteps(config),
+                    stop_below)
 
 
 def extract_certificate(trace, x0):

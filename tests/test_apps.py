@@ -101,6 +101,51 @@ def test_ncrank_rank_one_row_pencil():
     assert res.rank_upper < 1.8
 
 
+def planted_rank2_pencil():
+    """P M_k Q for k = 1, 2, with 3x3 M_k zero on rows :2, columns 1:: the
+    2 x 2 zero block makes its nc-rank 2, and inf S = 2/3 is reached from
+    below in floating point."""
+    rng = np.random.default_rng([1, 0, 1, 0])
+
+    def gauss(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    P, Q = gauss((3, 3)), gauss((3, 3))
+    mats = []
+    for _ in range(2):
+        M = gauss((3, 3))
+        M[:2, 1:] = 0.0
+        mats.append(P @ M @ Q)
+    return apps.MatrixPencil(mats)
+
+
+def test_ncrank_does_not_certify_rank_deficient_pencil():
+    """The bare test best_q < 2/n would report full rank here: the stop needs
+    its margin."""
+    A = planted_rank2_pencil()
+    assert apps.ncrank_blowup_oracle(A) == 2
+    res = apps.ncrank(A)
+    assert res.primal_value < 2 / 3
+    assert not res.status.startswith("certified")
+    assert res.rank == 2
+
+
+# at the stop, rank_lower is 3.08 for seed 14 (the 0.25 window would give
+# rank 3) and 1.45 for seed 15 (no rank): the certificate decides, not round()
+@pytest.mark.parametrize("seed", [0, 2, 14, 15, 21, 29])
+def test_ncrank_certifies_full_rank_early(seed):
+    """Criterion 7's pencils: the run stops within a few steps at a point
+    that proves full rank."""
+    n, m = 2 + seed % 3, 1 + seed % 4
+    A = random_pencil(n, m, seed)
+    res = apps.ncrank(A)
+    assert res.status == "certified"
+    assert res.rank_lower > n - 1
+    assert res.rank == n == apps.ncrank_blowup_oracle(A)
+    assert res.iterations <= 20
+    assert res.dual_value <= res.primal_value + 1e-8
+
+
 def test_ncrank_unitary_invariance():
     rng = np.random.default_rng(2)
     A = random_pencil(3, 2, 3)

@@ -286,6 +286,45 @@ def test_certify_roundtrip(tmp_path, capsys):
     assert abs(rec["dual_value"] - run["result"]["dual_value"]) < 1e-9
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_records_are_strict_json(tmp_path, capsys):
+    """Infinite bounds are written as null: an infinite dual from a ray
+    outside the conjugate's domain, an infinite rank_upper from a dual <= 0."""
+    path = write_unit(tmp_path)
+    cert = write_cert(tmp_path, [np.eye(2, dtype=complex)] * 3,
+                      [np.array([-1.0, 1.0])] * 3)
+    assert main(["certify", path, cert]) == 0
+    assert _strict_json(capsys.readouterr().out)["dual_value"] is None
+    out = tmp_path / "gstable.json"
+    # with no step there is no certificate, and the dual is inf S = 0
+    assert main(["gstable", path, "--alpha", "1,1,1", "--max-iters", "0",
+                 "--out", str(out)]) == 0
+    assert _strict_json(out.read_text())["result"]["rank_upper"] is None
+    res = apps.g_stable_rank(tensors.unit_tensor(2, 3), [1.0] * 3,
+                             dataclasses.replace(apps.default_config("gstable"), max_iters=0))
+    assert res.rank_upper == float("inf")
+
+
+def test_certify_uses_every_tensor_mode(tmp_path, capsys):
+    """A tensor's certificate is checked on all its modes, as `scale` solves:
+    a 2-block certificate is for another problem than a 3-mode tensor's."""
+    certs = {blocks: write_cert(tmp_path, [np.eye(2, dtype=complex)] * blocks,
+                                [np.zeros(2)] * blocks, name=f"cert{blocks}.json")
+             for blocks in (2, 3)}
+    path = write_unit(tmp_path)
+    assert main(["certify", path, certs[2]]) == 2
+    assert main(["certify", path, certs[3]]) == 0
+    assert json.loads(capsys.readouterr().out)["modes"] == [0, 1, 2]
+    pencil = write_pencil(tmp_path, identity_pencil(2))
+    assert main(["certify", pencil, certs[2]]) == 0
+    assert json.loads(capsys.readouterr().out)["modes"] == [0, 1]
+
+
 def test_certify_dims_mismatch_exit_2(tmp_path):
     path = write_unit(tmp_path)
     # 3x3 bases on a 2x2x2 tensor, and more blocks than the tensor has modes

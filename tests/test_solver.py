@@ -680,6 +680,29 @@ def test_stall_detection():
     assert tr.iterations < 5000
 
 
+def test_stop_below_none_keeps_the_run():
+    """Without a threshold the loop runs as before it had one (the values are
+    pinned from that loop); a threshold ends the same run, with status
+    certified, after the first step whose best value is below it."""
+    dims = (3, 2, 2)
+    v = tensors.normalize(gaussian_tensor(dims, 61))
+    S = builtin_objective("trace_dist_to_uniform", dims)
+    cfg = FlowConfig(max_iters=300, step_size=0.3, smoothing=0.1,
+                     smoothing_schedule=True)
+    tr, _ = group_subgradient_method(v, S, identity_factors(dims), cfg, stop_below=None)
+    assert (tr.iterations, tr.status, len(tr.samples)) == (300, "max_iters", 301)
+    for got, pinned in ((tr.best_q, 0.011549749654594432),
+                        (tr.r_cumulative, 0.6556022045313118),
+                        (tr.certificate.weights[0][0], 0.9490290585830174)):
+        assert abs(got - pinned) <= 1e-10 * pinned
+    q = [s.q_value for s in tr.samples]
+    k = int(np.argmax(np.minimum.accumulate(q) < 0.1))
+    assert 0 < k < 299
+    short, _ = group_subgradient_method(v, S, identity_factors(dims), cfg, stop_below=0.1)
+    assert (short.iterations, short.status) == (k + 1, "certified")
+    assert [s.q_value for s in short.samples] == q[:k + 2]
+
+
 def test_unbounded_objective_rejected():
     """An objective with inf Q = -inf (Q*(0) = +inf) has no finite Q-shift."""
     prob = make_problem((2, 2, 2), 51)

@@ -1,15 +1,14 @@
-"""Geometry of R^n0 x P_{n1} x ... x P_{nd}: geodesics, parallel transport,
-log map, distance, and normal forms of geodesic rays at infinity.
+"""Geometry of P_{n1} x ... x P_{nd}: geodesics, parallel transport from the
+base, log map, and normal forms of geodesic rays at infinity.
 
-Each PD factor carries the GL-invariant metric <X,Y>_x = tr(x^-1 X x^-1 Y);
-the Euclidean factor is flat.  All matrix functions go through Hermitian
-eigendecomposition (dims are small and spectra are needed anyway).
+Each factor carries the GL-invariant metric <X,Y>_x = tr(x^-1 X x^-1 Y).
+All matrix functions go through Hermitian eigendecomposition (dims are small
+and spectra are needed anyway).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,17 +43,13 @@ def _symmetrize(H):
 
 @dataclass
 class ProductPDPoint:
-    """A point of R^n0 x P_{n1} x ... x P_{nd}."""
+    """A point of P_{n1} x ... x P_{nd}."""
 
-    euclid: np.ndarray
     blocks: list
 
     @classmethod
-    def identity(cls, dims, n_euclid=0):
-        return cls(
-            euclid=np.zeros(n_euclid),
-            blocks=[np.eye(n, dtype=complex) for n in dims],
-        )
+    def identity(cls, dims):
+        return cls([np.eye(n, dtype=complex) for n in dims])
 
     @property
     def dims(self):
@@ -73,31 +68,28 @@ class ProductPDPoint:
 
 @dataclass
 class TangentBlock:
-    """A tangent (or, via the trace pairing, cotangent) vector.
+    """A tangent (or, via the trace pairing, cotangent) vector."""
 
-    `at` is None for vectors at the base point (0, I, ..., I).
-    """
-
-    euclid: np.ndarray
     blocks: list
-    at: Optional[ProductPDPoint] = None
 
     @classmethod
-    def zero(cls, dims, n_euclid=0, at=None):
-        return cls(np.zeros(n_euclid), [np.zeros((n, n), dtype=complex) for n in dims], at)
+    def zero(cls, dims):
+        return cls([np.zeros((n, n), dtype=complex) for n in dims])
 
     @property
     def dims(self):
         return tuple(B.shape[0] for B in self.blocks)
 
     def scaled(self, c):
-        return TangentBlock(c * self.euclid, [c * B for B in self.blocks], self.at)
+        return TangentBlock([c * B for B in self.blocks])
 
 
 @dataclass
 class BoundaryCertificate:
     """Normal form of a geodesic ray at infinity: per-factor unitary basis
-    (leading columns span the flag) and nonincreasing weights."""
+    (leading columns span the flag) and nonincreasing weights.  euclid_dir,
+    kept in the signature and the record format, is always empty: Kempf-Ness
+    rays have no Euclidean part."""
 
     euclid_dir: np.ndarray
     bases: list
@@ -112,7 +104,7 @@ class BoundaryCertificate:
         blocks = [
             _symmetrize((k * w) @ k.conj().T) for k, w in zip(self.bases, self.weights)
         ]
-        return TangentBlock(np.array(self.euclid_dir, dtype=float), blocks, at=None)
+        return TangentBlock(blocks)
 
     def scaled(self, c):
         return BoundaryCertificate(
@@ -123,7 +115,7 @@ class BoundaryCertificate:
 
 
 def _check_pair(x, H):
-    if x.dims != H.dims or x.euclid.size != H.euclid.size:
+    if x.dims != H.dims:
         raise ValidationError(f"signature mismatch: {x.dims} vs {H.dims}")
 
 
@@ -138,70 +130,29 @@ def geodesic(x, H, t):
         xis = inv_sqrtm_pd(xb)
         A = _symmetrize(xis @ Hb @ xis)
         blocks.append(_symmetrize(xs @ expm_herm(t * A) @ xs))
-    return ProductPDPoint(x.euclid + t * H.euclid, blocks)
-
-
-def transport_to_base(x, H):
-    """Parallel transport of a tangent vector at x to the base point."""
-    _check_pair(x, H)
-    blocks = []
-    for xb, Hb in zip(x.blocks, H.blocks):
-        xis = inv_sqrtm_pd(xb)
-        blocks.append(_symmetrize(xis @ Hb @ xis))
-    return TangentBlock(H.euclid.copy(), blocks, at=None)
+    return ProductPDPoint(blocks)
 
 
 def transport_from_base(x, H):
-    """Inverse of transport_to_base: carry a base tangent vector to x."""
+    """Parallel transport of a tangent vector at the base point to x."""
     blocks = []
     for xb, Hb in zip(x.blocks, H.blocks):
         xs = sqrtm_pd(xb)
         blocks.append(_symmetrize(xs @ Hb @ xs))
-    return TangentBlock(H.euclid.copy(), blocks, at=x)
+    return TangentBlock(blocks)
 
 
 def log_map(x, base=None):
     """Initial velocity of the geodesic from `base` (default identity) to x."""
     if base is None:
-        blocks = [logm_pd(B) for B in x.blocks]
-        return TangentBlock(x.euclid.copy(), blocks, at=None)
+        return TangentBlock([logm_pd(B) for B in x.blocks])
     blocks = []
     for bb, xb in zip(base.blocks, x.blocks):
         bs = sqrtm_pd(bb)
         bis = inv_sqrtm_pd(bb)
         L = logm_pd(_symmetrize(bis @ xb @ bis))
         blocks.append(_symmetrize(bs @ L @ bs))
-    return TangentBlock(x.euclid - base.euclid, blocks, at=base)
-
-
-def metric_norm(x, H):
-    """Riemannian norm of a tangent vector at x."""
-    total = float(H.euclid @ H.euclid)
-    for xb, Hb in zip(x.blocks, H.blocks):
-        xis = inv_sqrtm_pd(xb)
-        A = xis @ Hb @ xis
-        total += float(np.sum(np.abs(A) ** 2))
-    return np.sqrt(total)
-
-
-def pairing(Y, X):
-    """Duality pairing sum_i Re tr(Y_i X_i) + <y, x> of base covector/vector."""
-    total = float(np.real(Y.euclid @ X.euclid)) if Y.euclid.size else 0.0
-    for Yb, Xb in zip(Y.blocks, X.blocks):
-        total += float(np.real(np.trace(Yb @ Xb)))
-    return total
-
-
-def distance(x, y):
-    """Geodesic distance on the product manifold."""
-    if x.dims != y.dims or x.euclid.size != y.euclid.size:
-        raise ValidationError(f"signature mismatch: {x.dims} vs {y.dims}")
-    total = float(np.sum((x.euclid - y.euclid) ** 2))
-    for xb, yb in zip(x.blocks, y.blocks):
-        xis = inv_sqrtm_pd(xb)
-        w = np.linalg.eigvalsh(_symmetrize(xis @ yb @ xis))
-        total += float(np.sum(np.log(w) ** 2))
-    return np.sqrt(total)
+    return TangentBlock(blocks)
 
 
 def asymptotic_at_base(x, H):
@@ -213,9 +164,6 @@ def asymptotic_at_base(x, H):
     ray.
     """
     _check_pair(x, H)
-    size = metric_norm(x, H)
-    if size <= 0.0:
-        raise ValidationError("zero tangent vector spans no ray")
     bases = []
     weights = []
     for xb, Hb in zip(x.blocks, H.blocks):
@@ -229,4 +177,8 @@ def asymptotic_at_base(x, H):
         k = q * phases  # make the triangular factor's diagonal real positive
         bases.append(k)
         weights.append(r.values.copy())
-    return BoundaryCertificate(H.euclid.copy(), bases, weights)
+    # the weights are the eigenvalues of the transported velocity, so their
+    # norm is the Riemannian norm of H at x
+    if not any(np.any(w) for w in weights):
+        raise ValidationError("zero tangent vector spans no ray")
+    return BoundaryCertificate(np.zeros(0), bases, weights)

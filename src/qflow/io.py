@@ -138,13 +138,18 @@ def certificate_to_record(cert):
 
 def certificate_from_record(rec):
     try:
-        return BoundaryCertificate(
+        cert = BoundaryCertificate(
             euclid_dir=np.asarray(rec["euclid_dir"], dtype=float),
             bases=[_matrix_from_json(d) for d in rec["bases"]],
             weights=[np.asarray(w, dtype=float) for w in rec["weights"]],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed certificate record: {exc}")
+    for k in cert.bases:
+        if k.ndim != 2 or k.shape[0] != k.shape[1]:
+            raise ValidationError(f"malformed certificate record: a basis must be "
+                                  f"a square matrix, got shape {k.shape}")
+    return cert
 
 
 _TRACE_SAMPLES = 50

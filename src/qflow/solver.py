@@ -158,7 +158,7 @@ def q_gradient(problem, Q, x):
         )
     sp = spectral_pass(Q, problem.differential(x))
     g0 = sp.lift([sp.value * m for m in sp.direction])
-    return transport_from_base(x, TangentBlock(np.zeros(0), g0, at=None))
+    return transport_from_base(x, TangentBlock(g0))
 
 
 class _Orbit:
@@ -212,7 +212,7 @@ class _Orbit:
             trace.status += "+interior_optimum"
         else:
             trace.certificate = BoundaryCertificate(np.zeros(0), bases, [ev / R for ev in evs])
-        return ProductPDPoint(np.zeros(0), blocks)
+        return ProductPDPoint(blocks)
 
 
 def _descend(problem, g0, Q, config, policy, stop_below=None):
@@ -336,8 +336,6 @@ def integrate_flow(problem, Q, x0, config):
         raise UnsupportedObjectiveError(
             f"objective {Q.label!r} is not smooth; set config.smoothing"
         )
-    if x0.euclid.size:
-        raise ValidationError("Kempf-Ness points carry no Euclidean factor")
     x0.validate()
     g0 = [sqrtm_pd(B) for B in x0.blocks]
     return _descend(problem, g0, Q, config, _FlowSteps(Q, config))[0]
@@ -367,8 +365,9 @@ def extract_certificate(trace, x0):
     x = trace.final_point
     if x is None:
         return None
-    if x0.dims != x.dims or x0.euclid.size or x.euclid.size:
+    if x0.dims != x.dims:
         raise ValidationError("x0 and x_T must be Kempf-Ness points of one signature")
+    x0.validate()
     _Orbit(None, None, [sqrtm_pd(B) for B in x.blocks]).certify(
         trace, [sqrtm_pd(B) for B in x0.blocks])
     return trace.certificate
@@ -403,8 +402,11 @@ UNITARY_TOL = 1e-8
 
 
 def _ray_spectrum(Q, xi):
-    """The concatenated weights of a certificate, checked to have one unitary
-    basis and one weight vector per block of Q."""
+    """The concatenated weights of a certificate, checked to have no Euclidean
+    direction and one unitary basis and one weight vector per block of Q."""
+    if np.size(xi.euclid_dir):
+        raise ValidationError("Kempf-Ness certificates have no Euclidean direction, "
+                              f"got euclid_dir of size {np.size(xi.euclid_dir)}")
     _check_blocks(Q, xi.bases)
     weights = [np.asarray(w, dtype=float) for w in xi.weights]
     if [w.shape for w in weights] != [(n,) for n in Q.block_dims]:

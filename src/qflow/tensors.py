@@ -101,8 +101,6 @@ def _pd_factors(x, modes, v):
         raise ValidationError(
             f"point dims {tuple(B.shape[0] for B in x.blocks)} do not match tensor modes {shape}"
         )
-    if x.euclid.size:
-        raise ValidationError("Kempf-Ness points carry no Euclidean factor")
 
 
 def kempf_ness(v, x, modes=None):

@@ -1,5 +1,7 @@
-"""The public names and the names the benchmark's tracer wraps."""
+"""The public names, the fields of the manifold dataclasses and the names the
+benchmark's tracer wraps."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -53,3 +55,14 @@ def test_traced_names_resolve():
     spec.loader.exec_module(tracing)
     for span, (mod, attr) in tracing.TARGETS.items():
         assert callable(getattr(mod, attr, None)), span
+
+
+def test_manifold_dataclass_fields_pinned():
+    """Points and tangents hold only their PD blocks; euclid_dir stays in
+    BoundaryCertificate, always empty, for the certificate record format."""
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(qflow.ProductPDPoint) == ["blocks"]
+    assert names(qflow.TangentBlock) == ["blocks"]
+    assert names(qflow.BoundaryCertificate) == ["euclid_dir", "bases", "weights"]

@@ -124,6 +124,10 @@ def test_missing_file_exit_2(tmp_path):
     ("moment", {"dims": [2, 2], "entries": [{"idx": [0, 0.5], "re": 1.0}]}),
     ("certify", {"euclid_dir": [], "weights": [[1.0, 0.0]] * 3,
                  "bases": [{"re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0]] * 2}] * 3}),
+    ("certify", {"euclid_dir": [7.0, -3.0], "weights": [[0.1, -0.1]] * 3,
+                 "bases": [{"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0]] * 2}] * 3}),
+    ("certify", {"euclid_dir": [], "weights": [[0.1, -0.1]] * 3,
+                 "bases": [{"re": 1.0, "im": 0.0}] * 3}),
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, command, text):
     bad = tmp_path / "bad.json"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from _geometry_ref import distance, metric_norm, transport_to_base
 
 from qflow import apps
 from qflow import geometry as geom
@@ -68,15 +69,15 @@ def test_q_gradient_chain_rule():
     for n in prob.signature:
         M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         blocks.append(M @ M.conj().T + 0.4 * np.eye(n))
-    x = geom.ProductPDPoint(np.zeros(0), blocks)
+    x = geom.ProductPDPoint(blocks)
     G = q_gradient(prob, S, x)
-    G0 = geom.transport_to_base(x, G)
+    G0 = transport_to_base(x, G)
     for _ in range(5):
         H0 = []
         for n in prob.signature:
             M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             H0.append(0.5 * (M + M.conj().T))
-        Hx = geom.transport_from_base(x, geom.TangentBlock(np.zeros(0), H0))
+        Hx = geom.transport_from_base(x, geom.TangentBlock(H0))
         eps = 1e-5
         pp = prob.differential(geom.geodesic(x, Hx, eps))
         pm = prob.differential(geom.geodesic(x, Hx, -eps))
@@ -98,7 +99,7 @@ def test_q_gradient_zero_differential():
     G = q_gradient(prob, S, x)
     # differential is (I/2, I/2, I/2): Q-gradient = Q * normalized subgradient
     q = lift_eval(S, prob.differential(x))
-    assert abs(geom.metric_norm(x, G) - q) < 1e-10
+    assert abs(metric_norm(x, G) - q) < 1e-10
 
 
 def test_q_gradient_requires_smooth():
@@ -113,10 +114,7 @@ def test_flow_reaches_interior_minimum_on_unit_tensor():
     prob = KempfNessProblem(v)
     S = builtin_objective("frobenius", prob.signature)
     # start away from the minimizer
-    x0 = geom.ProductPDPoint(
-        np.zeros(0),
-        [np.diag([2.0, 0.5]).astype(complex) for _ in range(3)],
-    )
+    x0 = geom.ProductPDPoint([np.diag([2.0, 0.5]).astype(complex) for _ in range(3)])
     cfg = FlowConfig(max_iters=1000, ode_step=0.05)
     tr = integrate_flow(prob, S, x0, cfg)
     qs = [s.q_value for s in tr.samples]
@@ -129,10 +127,7 @@ def test_flow_stops_when_stalled():
     v = tensors.unit_tensor(2, 3)
     prob = KempfNessProblem(v)
     S = builtin_objective("frobenius", prob.signature)
-    x0 = geom.ProductPDPoint(
-        np.zeros(0),
-        [np.diag([2.0, 0.5]).astype(complex) for _ in range(3)],
-    )
+    x0 = geom.ProductPDPoint([np.diag([2.0, 0.5]).astype(complex) for _ in range(3)])
     cfg = FlowConfig(max_iters=1000, ode_step=0.05)
     tr = integrate_flow(prob, S, x0, cfg)
     assert tr.status.startswith("stalled")
@@ -152,7 +147,7 @@ def test_flow_monotone_and_step_distance_bound():
     x = prob.identity_point()
     G0 = q_gradient(prob, S, x)
     step = geom.geodesic(x, G0, -cfg.ode_step)
-    assert geom.distance(x, step) <= alpha * cfg.ode_step + 1e-9
+    assert distance(x, step) <= alpha * cfg.ode_step + 1e-9
 
 
 def test_smoothed_flow_monotone_for_nonsmooth_objective():
@@ -181,7 +176,7 @@ def test_subgradient_matches_flow_to_first_order():
     tr_f = integrate_flow(prob, S, prob.identity_point(), cfg_f)
     tr_s, _ = group_subgradient_method(prob.v, S, identity_factors(prob.signature),
                                        cfg_s)
-    d = geom.distance(tr_f.final_point, tr_s.final_point)
+    d = distance(tr_f.final_point, tr_s.final_point)
     assert d < 10 * h
 
 
@@ -190,7 +185,7 @@ def test_zero_step_is_stationary():
     S = builtin_objective("frobenius", prob.signature)
     cfg = FlowConfig(max_iters=10, step_rule="constant", step_size=1e-30)
     tr, _ = group_subgradient_method(prob.v, S, identity_factors(prob.signature), cfg)
-    assert geom.distance(tr.final_point, prob.identity_point()) < 1e-12
+    assert distance(tr.final_point, prob.identity_point()) < 1e-12
 
 
 def test_group_form_matches_manifold_form():
@@ -208,7 +203,7 @@ def test_group_form_matches_manifold_form():
         x = geom.geodesic(x, q_gradient(prob, S, x), -delta)
     tr_g, g = group_subgradient_method(v, S, identity_factors(dims), cfg)
     assert tr_g.iterations == cfg.max_iters
-    assert geom.distance(x, tr_g.final_point) < 1e-8
+    assert distance(x, tr_g.final_point) < 1e-8
     x_from_g = [gi.conj().T @ gi for gi in g]
     assert max(
         np.max(np.abs(a - b)) for a, b in zip(x_from_g, tr_g.final_point.blocks)
@@ -413,9 +408,8 @@ def test_extract_certificate_pure_ray():
 
     from qflow.solver import FlowTrace, TraceSample
 
-    H = geom.TangentBlock(np.zeros(0), [np.diag([1.0, -1.0]),
-                                        np.diag([0.5, -0.5])])
-    nrm = geom.metric_norm(prob.identity_point(), H)
+    H = geom.TangentBlock([np.diag([1.0, -1.0]), np.diag([0.5, -0.5])])
+    nrm = metric_norm(prob.identity_point(), H)
     u = H.scaled(1.0 / nrm)
     R = 3.0
     tr = FlowTrace()
@@ -467,7 +461,7 @@ def random_pd_point(rng, dims):
     for n in dims:
         M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         blocks.append(M @ M.conj().T / n + 0.5 * np.eye(n))
-    return geom.ProductPDPoint(np.zeros(0), blocks)
+    return geom.ProductPDPoint(blocks)
 
 
 @pytest.mark.parametrize("form", ["group", "flow"])
@@ -512,9 +506,22 @@ def test_flow_rejects_invalid_start():
     I2 = np.eye(2, dtype=complex)
     for bad in (np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex),
                 np.diag([1.0, -1.0]).astype(complex)):
-        x0 = geom.ProductPDPoint(np.zeros(0), [bad, I2])
+        x0 = geom.ProductPDPoint([bad, I2])
         with pytest.raises(ValidationError):
             integrate_flow(prob, S, x0, FlowConfig(max_iters=5))
+
+
+def test_extract_certificate_rejects_invalid_start():
+    """extract_certificate refuses a start that is not Hermitian or not
+    positive definite, as integrate_flow does, before taking its root."""
+    prob = make_problem((2, 2), 58)
+    S = builtin_objective("frobenius", prob.signature)
+    tr = integrate_flow(prob, S, prob.identity_point(), FlowConfig(max_iters=5))
+    I2 = np.eye(2, dtype=complex)
+    for bad in (np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex),
+                np.diag([1.0, -1.0]).astype(complex)):
+        with pytest.raises(ValidationError):
+            extract_certificate(tr, geom.ProductPDPoint([bad, I2]))
 
 
 def test_extract_certificate_interior_status():

@@ -9,6 +9,7 @@ applications only convert the two into their own units.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -20,12 +21,14 @@ from .errors import DomainError, ParameterError, ValidationError
 from .geometry import BoundaryCertificate
 from .solver import (
     FlowConfig,
+    FlowTrace,
     KempfNessProblem,
+    TraceSample,
     best_dual_on_ray,
     dual_value,
     group_subgradient_method,
 )
-from .spectral import builtin_objective
+from .spectral import builtin_objective, eigh, spectral_pass
 
 
 @dataclass
@@ -108,23 +111,125 @@ def _identity_factors(v, modes):
 # the common solve
 
 
+# The scaling phase stops with `scaled_to_floor` once S - floor <= FLOOR_TOL *
+# (1 + |floor|).  The tolerance only decides when to stop: the primal is S at
+# an orbit point and the dual is the floor certificate's dual_value, bounds
+# whatever the tolerance, and the gap reported is their actual difference.  It
+# must sit above the rounding of S near uniform marginals and cost few sweeps.
+# On gaussian_tensor((3,3,3), 0), with the entropy (theta 0.2, 0.3, 0.5) and
+# op_norm_max_weighted (alpha 1), the gap fell below 1e-6 after 60 and 221
+# sweeps, below 1e-9 after 143 and 391 (0.1-0.3 s in all), and the scaling
+# stalled near 1e-14: 1e-9 stays five orders above that noise and six below
+# the digits the applications report.
+FLOOR_TOL = 1e-9
+
+
+def _floor_certificate(S):
+    """The ray with identity bases and weights -d, d the tie-averaged
+    subgradient of S at the uniform spectra I/n_i: constant on each block for a
+    symmetric S, so its dual_value is S(uniform) on every builtin (the zero ray,
+    dual inf S = 0, for trace_dist_to_uniform).  The bound rests on dual_value
+    alone, not on this derivation."""
+    sp = spectral_pass(S, [np.eye(n) / n for n in S.block_dims])
+    return BoundaryCertificate(np.zeros(0),
+                               [np.eye(n, dtype=complex) for n in S.block_dims],
+                               [-m for m in sp.direction])
+
+
+def _scaling_phase(problem, S, floor, sweeps, stop_below=None):
+    """Alternating scaling of problem.v from the identity, g_i <- (n_i mu_i)^-1/2
+    g_i mode by mode, for at most `sweeps` sweeps; each sweep makes every
+    marginal uniform in turn.  Returns a FlowTrace with one sample per sweep
+    (sweep 0 is the start; t counts sweeps; f = log ||g.v||^2 is the
+    Kempf-Ness value at x = g^+ g, which exact scaling keeps at 0; the step
+    is 1, as x <- g^+ exp(-log(n_i mu_i)) g is the group step of length 1
+    along log(n_i mu_i); R is 0), stopped with status
+
+    - `certified` once S < stop_below (tested first),
+    - `scaled_to_floor` once S - floor <= FLOOR_TOL (1 + |floor|),
+    - `stalled` at the first sweep that does not lower S (also when S is not
+      finite at the start),
+    - `singular` when some marginal is numerically singular, and
+    - `max_iters` after `sweeps` sweeps.
+
+    The last three leave the infimum to the subgradient method.  S is read
+    at g.v acted out from v at every sweep, an orbit point of the stored g
+    up to the rounding of one action; the tensor is updated in place only
+    within a sweep.  (Carried across sweeps, the rounding of early steps is
+    amplified by later ones into a tensor off the orbit: on planted pencils
+    S then fell below 2/n - FULL_RANK_EPS.)  On escaping orbits the
+    first-non-improving stop leaves before cond(g) reaches rounding noise
+    (measured at FULL_RANK_EPS)."""
+    stop = -math.inf if stop_below is None else stop_below
+    tol = FLOOR_TOL * (1.0 + abs(floor))
+    v, modes = problem.v, problem.modes
+    g = _identity_factors(v, modes)
+    trace = FlowTrace()
+    for k in itertools.count():
+        w = tensors.act(g, v, modes)
+        sp = spectral_pass(S, tensors.moment_map(w, modes))
+        trace.samples.append(TraceSample(float(k), sp.value,
+                                         2.0 * math.log(np.linalg.norm(w)), 0.0, 1.0))
+        trace.iterations = k
+        if not sp.value < trace.best_q:
+            trace.status = "stalled"
+            return trace
+        trace.best_q, trace.best_spectra = sp.value, sp.spectra
+        trace.status = ("certified" if sp.value < stop else
+                        "scaled_to_floor" if sp.value - floor <= tol else
+                        "max_iters" if k == sweeps else None)
+        if trace.status is not None:
+            return trace
+        for j, ax in enumerate(modes):
+            # mode 0 reuses the pass's eigendecomposition of mu_0
+            r = sp.decomps[0] if j == 0 else eigh(tensors.moment_map(w, (ax,))[0])
+            n = r.values.size
+            # mu = A A^+ / ||A||^2 is known to about eps lambda_max, so a
+            # smaller eigenvalue carries no digit and its inverse root is noise
+            if not r.values[-1] > n * np.finfo(float).eps * r.values[0]:
+                trace.status = "singular"
+                return trace
+            h = (r.basis * (n * r.values) ** -0.5) @ r.basis.conj().T
+            g[j] = h @ g[j]
+            w = tensors.act([h], w, [ax])
+
+
 def scale(v, S, config=None, modes=None, stop_below=None):
     """Minimize S of the moment map over the scaling orbit of v, with a bracket.
 
-    Runs `group_subgradient_method` from the identity.  primal_value is the
-    best value of S found along the run (an upper bound on the infimum);
-    dual_value is `best_dual_on_ray` over the run's certificate, a lower bound
-    that is inf S when the run found no certificate.  With stop_below set,
-    the run stops with status `certified` as soon as the primal value is
-    below it; a caller sets it where that alone decides its answer.
+    Every builtin S is symmetric and convex, so its least value on the
+    product of simplices is S(uniform).  The floor is the dual_value of the
+    floor certificate (identity bases, weights minus the subgradient of S
+    there): a lower bound on inf S by weak duality, equal to S(uniform) on the
+    builtins.  When the uniform point lies in the moment polytope of the orbit
+    closure, alternating scaling (`_scaling_phase`, at most config.max_iters
+    sweeps) drives S to it at a linear rate (Gurvits 2004; Burgisser, Garg,
+    Oliveira, Walter and Wigderson 2018); the run then stops with status
+    `scaled_to_floor`, primal_value the value reached and dual_value the
+    floor.  With stop_below set, it stops first with status `certified` as
+    soon as S is below it; a caller sets it where that alone decides its
+    answer.  Either way the result carries the floor certificate and the
+    phase's trace, one sample per sweep.
+
+    Otherwise (a sweep that does not lower S, a singular marginal, or the
+    sweep budget spent) `group_subgradient_method` runs from the identity, as
+    if the phase had not run: primal_value is the best value of S along that
+    run, dual_value `best_dual_on_ray` over its certificate (inf S when it
+    found none), and the stop_below test applies there too.
     """
     v = tensors.normalize(v)
     modes = tuple(range(v.ndim)) if modes is None else tuple(modes)
-    if config is None:
-        config = default_config("scale")
-    trace, _ = group_subgradient_method(v, S, _identity_factors(v, modes), config,
-                                        modes=modes, stop_below=stop_below)
-    dual = best_dual_on_ray(KempfNessProblem(v, modes), S, trace.certificate)
+    config = (default_config("scale") if config is None else config).validate()
+    problem = KempfNessProblem(v, modes)
+    floor_cert = _floor_certificate(S)
+    floor = dual_value(problem, S, floor_cert)
+    trace = _scaling_phase(problem, S, floor, config.max_iters, stop_below)
+    if trace.status in ("certified", "scaled_to_floor"):
+        trace.certificate, dual = floor_cert, floor
+    else:
+        trace, _ = group_subgradient_method(v, S, _identity_factors(v, modes), config,
+                                            modes=modes, stop_below=stop_below)
+        dual = best_dual_on_ray(problem, S, trace.certificate)
     return ApplicationResult(
         primal_value=trace.best_q,
         dual_value=dual,
@@ -146,11 +251,14 @@ def quantum_functional(v, theta, config=None):
 
     `scale` minimizes the negated weighted entropy; the result negates its
     bracket.  primal_value is the best sum of theta-weighted von Neumann
-    entropies of the moment map found along the run (a lower bound);
-    dual_value is the variational expression inf_X Phi^inf(X) + sum theta_i
-    log2 tr 2^(-X_i/theta_i) over the line of the extracted certificate
-    (an upper bound; with no certificate, sum theta_i log2 n_i).  Both
-    bracket the entropy functional.
+    entropies of the moment map found along the run (a lower bound).
+    dual_value is an upper bound: sum theta_i log2 n_i, the entropy of the
+    uniform spectra, when alternating scaling reaches it (status
+    `scaled_to_floor`; the Gaussian tensors' case); otherwise the
+    variational expression inf_X Phi^inf(X) + sum theta_i log2 tr
+    2^(-X_i/theta_i) over the line of the subgradient run's certificate, or
+    sum theta_i log2 n_i when that run found none.  Both bracket the entropy
+    functional.
     """
     v = tensors.as_tensor(v)
     S = builtin_objective("neg_entropy_weighted", v.shape, theta=theta)
@@ -167,7 +275,11 @@ def g_stable_rank(v, alpha, config=None):
 
     `scale` brackets the smallest max_i ||mu_i||_op / alpha_i over the orbit;
     rank_lower and rank_upper are the reciprocals of its primal and dual
-    values (rank_upper is inf when the dual is 0).
+    values (rank_upper is inf when the dual is 0).  When alternating scaling
+    reaches uniform marginals (status `scaled_to_floor`), the dual is the
+    floor max_i 1 / (n_i alpha_i) and the bracket closes: [3 - 1.2e-8, 3] on
+    gaussian_tensor((3, 3, 3), 0) with alpha = 1.  Otherwise the dual comes from
+    the subgradient run's certificate, or is 0 when it found none.
     """
     v = tensors.as_tensor(v)
     S = builtin_objective("op_norm_max_weighted", v.shape, alpha=alpha)
@@ -209,6 +321,14 @@ def check_common_kernel(A, tol=1e-10):
 # that, and far below the margin by which best_q undercuts 2/n on full-rank
 # pencils when the stop fires (at least 0.04 on the 50 seeded random
 # pencils of acceptance criterion 7), so it does not delay the stop there.
+# The scaling phase of `scale` tests the same threshold first.  On the 18
+# planted pencils planted_pencil(default_rng(10n + r), n, r, s, 3) with n = 3
+# to 6, r = 1 to n and s = n + 1 - r (rank n - 1; r = 1 and r = n leave a
+# marginal singular at the start), it left at its first non-improving sweep
+# with cond(g) at most 1.3e6 and S at least 2/n + 4e-15.  Updating the tensor
+# in place across sweeps instead of acting out g.v, two of them went on
+# improving to cond(g) 2e11 and S = 2/n - 1.1e-9, a false proof: the phase
+# must stay in the conditioning this margin was measured on.
 FULL_RANK_EPS = 1e-9
 
 
@@ -222,10 +342,12 @@ def ncrank(A, config=None):
     Any orbit point with S < 2/n proves full rank (the 1/n test of Garg,
     Gurvits, Oliveira and Wigderson): rank_lower > n - 1.  So the run stops
     with status `certified` and rank n once its best value is below
-    2/n - FULL_RANK_EPS (the margin is argued at FULL_RANK_EPS).  Otherwise
-    the run goes on to its stall or max_iters stop, and the integer nearest
-    rank_lower is accepted only when it sits within a fixed window of 0.25 of
-    it (status `+unrounded` and rank None when not).
+    2/n - FULL_RANK_EPS (the margin is argued at FULL_RANK_EPS); on full-rank
+    pencils `scale`'s alternating scaling gets there within a few sweeps, and
+    rank_upper is then n (the floor certificate is the zero ray, dual 0).
+    Otherwise the subgradient run goes on to its stall or max_iters stop, and
+    the integer nearest rank_lower is accepted only when it sits within a
+    fixed window of 0.25 of it (status `+unrounded` and rank None when not).
     """
     A = _as_pencil(A)
     kern = check_common_kernel(A)

@@ -453,10 +453,11 @@ def best_dual_on_ray(problem, Q, cert):
     certificate's weights), everywhere otherwise, where the search keeps to
     [-RAY_BRACKET, RAY_BRACKET].  A golden-section search maximizes it; both
     ends of the bracket and c = 0, whose dual is inf Q, are candidates too.
-    With no certificate the result is inf Q.
+    With no certificate, or one with zero weights (a line that is the single
+    point c = 0, where a gauge would be 0), the result is inf Q.
     """
     best = infimum(Q)
-    if cert is None:
+    if cert is None or not any(np.any(w) for w in cert.weights):
         return best
 
     def phi(c):

@@ -12,7 +12,13 @@ from qflow.generate import (
     random_pencil,
     skew_pencil,
 )
-from qflow.solver import FlowConfig, KempfNessProblem, best_dual_on_ray, dual_value
+from qflow.solver import (
+    FlowConfig,
+    KempfNessProblem,
+    best_dual_on_ray,
+    dual_value,
+    group_subgradient_method,
+)
 from qflow.spectral import builtin_objective
 
 FAST = FlowConfig(max_iters=600, step_size=0.3, smoothing=0.1,
@@ -101,22 +107,25 @@ def test_ncrank_rank_one_row_pencil():
     assert res.rank_upper < 1.8
 
 
-def planted_rank2_pencil():
-    """P M_k Q for k = 1, 2, with 3x3 M_k zero on rows :2, columns 1:: the
-    2 x 2 zero block makes its nc-rank 2, and inf S = 2/3 is reached from
-    below in floating point."""
-    rng = np.random.default_rng([1, 0, 1, 0])
-
+def planted_pencil(rng, n, r, s, m):
+    """The m slices P M_k Q of a pencil whose n x n M_k vanish on rows :r,
+    columns n-s:; with r + s > n the zero block caps its nc-rank at 2n - r - s."""
     def gauss(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    P, Q = gauss((3, 3)), gauss((3, 3))
+    P, Q = gauss((n, n)), gauss((n, n))
     mats = []
-    for _ in range(2):
-        M = gauss((3, 3))
-        M[:2, 1:] = 0.0
+    for _ in range(m):
+        M = gauss((n, n))
+        M[:r, n - s:] = 0.0
         mats.append(P @ M @ Q)
     return apps.MatrixPencil(mats)
+
+
+def planted_rank2_pencil():
+    """A 3x3 pencil of nc-rank 2 whose runs reach inf S = 2/3 from below in
+    floating point."""
+    return planted_pencil(np.random.default_rng([1, 0, 1, 0]), 3, 2, 2, 2)
 
 
 def test_ncrank_does_not_certify_rank_deficient_pencil():
@@ -144,6 +153,103 @@ def test_ncrank_certifies_full_rank_early(seed):
     assert res.rank == n == apps.ncrank_blowup_oracle(A)
     assert res.iterations <= 20
     assert res.dual_value <= res.primal_value + 1e-8
+
+
+def test_scaling_phase_never_proves_full_rank_on_planted_pencils():
+    """Rank n - 1 pencils of every excess-1 shape for n = 3 to 6: alternating
+    scaling approaches inf S = 2/n and must not report S below
+    2/n - FULL_RANK_EPS (false full rank); ncrank reports rank n - 1."""
+    for n in range(3, 7):
+        for r in range(1, n + 1):
+            A = planted_pencil(np.random.default_rng(10 * n + r), n, r, n + 1 - r, 3)
+            S = builtin_objective("trace_dist_to_uniform", (n, n))
+            # no stop_below: the phase runs until it leaves on its own
+            trace = apps._scaling_phase(KempfNessProblem(A.tensor(), (0, 1)), S, 0.0, 5000)
+            assert trace.status in ("stalled", "singular"), (n, r)
+            assert min(x.q_value for x in trace.samples) >= 2 / n - apps.FULL_RANK_EPS
+            res = apps.ncrank(A)
+            assert res.rank == n - 1 and not res.status.startswith("certified"), (n, r)
+
+
+def _descent_bracket(v, S, config, modes=None):
+    """The fallback path of `scale`: the subgradient run from the identity
+    and the best dual on its certificate."""
+    prob = KempfNessProblem(v, modes)
+    trace, _ = group_subgradient_method(
+        prob.v, S, [np.eye(n, dtype=complex) for n in prob.signature], config, modes=modes)
+    return trace, best_dual_on_ray(prob, S, trace.certificate)
+
+
+def test_singular_marginal_falls_back_to_descent():
+    """A pencil with a one-sided common kernel and a tensor with a zero slice
+    have a singular marginal at the start: the phase leaves at sweep 0 and
+    `scale` returns the subgradient run's result, with no RuntimeWarning."""
+    A1 = np.zeros((2, 2), dtype=complex)
+    A1[0, 0] = 1.0
+    A2 = np.zeros((2, 2), dtype=complex)
+    A2[0, 1] = 1.0
+    A = apps.MatrixPencil([A1, A2])
+    v = gaussian_tensor((3, 3, 3), 0)
+    v[2] = 0.0
+    cfg = FlowConfig(max_iters=1500, step_size=0.3, smoothing=0.1,
+                     smoothing_schedule=True)
+    S_nc = builtin_objective("trace_dist_to_uniform", (2, 2))
+    S_gs = builtin_objective("op_norm_max_weighted", (3, 3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nc = apps.ncrank(A, cfg)
+        gs = apps.g_stable_rank(v, [1.0, 1.0, 1.0], FAST)
+        for w, modes, S in ((A.tensor(), (0, 1), S_nc), (v, None, S_gs)):
+            trace = apps._scaling_phase(KempfNessProblem(w, modes), S, 0.0, 100)
+            assert trace.status == "singular" and trace.iterations == 0
+    trace, dual = _descent_bracket(A.tensor(), S_nc, cfg, (0, 1))
+    assert nc.rank == 1 and nc.status == trace.status == "stalled"
+    assert (nc.primal_value, nc.dual_value) == (trace.best_q, dual)
+    assert nc.iterations == trace.iterations
+    assert abs(nc.rank_upper - 1.0) < 1e-12
+    trace, dual = _descent_bracket(v, S_gs, FAST)
+    assert (gs.primal_value, gs.dual_value) == (trace.best_q, dual)
+    assert gs.iterations == trace.iterations
+    # the subgradient method's bracket on this tensor
+    assert abs(gs.rank_lower - 2.0) < 1e-8 and abs(gs.rank_upper - 3.71029) < 1e-5
+
+
+def test_alternating_scaling_closes_gaussian_brackets():
+    """On a Gaussian 3x3x3 tensor the uniform point is in the moment polytope:
+    scaling reaches the floor, qfunc's gap is at most 1e-6 (0.041 after 800
+    subgradient steps) and gstable's bracket is [3, 3] (the subgradient run
+    gave [2.986, 40.7] after 3000)."""
+    v = gaussian_tensor((3, 3, 3), 0)
+    qf = apps.quantum_functional(v, [0.2, 0.3, 0.5])
+    assert qf.status == "scaled_to_floor"
+    assert 0.0 <= qf.gap <= 1e-6
+    assert abs(qf.dual_value - math.log2(3)) < 1e-12
+    assert qf.primal_value <= qf.dual_value
+    gs = apps.g_stable_rank(v, [1.0, 1.0, 1.0])
+    assert gs.status == "scaled_to_floor"
+    assert abs(gs.rank_upper - 3.0) < 1e-12
+    assert 3.0 - 1e-6 <= gs.rank_lower <= gs.rank_upper + 1e-12
+    # the floor certificate alone certifies the dual
+    S = builtin_objective("op_norm_max_weighted", (3, 3, 3))
+    assert apps.certify(v, S, gs.certificate) == gs.dual_value
+    assert len(gs.trace.samples) == gs.iterations + 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unit_tensors_stop_at_sweep_zero(n):
+    """A unit tensor has uniform marginals: the run stops before any sweep,
+    with the floor certificate and a gap of zero up to rounding."""
+    v = tensors.unit_tensor(n, 3)
+    for res in (apps.quantum_functional(v, [0.2, 0.3, 0.5]),
+                apps.g_stable_rank(v, [1.0, 1.0, 1.0]),
+                apps.scale(v, builtin_objective("frobenius", (n, n, n)))):
+        assert res.status == "scaled_to_floor" and res.iterations == 0
+        assert abs(res.gap) < 1e-14
+        assert len(res.trace.samples) == 1
+        assert all(np.array_equal(k, np.eye(n)) for k in res.certificate.bases)
+    # the settings are checked even when no step is taken
+    with pytest.raises(ValidationError, match="record_every"):
+        apps.scale(v, builtin_objective("frobenius", (n, n, n)), FlowConfig(record_every=0))
 
 
 def test_ncrank_unitary_invariance():
@@ -293,16 +399,20 @@ def test_gstable_ncrank_consistency_small():
 
 
 def test_certify_weak_duality_with_perturbation():
-    from qflow.spectral import builtin_objective
-
+    """Perturbed weights of a subgradient run's certificate still certify
+    bounds below the primal of the (scaling) ncrank run.  ncrank's own
+    certificate is the zero ray here, which has no weights to perturb."""
     A = random_pencil(3, 2, 13)
     res = apps.ncrank(A, FAST)
     S = builtin_objective("trace_dist_to_uniform", (3, 3))
-    if res.certificate is None:
-        return
+    trace, _ = group_subgradient_method(tensors.normalize(A.tensor()), S,
+                                        [np.eye(3, dtype=complex)] * 2, FAST,
+                                        modes=(0, 1))
+    assert trace.certificate is not None
     rng = np.random.default_rng(5)
-    peak = max(np.max(np.abs(w)) for w in res.certificate.weights)
-    xi = res.certificate.scaled(1.0 / peak)
+    peak = max(np.max(np.abs(w)) for w in trace.certificate.weights)
+    assert peak > 0
+    xi = trace.certificate.scaled(1.0 / peak)
     for _ in range(5):
         jit = apps.BoundaryCertificate(
             xi.euclid_dir,

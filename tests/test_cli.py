@@ -305,13 +305,20 @@ def test_records_are_strict_json(tmp_path, capsys):
     assert main(["certify", path, cert]) == 0
     assert _strict_json(capsys.readouterr().out)["dual_value"] is None
     out = tmp_path / "gstable.json"
-    # with no step there is no certificate, and the dual is inf S = 0
-    assert main(["gstable", path, "--alpha", "1,1,1", "--max-iters", "0",
+    # a Gaussian tensor is off the floor at the start; with no sweep and no
+    # step there is no certificate, and the dual is inf S = 0
+    gauss = str(tmp_path / "g.json")
+    assert main(["gen", "gaussian", "--dims", "2,2,2", "--seed", "3",
+                 "--out", gauss]) == 0
+    assert main(["gstable", gauss, "--alpha", "1,1,1", "--max-iters", "0",
                  "--out", str(out)]) == 0
     assert _strict_json(out.read_text())["result"]["rank_upper"] is None
-    res = apps.g_stable_rank(tensors.unit_tensor(2, 3), [1.0] * 3,
-                             dataclasses.replace(apps.default_config("gstable"), max_iters=0))
-    assert res.rank_upper == float("inf")
+    no_steps = dataclasses.replace(apps.default_config("gstable"), max_iters=0)
+    _, v = io.load_instance(gauss)
+    assert apps.g_stable_rank(v, [1.0] * 3, no_steps).rank_upper == float("inf")
+    # a unit tensor sits at the floor: sweep 0 closes its bracket
+    assert apps.g_stable_rank(tensors.unit_tensor(2, 3), [1.0] * 3,
+                              no_steps).rank_upper == 2.0
 
 
 def test_certify_uses_every_tensor_mode(tmp_path, capsys):

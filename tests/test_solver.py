@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -776,6 +777,23 @@ def test_best_dual_on_ray_without_certificate_is_infimum(kind):
     best = best_dual_on_ray(prob, S, None)
     assert best == infimum(S)
     assert math.copysign(1.0, best) == 1.0 or kind == "neg_entropy_weighted"
+
+
+@pytest.mark.parametrize("kind", ["frobenius", "op_norm_max_weighted",
+                                  "trace_norm_sum_weighted", "trace_dist_to_uniform",
+                                  "neg_entropy_weighted", "indicator_trace_ball"])
+def test_best_dual_on_ray_zero_ray_is_infimum(kind):
+    """The line through a zero-weight ray is the single point c = 0, whose dual
+    is inf Q; the search bracket 1/gauge(+-w) does not exist there."""
+    dims = (3, 2, 2)
+    prob = make_problem(dims, 48)
+    params = {"theta": [0.5, 0.25, 0.25]} if kind == "neg_entropy_weighted" else {}
+    S = builtin_objective(kind, dims, **params)
+    cert = random_certificate(np.random.default_rng(51), dims).scaled(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best = best_dual_on_ray(prob, S, cert)
+    assert best == infimum(S) == dual_value(prob, S, cert)
 
 
 @pytest.mark.parametrize("kind", ["frobenius", "op_norm_max_weighted",

@@ -76,7 +76,7 @@ def _config(args):
     """The command's default config, overridden by the solver flags given."""
     over = {f.name: getattr(args, f.name) for f in fields(FlowConfig)
             if getattr(args, f.name, None) is not None}
-    if over.get("smoothing", 1.0) <= 0:  # NaN is kept and fails validate
+    if over.get("smoothing") == 0:  # any other value, NaN too, goes to validate
         over.update(smoothing=None, smoothing_schedule=False)
     return replace(apps.default_config(args.command), **over)
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import lambertw, logsumexp
 
 from .errors import DomainError, ParameterError, UnsupportedObjectiveError, ValidationError
 
@@ -32,6 +31,11 @@ TIE_TOL = 1e-9
 # in floating point; the slack keeps them in, at the price of a dual bound up
 # to this fraction above the one of the ray scaled back onto the ball.
 DOMAIN_SLACK = 1e-9
+
+# Relative step below which the entropy prox's Newton solves stop: a few ulps,
+# about the rounding noise of a step near the root.  Both solves only accept
+# steps toward the root, which bounds their iterations.
+NEWTON_TOL = 4 * np.finfo(float).eps
 
 
 def check_hermitian(H, name="matrix"):
@@ -306,46 +310,41 @@ def project_weighted_l1_ball(p, w, r):
     return np.sign(p) * np.maximum(a - theta * w, 0.0)
 
 
-def _lambert_w_exp(y):
-    """W(e^y), stable for large y."""
-    y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    small = y < 30.0
-    out[small] = np.real(lambertw(np.exp(y[small])))
-    ybig = y[~small]
-    if ybig.size:
-        wv = ybig - np.log(ybig)
-        for _ in range(4):
-            wv = wv - (wv + np.log(wv) - ybig) / (1.0 + 1.0 / wv)
-        out[~small] = wv
-    return out
+def _log_w_exp(y, u=None):
+    """ln W(e^y), W the Lambert function: the root u of e^u + u = y, by Newton
+    steps down from a start on its right (by default ln y for y > 1, else y),
+    so that e^u cannot overflow."""
+    if u is None:
+        u = np.where(y > 1.0, np.log(np.maximum(y, 1.0)), y)
+    while True:
+        eu = np.exp(u)
+        step = np.maximum((eu + u - y) / (eu + 1.0), 0.0)
+        u = u - step
+        if not np.any(step > NEWTON_TOL * (1.0 + np.abs(u))):
+            return u
 
 
 def _entropy_prox_block(p, lam, theta):
-    """Prox of q -> theta * sum q log2 q restricted to the simplex."""
-    a = theta / LN2
+    """Prox of q -> theta * sum q log2 q restricted to the simplex.
 
-    def q_of(nu):
-        y = (p / lam - nu - a) / a - np.log(a * lam)
-        return a * lam * _lambert_w_exp(y)
-
-    lo, hi = -1.0, 1.0
-    while np.sum(q_of(lo)) < 1.0:
-        lo *= 2.0
-        if lo < -1e12:
-            break
-    while np.sum(q_of(hi)) > 1.0:
-        hi *= 2.0
-        if hi > 1e12:
-            break
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if np.sum(q_of(mid)) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    q = q_of(0.5 * (lo + hi))
-    return q / np.sum(q)
+    With a = theta / ln 2 the optimality conditions give q_j = a lam W(e^y_j),
+    y_j = (p_j - max p) / (a lam) + s, for the s at which sum q = 1.  Both
+    e^u + u - y and that sum are convex and increasing, so Newton falls
+    monotonically to their roots from the right: here from s = psi(1/(a lam)),
+    psi(x) = x + ln x, where the largest q is 1, and each W solve from the
+    last one's roots, since the y only decrease.
+    """
+    al = theta / LN2 * lam
+    d = (p - np.max(p)) / al
+    s = 1.0 / al - math.log(al)
+    u = None
+    while True:
+        u = _log_w_exp(d + s, u)
+        w = np.exp(u)
+        step = (al * np.sum(w) - 1.0) / (al * np.sum(w / (1.0 + w)))
+        if not step > NEWTON_TOL * (1.0 + abs(s)):
+            return w / np.sum(w)
+        s -= step
 
 
 def _entropy_value_block(q, theta):
@@ -515,7 +514,9 @@ def builtin_objective(kind, block_dims, **params):
         def conj(x):
             total = 0.0
             for b, th in zip(_split(x, dims), theta):
-                total += th * float(logsumexp(b * LN2 / th)) / LN2
+                z = b * LN2 / th  # log-sum-exp shifted by the max: no term overflows
+                m = np.max(z)
+                total += th * float(m + np.log(np.sum(np.exp(z - m)))) / LN2
             return total
 
         def sub(p):

@@ -3,11 +3,15 @@ benchmark's tracer wraps."""
 
 import dataclasses
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qflow
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_public_api_pinned():
@@ -66,3 +70,15 @@ def test_manifold_dataclass_fields_pinned():
     assert names(qflow.ProductPDPoint) == ["blocks"]
     assert names(qflow.TangentBlock) == ["blocks"]
     assert names(qflow.BoundaryCertificate) == ["euclid_dir", "bases", "weights"]
+
+
+def test_runtime_imports_no_scipy():
+    """numpy is qflow's only runtime dependency: importing the library, its
+    record I/O and its CLI loads no scipy module (a scipy-backed feature must
+    import it lazily)."""
+    code = ("import sys, qflow, qflow.io, qflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

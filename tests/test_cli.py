@@ -368,6 +368,15 @@ def test_max_iters_zero_reports_initial(tmp_path, capsys):
     assert out["result"]["iterations"] == 0
 
 
+@pytest.mark.parametrize("value", ["0", "-0"])
+def test_smooth_zero_disables_smoothing(tmp_path, capsys, value):
+    path = write_unit(tmp_path)
+    assert main(["qfunc", path, "--theta", "0.2,0.3,0.5", "--smooth", value,
+                 "--max-iters", "2"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["smoothing"] is None and config["smoothing_schedule"] is False
+
+
 def test_record_every_zero_exit_2(tmp_path, capsys):
     path = write_unit(tmp_path)
     assert main(["scale", path, "--record-every", "0"]) == 2
@@ -376,6 +385,7 @@ def test_record_every_zero_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [("--step", "inf"), ("--step", "nan"),
                                         ("--smooth", "nan"), ("--smooth", "inf"),
+                                        ("--smooth", "-0.5"),
                                         ("--tol", "nan"), ("--tol", "-1")])
 def test_invalid_solver_settings_exit_2(tmp_path, capsys, flag, value):
     path = write_unit(tmp_path)

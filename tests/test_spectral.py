@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from qflow.errors import (
 )
 from qflow.spectral import (
     SpectralObjective,
+    _entropy_prox_block,
+    _log_w_exp,
     builtin_objective,
     conjugate_eval,
     eigh,
@@ -175,6 +179,66 @@ def test_entropy_conjugate_matches_brute_force():
             brute = brute + best
         assert brute <= got + 1e-9
         assert got - brute < 5e-3
+
+
+def _entropy_prox_cases(rng):
+    yield 1.0, 1e-9, np.array([1660.0, 1160.0, 0.0])  # exact prox: [1, 0, 0]
+    for n, th, lam in itertools.product(range(1, 7), (0.01, 0.3, 1.0),
+                                        (1e-9, 1e-6, 1e-3, 0.05, 1.0, 1e3, 1e6)):
+        for _ in range(3):
+            yield th, lam, rng.dirichlet(np.ones(n))
+            yield th, lam, rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+
+
+def test_entropy_prox_meets_kkt():
+    """On the simplex, a (ln q_j + 1) + (q_j - p_j) / lam is the same for
+    every j with q_j > 0 (a = theta / ln 2): the prox's optimality condition,
+    checked where q_j is not denormal, so that ln q_j is accurate."""
+    rng = np.random.default_rng(29)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for th, lam, p in _entropy_prox_cases(rng):
+            q = _entropy_prox_block(p, lam, th)
+            assert np.all(np.isfinite(q)) and np.all(q >= 0.0), (th, lam, p, q)
+            assert abs(np.sum(q) - 1.0) <= 1e-12, (th, lam, p, q)
+            a = th / math.log(2.0)
+            on = q >= 1e-250
+            terms = a * (np.log(q[on]) + 1.0) + (q[on] - p[on]) / lam
+            scale = np.max(a * (np.abs(np.log(q[on])) + 1.0) + (q[on] + np.abs(p[on])) / lam)
+            assert np.ptp(terms) <= 1e-10 * scale, (th, lam, p, q)
+    S = builtin_objective("neg_entropy_weighted", (3,), theta=[1.0])
+    q = S.oracle.prox(np.array([1660.0, 1160.0, 0.0]), 1e-9)
+    np.testing.assert_allclose(q, [1.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
+
+
+def test_log_w_exp_matches_scipy_lambertw():
+    special = pytest.importorskip("scipy.special")
+    y = np.linspace(-700.0, 700.0, 20001)
+    w = np.exp(_log_w_exp(y))
+    ref = special.lambertw(np.exp(y)).real
+    assert np.max(np.abs(w - ref) / ref) <= 1e-14
+    y = np.concatenate([y, np.geomspace(700.0, 1e6, 2000)])
+    w = np.exp(_log_w_exp(y))
+    assert np.all(np.abs(w + np.log(w) - y) <= 1e-14 * np.maximum(1.0, np.abs(y)))
+
+
+def test_entropy_conjugate_matches_scipy_logsumexp():
+    """Entries up to 1e4 theta put e^(x ln 2 / theta) far past the float range;
+    the conjugate must still be finite, warn of no overflow and match scipy."""
+    special = pytest.importorskip("scipy.special")
+    theta = (0.4, 0.6)
+    S = make("neg_entropy_weighted", {"theta": list(theta)})
+    rng = np.random.default_rng(31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-3, 1.0, 1e2, 1e4):
+            for _ in range(20):
+                x = rng.uniform(-scale, scale, sum(DIMS)) * np.repeat(theta, DIMS)
+                got = S.oracle.conjugate_eval(x)
+                parts = [th * special.logsumexp(b * math.log(2.0) / th) / math.log(2.0)
+                         for b, th in zip(np.split(x, [DIMS[0]]), theta)]
+                assert math.isfinite(got)
+                assert abs(got - sum(parts)) <= 1e-14 * sum(abs(v) for v in parts)
 
 
 def test_moreau_envelope_below_function_and_smooth():

@@ -214,8 +214,9 @@ def scale(v, S, config=None, modes=None, stop_below=None):
     Otherwise (a sweep that does not lower S, a singular marginal, or the
     sweep budget spent) `group_subgradient_method` runs from the identity, as
     if the phase had not run: primal_value is the best value of S along that
-    run, dual_value `best_dual_on_ray` over its certificate (inf S when it
-    found none), and the stop_below test applies there too.
+    run, dual_value the larger of the floor and `best_dual_on_ray` over its
+    certificate, with the certificate giving it (the run's on a tie), and the
+    stop_below test applies there too.
     """
     v = tensors.normalize(v)
     modes = tuple(range(v.ndim)) if modes is None else tuple(modes)
@@ -230,6 +231,8 @@ def scale(v, S, config=None, modes=None, stop_below=None):
         trace, _ = group_subgradient_method(v, S, _identity_factors(v, modes), config,
                                             modes=modes, stop_below=stop_below)
         dual = best_dual_on_ray(problem, S, trace.certificate)
+        if floor > dual:
+            trace.certificate, dual = floor_cert, floor
     return ApplicationResult(
         primal_value=trace.best_q,
         dual_value=dual,
@@ -275,27 +278,28 @@ def g_stable_rank(v, alpha, config=None):
 
     `scale` brackets the smallest max_i ||mu_i||_op / alpha_i over the orbit;
     rank_lower and rank_upper are the reciprocals of its primal and dual
-    values (rank_upper is inf when the dual is 0).  When alternating scaling
-    reaches uniform marginals (status `scaled_to_floor`), the dual is the
-    floor max_i 1 / (n_i alpha_i) and the bracket closes: [3 - 1.2e-8, 3] on
-    gaussian_tensor((3, 3, 3), 0) with alpha = 1.  Otherwise the dual comes from
-    the subgradient run's certificate, or is 0 when it found none.
+    values; the dual is at least the floor max_i 1 / (n_i alpha_i) > 0.  When
+    alternating scaling reaches uniform marginals (status `scaled_to_floor`),
+    the bracket closes: [3 - 1.2e-8, 3] on gaussian_tensor((3, 3, 3), 0) with
+    alpha = 1.  Otherwise the run's certificate may give a larger dual.
     """
     v = tensors.as_tensor(v)
     S = builtin_objective("op_norm_max_weighted", v.shape, alpha=alpha)
     res = scale(v, S, config or default_config("gstable"))
-    return replace(
-        res,
-        rank_lower=1.0 / res.primal_value,
-        rank_upper=math.inf if res.dual_value <= 0 else 1.0 / res.dual_value,
-    )
+    return replace(res, rank_lower=1.0 / res.primal_value,
+                   rank_upper=1.0 / res.dual_value)
 
 
 # ---------------------------------------------------------------------------
 # noncommutative rank
 
 
-def check_common_kernel(A, tol=1e-10):
+# Singular values of the stacked slices below KERNEL_TOL times the largest
+# count as zero in check_common_kernel.
+KERNEL_TOL = 1e-10
+
+
+def check_common_kernel(A):
     """Dimensions of the common right and left kernels of the pencil slices."""
     A = _as_pencil(A)
     stacked = np.vstack(A.matrices)
@@ -303,7 +307,7 @@ def check_common_kernel(A, tol=1e-10):
     out = {}
     for name, S in (("right_kernel_dim", stacked), ("left_kernel_dim", stacked_h)):
         s = np.linalg.svd(S, compute_uv=False)
-        rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+        rank = int(np.sum(s > KERNEL_TOL * s[0])) if s.size and s[0] > 0 else 0
         out[name] = A.n - rank
     out["ok"] = out["right_kernel_dim"] == 0 or out["left_kernel_dim"] == 0
     return out
@@ -433,11 +437,18 @@ def certify(instance, S, xi, modes=None):
     return dual_value(problem, S, xi)
 
 
-def fortin_reutenauer_pair(A, cert, gap_tol=1e-4, zero_tol=1e-6):
+# fortin_reutenauer_pair cuts a certificate's flags at weight gaps above
+# FR_GAP_TOL and takes a block of the rotated tensor as zero when its entries
+# are at most FR_ZERO_TOL times the largest.
+FR_GAP_TOL = 1e-4
+FR_ZERO_TOL = 1e-6
+
+
+def fortin_reutenauer_pair(A, cert):
     """Candidate subspace pair (Y, X) with Y^+ A_k X = 0 from a certificate.
 
-    Truncates the certificate flags at weight gaps exceeding gap_tol and scans
-    prefix/suffix blocks of the rotated tensor for a vanishing block,
+    Truncates the certificate flags at weight gaps exceeding FR_GAP_TOL and
+    scans prefix/suffix blocks of the rotated tensor for a vanishing block,
     maximizing dim Y + dim X.  Returns None when no nontrivial pair passes the
     direct verification.
     """
@@ -452,7 +463,7 @@ def fortin_reutenauer_pair(A, cert, gap_tol=1e-4, zero_tol=1e-6):
         weights = np.asarray(weights, dtype=float)
         out = [0, n]
         for i in range(1, n):
-            if weights[i - 1] - weights[i] > gap_tol:
+            if weights[i - 1] - weights[i] > FR_GAP_TOL:
                 out.append(i)
         return sorted(set(out))
 
@@ -466,7 +477,7 @@ def fortin_reutenauer_pair(A, cert, gap_tol=1e-4, zero_tol=1e-6):
                     if cols.size == 0:
                         continue
                     block = w[np.ix_(rows, cols)]
-                    if float(np.max(np.abs(block))) <= zero_tol * peak:
+                    if float(np.max(np.abs(block))) <= FR_ZERO_TOL * peak:
                         dim = rows.size + cols.size
                         if best is None or dim > best["dim_sum"]:
                             best = {

@@ -67,9 +67,6 @@ def _add_solver_flags(p):
                    help="Moreau smoothing parameter (0 disables)")
     p.add_argument("--tol", dest="tol_stall", metavar="TOL", type=float,
                    help="stall tolerance")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--record-every", type=int)
-    p.add_argument("--out")
 
 
 def _config(args):
@@ -248,6 +245,7 @@ def build_parser():
         sp.add_argument("input")
         add_flags(sp)
         _add_solver_flags(sp)
+        sp.add_argument("--out")
         sp.set_defaults(fn=cmd_solve, run=run)
 
     sp = sub.add_parser("certify", help="evaluate a boundary certificate")

@@ -8,11 +8,11 @@ is linear in that scalar, the moment map blind to it), so |det g| stays fixed.
 Q is smoothed to its Moreau envelope at level lambda_i = smoothing (over
 sqrt(i+1) under smoothing_schedule) when smoothing is set.  Two step policies
 set h and the stop: the subgradient method's schedule and best-window stall;
-the flow's constant step with a halving backstop, energy record and
-consecutive-value stall.  A caller's threshold on the best value, when
-given, stops the loop early with status `certified`.  Certificates
+the flow's constant step with a halving backstop and consecutive-value
+stall.  A caller's threshold on the best value, when given, stops the loop
+early with status `certified`.  Certificates
 u = log_{x0}(x_T)/R from the start x0 = g0^+ g0, R = integral of Q, read off
-one SVD of g g0^-1 per block, lower-bound inf_x Q(df_x) by weak duality.
+one SVD of e^c g g0^-1 per block, lower-bound inf_x Q(df_x) by weak duality.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .geometry import (
     sqrtm_pd,
     transport_from_base,
 )
-from .spectral import _check_blocks, infimum, spectral_pass
+from .spectral import DOMAIN_SLACK, _check_blocks, infimum, spectral_pass
 from . import tensors
 
 # A run with R (the integral of Q) at most R_FLOOR, or that ends at most
@@ -56,8 +56,6 @@ class FlowConfig:
     ode_step: float = 1e-2
     tol_stall: float = 1e-9
     stall_window: int = 500
-    seed: int = 0  # recorded in result records only: the solvers are deterministic
-    record_every: int = 1
 
     def validate(self):
         # written so that NaN fails every test
@@ -70,13 +68,9 @@ class FlowConfig:
             raise ValidationError("smoothing parameter must be positive and finite")
         if not 0 <= self.tol_stall < math.inf:
             raise ValidationError("stall tolerance must be nonnegative and finite")
-        counts = (self.max_iters, self.stall_window, self.record_every)
-        if not all(isinstance(n, numbers.Integral) for n in counts):
-            raise ValidationError("max_iters, stall_window and record_every must be ints")
-        if self.record_every < 1:
-            raise ValidationError("record_every must be at least 1")
-        if self.stall_window < 1:
-            raise ValidationError("stall_window must be at least 1")
+        if not (isinstance(self.max_iters, numbers.Integral)
+                and isinstance(self.stall_window, numbers.Integral) and self.stall_window >= 1):
+            raise ValidationError("max_iters must be an int and stall_window an int >= 1")
         return self
 
     def step(self, i):
@@ -98,26 +92,32 @@ class TraceSample:
     r_cum: float
     step: float
     q_smooth: Optional[float] = None
+    # (1/2)Q^2 + (Q^2/2)^* of the step direction, with Q shifted by -inf Q;
+    # None without a half-square conjugate (or with smoothing set)
+    energy: Optional[float] = None
 
 
 @dataclass
 class FlowTrace:
+    """A run: a sample per step and at the end, final factors, certificate."""
+
     samples: list = field(default_factory=list)
-    final_point: Optional[ProductPDPoint] = None
+    final_factors: Optional[list] = None
     certificate: Optional[BoundaryCertificate] = None
     status: str = "unknown"
     iterations: int = 0
     best_q: float = math.inf
     best_spectra: Optional[list] = None
-    # per-step energy data (populated by integrate_flow)
-    energy_times: list = field(default_factory=list)
-    energy_half_q2: list = field(default_factory=list)
-    energy_conj_half: list = field(default_factory=list)
-    energy_f: list = field(default_factory=list)
 
     @property
     def r_cumulative(self):
         return self.samples[-1].r_cum if self.samples else 0.0
+
+    @property
+    def final_point(self):
+        """x_T = G^+ G per block of the final factors G."""
+        return None if self.final_factors is None else ProductPDPoint(
+            [G.conj().T @ G for G in self.final_factors])
 
 
 @dataclass
@@ -143,8 +143,8 @@ class KempfNessProblem:
     def differential(self, x):
         return tensors.kempf_ness_differential(self.v, x, self.modes)
 
-    def recession(self, xi, support_tol=tensors.SUPPORT_TOL):
-        return tensors.recession(self.v, xi, self.modes, support_tol)
+    def recession(self, xi):
+        return tensors.recession(self.v, xi, self.modes)
 
     def identity_point(self):
         return ProductPDPoint.identity(self.signature)
@@ -188,31 +188,24 @@ class _Orbit:
         return _Orbit(self.v, self.modes, [Ej @ gj for Ej, gj in zip(E, self.g)],
                       [cj + mz for cj, mz in zip(self.c, means)])
 
-    def certify(self, trace, g0):
-        """Set the certificate log_{x0}(x)/R of the run from x0 = g0^+ g0 to
-        x = e^{2c} g^+ g, R = trace.r_cumulative, and return x, from one SVD
-        per block: with g g0^-1 = U diag(s) V^+, ev = 2 log s + 2c and
-        a = g0^+ V, x = a diag(e^ev) a^+ and the ray has weights ev/R on the
-        unitary QR factor of a (positive diagonal).  The SVD stays accurate on
-        factors too ill-conditioned for an eigendecomposition of x.  Below
-        R_FLOOR or DIST_FLOOR there is no certificate and the status says so."""
-        bases, evs, blocks = [], [], []
-        for gj, g0j, cj in zip(self.g, g0, self.c):
-            _, sv, vh = np.linalg.svd(np.linalg.solve(g0j.T, gj.T).T)
-            ev = 2.0 * np.log(sv) + 2.0 * cj
-            a = g0j.conj().T @ vh.conj().T
-            B = (a * np.exp(ev)) @ a.conj().T
-            blocks.append(0.5 * (B + B.conj().T))
-            q, r = np.linalg.qr(a)
-            bases.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
-            evs.append(ev)
-        R = trace.r_cumulative
-        if R <= R_FLOOR or np.linalg.norm(np.concatenate(evs)) <= DIST_FLOOR:
-            trace.certificate = None
-            trace.status += "+interior_optimum"
-        else:
-            trace.certificate = BoundaryCertificate(np.zeros(0), bases, [ev / R for ev in evs])
-        return ProductPDPoint(blocks)
+
+def _certify(g, g0, R):
+    """The certificate log_{x0}(x)/R of a run from x0 = g0^+ g0 to x = g^+ g,
+    R the integral of Q along it, from one SVD per block: with g g0^-1 =
+    U diag(s) V^+, ev = 2 log s and a = g0^+ V, x = a diag(e^ev) a^+ and the
+    ray has weights ev/R on the unitary QR factor of a (positive diagonal).
+    The SVD stays accurate on factors too ill-conditioned for an
+    eigendecomposition of x.  Below R_FLOOR or DIST_FLOOR there is none."""
+    bases, evs = [], []
+    for gj, g0j in zip(g, g0):
+        _, sv, vh = np.linalg.svd(np.linalg.solve(g0j.T, gj.T).T)
+        a = g0j.conj().T @ vh.conj().T
+        q, r = np.linalg.qr(a)
+        bases.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+        evs.append(2.0 * np.log(sv))
+    if R <= R_FLOOR or np.linalg.norm(np.concatenate(evs)) <= DIST_FLOOR:
+        return None
+    return BoundaryCertificate(np.zeros(0), bases, [ev / R for ev in evs])
 
 
 def _descend(problem, g0, Q, config, policy, stop_below=None):
@@ -226,13 +219,15 @@ def _descend(problem, g0, Q, config, policy, stop_below=None):
     best_q < stop_below, and the status is `certified` whenever the final
     best_q is below it; the caller picks a threshold that decides its
     answer.  With stop_below None the run is the same, step for step.
-    Returns the trace and the final factors e^c g, with (e^c g)^+ (e^c g) = x_T."""
+    Returns the trace, whose final factors e^c g give x_T = (e^c g)^+ (e^c g)."""
     config.validate()
     shift = -infimum(Q)  # Q - inf Q keeps the Q-factor nonnegative
     if not math.isfinite(shift):
         raise UnsupportedObjectiveError(
             f"objective {Q.label!r} is unbounded below (Q*(0) = +inf)"
         )
+    # the Moreau envelope carries no half-square conjugate
+    hsc = Q.oracle.half_square_conjugate if config.smoothing is None else None
     g0 = [np.array(gi, dtype=complex) for gi in g0]
     orbit = _Orbit(problem.v, problem.modes, g0)
     trace = FlowTrace()
@@ -242,12 +237,15 @@ def _descend(problem, g0, Q, config, policy, stop_below=None):
         mu, f = orbit.evaluate()
         return spectral_pass(Q, mu, config.smoothing_at(i)), f
 
-    def observe(sp, f, keep):
+    def observe(sp, f):
         if sp.value < trace.best_q:
             trace.best_q, trace.best_spectra = sp.value, sp.spectra
-        if keep:
-            trace.samples.append(
-                TraceSample(policy.t, sp.value, f, r_cum, policy.h, q_smooth=sp.smoothed))
+        fac = sp.smoothed + shift
+        energy = None if hsc is None else (
+            0.5 * fac ** 2 + float(hsc(fac * np.concatenate(sp.direction))))
+        trace.samples.append(TraceSample(policy.t, sp.value, f, r_cum, policy.h,
+                                         q_smooth=sp.smoothed, energy=energy))
+        return fac
 
     sp, f = pass_at(orbit, 0)
     if not math.isfinite(sp.value):
@@ -256,19 +254,21 @@ def _descend(problem, g0, Q, config, policy, stop_below=None):
     stop = -math.inf if stop_below is None else stop_below
     stalled = False
     for i in range(config.max_iters):
-        observe(sp, f, i % config.record_every == 0)
-        fac = sp.smoothed + shift
-        orbit, sp, f, h, stalled = policy.advance(trace, orbit, sp, fac, f, i,
+        fac = observe(sp, f)
+        orbit, sp, f, h, stalled = policy.advance(trace, orbit, sp, fac, i,
                                                   lambda o: pass_at(o, i + 1))
         r_cum += h * fac
         trace.iterations = i + 1
         if stalled or trace.best_q < stop:
             break
-    observe(sp, f, True)
+    observe(sp, f)
     trace.status = ("certified" if trace.best_q < stop else
                     "stalled" if stalled else "max_iters")
-    trace.final_point = orbit.certify(trace, g0)
-    return trace, [math.exp(cj) * gj for cj, gj in zip(orbit.c, orbit.g)]
+    trace.final_factors = [math.exp(cj) * gj for cj, gj in zip(orbit.c, orbit.g)]
+    trace.certificate = _certify(trace.final_factors, g0, trace.r_cumulative)
+    if trace.certificate is None:
+        trace.status += "+interior_optimum"
+    return trace
 
 
 class _SubgradientSteps:
@@ -279,7 +279,7 @@ class _SubgradientSteps:
         self.config, self.t, self.h = config, 0.0, config.step(0)
         self.best_window, self.improved = math.inf, -1
 
-    def advance(self, trace, orbit, sp, fac, f, i, pass_at):
+    def advance(self, trace, orbit, sp, fac, i, pass_at):
         delta, self.t, self.h = self.h, float(i + 1), self.config.step(i + 1)
         orbit = orbit.advanced(sp, fac, delta)
         tol = self.config.tol_stall * (1.0 + abs(trace.best_q))
@@ -293,19 +293,12 @@ class _SubgradientSteps:
 class _FlowSteps:
     """integrate_flow's steps, on the clock t = sum of the steps taken."""
 
-    def __init__(self, Q, config):
+    def __init__(self, config):
         self.h, self.h_min = config.ode_step, config.ode_step * 2.0 ** -40
         # q_prev = inf: the first step has no previous value and never stalls
         self.config, self.t, self.q_prev = config, 0.0, math.inf
-        # the Moreau envelope carries no half-square conjugate
-        self.hsc = Q.oracle.half_square_conjugate if config.smoothing is None else None
 
-    def advance(self, trace, orbit, sp, fac, f, i, pass_at):
-        trace.energy_times.append(self.t)
-        trace.energy_half_q2.append(0.5 * fac ** 2)
-        trace.energy_conj_half.append(None if self.hsc is None else
-                                      float(self.hsc(fac * np.concatenate(sp.direction))))
-        trace.energy_f.append(f)
+    def advance(self, trace, orbit, sp, fac, i, pass_at):
         q, self.q_prev = self.q_prev, sp.smoothed
         stalled = abs(q - sp.smoothed) <= self.config.tol_stall * (1.0 + abs(sp.smoothed))
         # trials are smoothed at the next level; when a schedule shrinks lambda,
@@ -329,8 +322,8 @@ def integrate_flow(problem, Q, x0, config):
     when two consecutive values agree within tol_stall.  A nonsmooth Q needs
     config.smoothing; a set smoothing, even on a smooth Q, makes the flow
     follow the Moreau envelope at the subgradient method's level lambda_i and
-    leaves the energy record without the half-square conjugate.  The
-    certificate is relative to x0 (one SVD per block, see _Orbit.certify).
+    leaves the samples without energy.  The
+    certificate is relative to x0 (one SVD per block, see _certify).
     """
     if not Q.smooth and config.smoothing is None:
         raise UnsupportedObjectiveError(
@@ -338,7 +331,7 @@ def integrate_flow(problem, Q, x0, config):
         )
     x0.validate()
     g0 = [sqrtm_pd(B) for B in x0.blocks]
-    return _descend(problem, g0, Q, config, _FlowSteps(Q, config))[0]
+    return _descend(problem, g0, Q, config, _FlowSteps(config))
 
 
 def group_subgradient_method(v, S, g0, config, modes=None, stop_below=None):
@@ -353,44 +346,42 @@ def group_subgradient_method(v, S, g0, config, modes=None, stop_below=None):
     `certified`) once the best value is below stop_below, if that is set.
     The certificate is relative to x0 = g0^+ g0.
     """
-    return _descend(KempfNessProblem(v, modes), g0, S, config, _SubgradientSteps(config),
-                    stop_below)
+    trace = _descend(KempfNessProblem(v, modes), g0, S, config,
+                     _SubgradientSteps(config), stop_below)
+    return trace, trace.final_factors
 
 
 def extract_certificate(trace, x0):
     """Direction at infinity from a finished trace: u = log_{x0}(x_T)/R, by
-    the solvers' formula (_Orbit.certify) on g = x_T^1/2 and g0 = x0^1/2.
-    Below R_FLOOR or DIST_FLOOR the run sat at an interior near-minimizer:
-    the trace status records this, and the certificate is None."""
-    x = trace.final_point
-    if x is None:
+    the solvers' formula (_certify) on its final factors and g0 = x0^1/2.
+    Below R_FLOOR or DIST_FLOOR the run sat at an interior near-minimizer
+    and the result is None.  The trace is left as it is."""
+    g = trace.final_factors
+    if g is None:
         return None
-    if x0.dims != x.dims:
+    if x0.dims != tuple(len(gj) for gj in g):
         raise ValidationError("x0 and x_T must be Kempf-Ness points of one signature")
     x0.validate()
-    _Orbit(None, None, [sqrtm_pd(B) for B in x.blocks]).certify(
-        trace, [sqrtm_pd(B) for B in x0.blocks])
-    return trace.certificate
+    return _certify(g, [sqrtm_pd(B) for B in x0.blocks], trace.r_cumulative)
 
 
 def energy_residual(trace):
     """Relative defect of the energy identity over a recorded flow trace.
 
-    Uses trapezoidal quadrature of (1/2)Q^2(df) + (Q^2/2)^*(-xdot) against
-    the drop in f.  Requires the objective's half-square conjugate, recorded
-    during integrate_flow.
+    Trapezoidal quadrature of the energy (1/2)Q^2(df) + (Q^2/2)^*(-xdot) of
+    the samples that start a step (all but the last) against the drop in f.
+    Requires the objective's half-square conjugate.
     """
-    ts = trace.energy_times
-    if len(ts) < 2:
+    nodes = trace.samples[:-1]
+    if len(nodes) < 2:
         raise ValidationError("trace has too few samples for the energy identity")
-    if any(c is None for c in trace.energy_conj_half):
+    if any(s.energy is None for s in nodes):
         raise UnsupportedObjectiveError(
             "objective provides no half-square conjugate; energy identity unavailable"
         )
-    integrand = np.asarray(trace.energy_half_q2) + np.asarray(trace.energy_conj_half)
-    integral = float(np.sum(np.diff(ts) * (integrand[1:] + integrand[:-1]) / 2.0))
-    f0 = trace.energy_f[0]
-    fT = trace.energy_f[-1]
+    ts, e = np.array([(s.t, s.energy) for s in nodes]).T
+    integral = float(np.sum(np.diff(ts) * (e[1:] + e[:-1]) / 2.0))
+    f0, fT = nodes[0].f_value, nodes[-1].f_value
     return abs(fT - f0 + integral) / (1.0 + abs(f0 - fT))
 
 
@@ -426,15 +417,20 @@ def dual_value(problem, Q, xi):
 
     Q* is unitarily invariant, so with Y_xi = k diag(w) k^+ for unitary
     bases k it only sees the spectrum -w, and the oracle's conjugate, a
-    symmetric function, takes the weights in any order.
+    symmetric function, takes the weights in any order.  A ray whose
+    conjugate gauge lies in (1, 1 + DOMAIN_SLACK], which the conjugate accepts,
+    is rated as xi/gauge, so that the slack cannot lift the dual above the primal.
     """
     if tuple(Q.block_dims) != problem.signature:
         raise ValidationError(f"objective block dims {Q.block_dims} do not match "
                               f"the problem's signature {problem.signature}")
-    conj = float(Q.oracle.conjugate_eval(-_ray_spectrum(Q, xi)))
-    if not np.isfinite(conj):
+    y = -_ray_spectrum(Q, xi)
+    gauge = Q.oracle.conjugate_gauge
+    s = 1.0 if gauge is None else max(1.0, float(gauge(y)))
+    conj = float(Q.oracle.conjugate_eval(y / s))
+    if not (s <= 1.0 + DOMAIN_SLACK and np.isfinite(conj)):
         return -math.inf
-    return -problem.recession(xi) - conj
+    return -problem.recession(xi) / s - conj
 
 
 # Search bracket for scales of rays whose conjugate has no gauge (finite on

@@ -76,11 +76,11 @@ def eigh(H, name="matrix"):
     return EighResult(values=w[::-1].copy(), basis=U[:, ::-1])
 
 
-def tie_groups(lam, tol=TIE_TOL):
+def tie_groups(lam):
     """Partition indices of a nonincreasing vector into near-equal groups."""
     lam = np.asarray(lam, dtype=float)
     n = lam.size
-    scale = tol * (1.0 + (np.max(np.abs(lam)) if n else 0.0))
+    scale = TIE_TOL * (1.0 + (np.max(np.abs(lam)) if n else 0.0))
     groups = []
     start = 0
     for i in range(1, n):
@@ -371,7 +371,7 @@ def _block_norm_pair(dims, w):
     wc = np.repeat(w, dims)
 
     def l1(p):
-        return sum(wi * float(np.sum(np.abs(b))) for b, wi in zip(_split(p, dims), w))
+        return float(np.abs(np.asarray(p, dtype=float)) @ wc)
 
     def linf(p):
         # one vector op: x -> x / w_i is monotone in floating point too, so the
@@ -425,20 +425,28 @@ def _norm_objective(label, dims, norm, dual, dual_ball, sub, shift=None, smooth=
     return SpectralObjective(oracle, dims, label=label)
 
 
+_PARAMS = {"op_norm_max_weighted": "alpha", "trace_norm_sum_weighted": "weights",
+           "neg_entropy_weighted": "theta", "indicator_trace_ball": "radius"}
+
+
 def builtin_objective(kind, block_dims, **params):
     """Construct one of the built-in spectral objectives.
 
     kinds: frobenius, op_norm_max_weighted (alpha), trace_norm_sum_weighted
-    (weights), neg_entropy_weighted (theta), trace_dist_to_uniform (scale),
+    (weights), neg_entropy_weighted (theta), trace_dist_to_uniform,
     indicator_trace_ball (radius).
 
     All but the entropy come from norms.  frobenius is self-dual; the block-l1
     norm sum_i w_i ||p_i||_1 (trace_norm_sum_weighted) and the block-linf norm
     max_i ||p_i||_inf / w_i (op_norm_max_weighted) are a dual pair.
-    trace_dist_to_uniform is block-l1 with weights `scale` at p minus the
+    trace_dist_to_uniform is block-l1 with unit weights at p minus the
     uniform spectra; indicator_trace_ball is the indicator of the radius ball
     of block-l1 with unit weights, and its conjugate radius times block-linf.
     """
+    # the one parameter each kind takes, if any: any other is an error
+    stray = sorted(set(params) - {_PARAMS.get(kind)})
+    if stray:
+        raise ParameterError(f"objective {kind} takes no {', '.join(stray)}")
     dims = tuple(int(n) for n in block_dims)
     if any(n <= 0 for n in dims):
         raise ParameterError(f"block dims must be positive, got {dims}")
@@ -540,8 +548,7 @@ def builtin_objective(kind, block_dims, **params):
         return SpectralObjective(oracle, dims, label="neg_entropy_weighted")
 
     if kind == "trace_dist_to_uniform":
-        (scale,) = _positive("scale", params.get("scale", 1.0), 1)
-        l1, linf, l1_sub, _, linf_ball = _block_norm_pair(dims, np.full(d, scale))
+        l1, linf, l1_sub, _, linf_ball = _block_norm_pair(dims, np.ones(d))
         uniform = [np.full(n, 1.0 / n) for n in dims]
         return _norm_objective(kind, dims, l1, linf, linf_ball, l1_sub, shift=uniform)
 

@@ -151,7 +151,7 @@ def _certificate_weights(v, xi, modes):
     return full_k, full_w
 
 
-def recession(v, xi, modes=None, support_tol=SUPPORT_TOL):
+def recession(v, xi, modes=None):
     """Asymptotic slope of the Kempf-Ness function along the ray xi.
 
     Rotate v into the eigenbasis of each block and maximize the sum of
@@ -169,7 +169,7 @@ def recession(v, xi, modes=None, support_tol=SUPPORT_TOL):
     peak = float(np.max(mag))
     if peak == 0.0:
         raise ValidationError("recession undefined for the zero tensor")
-    support = mag > support_tol * peak
+    support = mag > SUPPORT_TOL * peak
     total = np.zeros(v.shape)
     for ax, lam in enumerate(full_w):
         shape = [1] * v.ndim

@@ -72,6 +72,23 @@ def test_manifold_dataclass_fields_pinned():
     assert names(qflow.BoundaryCertificate) == ["euclid_dir", "bases", "weights"]
 
 
+def test_run_dataclass_fields_pinned():
+    """A solver setting or a fact of a run is added or removed on purpose:
+    the config is echoed in every result record, and a run keeps each fact
+    once (the energy in its samples, x_T as its final factors)."""
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(qflow.FlowConfig) == [
+        "max_iters", "step_rule", "step_size", "smoothing", "smoothing_schedule",
+        "ode_step", "tol_stall", "stall_window"]
+    assert names(qflow.FlowTrace) == [
+        "samples", "final_factors", "certificate", "status", "iterations", "best_q",
+        "best_spectra"]
+    assert names(qflow.solver.TraceSample) == [
+        "t", "q_value", "f_value", "r_cum", "step", "q_smooth", "energy"]
+
+
 def test_runtime_imports_no_scipy():
     """numpy is qflow's only runtime dependency: importing the library, its
     record I/O and its CLI loads no scipy module (a scipy-backed feature must

@@ -19,7 +19,7 @@ from qflow.solver import (
     dual_value,
     group_subgradient_method,
 )
-from qflow.spectral import builtin_objective
+from qflow.spectral import builtin_objective, lift_eval
 
 FAST = FlowConfig(max_iters=600, step_size=0.3, smoothing=0.1,
                   smoothing_schedule=True)
@@ -173,11 +173,12 @@ def test_scaling_phase_never_proves_full_rank_on_planted_pencils():
 
 def _descent_bracket(v, S, config, modes=None):
     """The fallback path of `scale`: the subgradient run from the identity
-    and the best dual on its certificate."""
+    and the larger of the floor and the best dual on its certificate."""
     prob = KempfNessProblem(v, modes)
     trace, _ = group_subgradient_method(
         prob.v, S, [np.eye(n, dtype=complex) for n in prob.signature], config, modes=modes)
-    return trace, best_dual_on_ray(prob, S, trace.certificate)
+    floor = dual_value(prob, S, apps._floor_certificate(S))
+    return trace, max(floor, best_dual_on_ray(prob, S, trace.certificate))
 
 
 def test_singular_marginal_falls_back_to_descent():
@@ -210,8 +211,39 @@ def test_singular_marginal_falls_back_to_descent():
     trace, dual = _descent_bracket(v, S_gs, FAST)
     assert (gs.primal_value, gs.dual_value) == (trace.best_q, dual)
     assert gs.iterations == trace.iterations
-    # the subgradient method's bracket on this tensor
-    assert abs(gs.rank_lower - 2.0) < 1e-8 and abs(gs.rank_upper - 3.71029) < 1e-5
+    # the subgradient method's lower bound and the floor 1/3 on this tensor
+    assert abs(gs.rank_lower - 2.0) < 1e-8 and abs(gs.rank_upper - 3.0) < 1e-12
+
+
+def test_fallback_keeps_the_floor():
+    """On the zero-slice tensor the subgradient run's best dual on its own
+    ray is below the floor (0.2824 and 0.850 with the default configs), so
+    `scale` reports the floor and its certificate: rank_upper 3 (was
+    3.541), and the Frobenius dual 1."""
+    v = gaussian_tensor((3, 3, 3), 0)
+    v[2] = 0.0
+    gs = apps.g_stable_rank(v, [1.0, 1.0, 1.0])
+    assert gs.status == "stalled"
+    assert abs(gs.rank_upper - 3.0) < 1e-12
+    fro = apps.scale(v, builtin_objective("frobenius", (3, 3, 3)))
+    assert fro.status == "max_iters"
+    assert abs(fro.dual_value - 1.0) < 1e-12
+    for res in (gs, fro):
+        assert all(np.array_equal(k, np.eye(3)) for k in res.certificate.bases)
+
+
+def test_dual_rates_a_ray_past_the_domain_edge_at_the_edge():
+    """A ray whose conjugate gauge is in (1, 1 + DOMAIN_SLACK] is rated as
+    the ray scaled back onto the edge, so its dual stays below S at the
+    identity (1/3 on the unit tensor); the floor ray scaled by 1 + 5e-10
+    gave 0.3333333335.  Past the slack there is no bound."""
+    v = tensors.unit_tensor(3, 3)
+    S = builtin_objective("op_norm_max_weighted", (3, 3, 3), alpha=[1.0, 1.0, 1.0])
+    primal = lift_eval(S, tensors.moment_map(tensors.normalize(v)))
+    floor = apps._floor_certificate(S)
+    assert apps.certify(v, S, floor.scaled(1 + 5e-10)) <= primal
+    assert abs(apps.certify(v, S, floor.scaled(1 + 5e-10)) - 1 / 3) < 1e-15
+    assert apps.certify(v, S, floor.scaled(1 + 5e-9)) == -math.inf
 
 
 def test_alternating_scaling_closes_gaussian_brackets():
@@ -248,8 +280,8 @@ def test_unit_tensors_stop_at_sweep_zero(n):
         assert len(res.trace.samples) == 1
         assert all(np.array_equal(k, np.eye(n)) for k in res.certificate.bases)
     # the settings are checked even when no step is taken
-    with pytest.raises(ValidationError, match="record_every"):
-        apps.scale(v, builtin_objective("frobenius", (n, n, n)), FlowConfig(record_every=0))
+    with pytest.raises(ValidationError, match="stall_window"):
+        apps.scale(v, builtin_objective("frobenius", (n, n, n)), FlowConfig(stall_window=0))
 
 
 def test_ncrank_unitary_invariance():
@@ -463,7 +495,7 @@ def test_moment_limit_consistency():
 
     S = builtin_objective("trace_dist_to_uniform", dims)
     cfg = FlowConfig(max_iters=2000, step_size=0.3, smoothing=0.1,
-                     smoothing_schedule=True, record_every=1)
+                     smoothing_schedule=True)
     tr, _ = group_subgradient_method(
         v, S, [np.eye(n, dtype=complex) for n in dims], cfg
     )

@@ -1,10 +1,11 @@
+import argparse
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from qflow import apps, io, tensors
+from qflow import apps, cli, io, tensors
 from qflow.cli import main
 from qflow.errors import ValidationError
 from qflow.generate import identity_pencil, random_pencil, skew_pencil
@@ -172,7 +173,7 @@ def test_result_record_keys(tmp_path, capsys, args, extra):
     # the FlowConfig fields: adding or removing a solver knob changes records
     assert set(rec["config"]) == {"max_iters", "step_rule", "step_size", "smoothing",
                                   "smoothing_schedule", "ode_step", "tol_stall",
-                                  "stall_window", "seed", "record_every"}
+                                  "stall_window"}
 
 
 @pytest.mark.parametrize("args,flag", [
@@ -220,7 +221,6 @@ def test_qfunc_unit_tensor(tmp_path, capsys):
                  "--max-iters", "600"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert abs(out["result"]["primal_value"] - 1.0) < 1e-6
-    assert out["config"]["seed"] == 0
     assert out["config"]["smoothing"] is not None
 
 
@@ -259,7 +259,7 @@ def test_determinism_gen(tmp_path):
 def test_determinism_solver_runs(tmp_path):
     path = write_unit(tmp_path)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["qfunc", path, "--max-iters", "300", "--seed", "7"]
+    args = ["qfunc", path, "--max-iters", "300"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -297,8 +297,8 @@ def _strict_json(text):
 
 
 def test_records_are_strict_json(tmp_path, capsys):
-    """Infinite bounds are written as null: an infinite dual from a ray
-    outside the conjugate's domain, an infinite rank_upper from a dual <= 0."""
+    """An infinite bound is written as null: the dual -inf of a ray outside
+    the conjugate's domain."""
     path = write_unit(tmp_path)
     cert = write_cert(tmp_path, [np.eye(2, dtype=complex)] * 3,
                       [np.array([-1.0, 1.0])] * 3)
@@ -306,16 +306,16 @@ def test_records_are_strict_json(tmp_path, capsys):
     assert _strict_json(capsys.readouterr().out)["dual_value"] is None
     out = tmp_path / "gstable.json"
     # a Gaussian tensor is off the floor at the start; with no sweep and no
-    # step there is no certificate, and the dual is inf S = 0
+    # step the run has no certificate, and the floor 1/2 is the dual
     gauss = str(tmp_path / "g.json")
     assert main(["gen", "gaussian", "--dims", "2,2,2", "--seed", "3",
                  "--out", gauss]) == 0
     assert main(["gstable", gauss, "--alpha", "1,1,1", "--max-iters", "0",
                  "--out", str(out)]) == 0
-    assert _strict_json(out.read_text())["result"]["rank_upper"] is None
+    assert _strict_json(out.read_text())["result"]["rank_upper"] == 2.0
     no_steps = dataclasses.replace(apps.default_config("gstable"), max_iters=0)
     _, v = io.load_instance(gauss)
-    assert apps.g_stable_rank(v, [1.0] * 3, no_steps).rank_upper == float("inf")
+    assert apps.g_stable_rank(v, [1.0] * 3, no_steps).rank_upper == 2.0
     # a unit tensor sits at the floor: sweep 0 closes its bracket
     assert apps.g_stable_rank(tensors.unit_tensor(2, 3), [1.0] * 3,
                               no_steps).rank_upper == 2.0
@@ -377,10 +377,13 @@ def test_smooth_zero_disables_smoothing(tmp_path, capsys, value):
     assert config["smoothing"] is None and config["smoothing_schedule"] is False
 
 
-def test_record_every_zero_exit_2(tmp_path, capsys):
-    path = write_unit(tmp_path)
-    assert main(["scale", path, "--record-every", "0"]) == 2
-    assert "record_every" in capsys.readouterr().err
+def test_solver_flags_name_config_fields():
+    """cli._config overrides the FlowConfig field that a solver flag's dest
+    names, and silently skips a dest that names no field."""
+    p = argparse.ArgumentParser()
+    cli._add_solver_flags(p)
+    dests = {a.dest for a in p._actions if a.dest != "help"}
+    assert dests and dests <= {f.name for f in dataclasses.fields(cli.FlowConfig)}
 
 
 @pytest.mark.parametrize("flag,value", [("--step", "inf"), ("--step", "nan"),

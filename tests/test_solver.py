@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -18,6 +19,7 @@ from qflow.solver import (
     dual_value,
     energy_residual,
     FlowTrace,
+    TraceSample,
     extract_certificate,
     group_subgradient_method,
     integrate_flow,
@@ -138,7 +140,7 @@ def test_flow_stops_when_stalled():
 def test_flow_monotone_and_step_distance_bound():
     prob = make_problem((3, 2, 2), 33)
     S = builtin_objective("frobenius", prob.signature)
-    cfg = FlowConfig(max_iters=300, ode_step=1e-2, record_every=1)
+    cfg = FlowConfig(max_iters=300, ode_step=1e-2)
     tr = integrate_flow(prob, S, prob.identity_point(), cfg)
     qs = [s.q_value for s in tr.samples]
     assert max(qs[i + 1] - qs[i] for i in range(len(qs) - 1)) < 1e-7
@@ -262,7 +264,7 @@ def test_group_method_best_value_nonincreasing_bookkeeping():
     v = tensors.normalize(gaussian_tensor(dims, 39))
     S = builtin_objective("trace_dist_to_uniform", dims)
     cfg = FlowConfig(max_iters=200, step_size=0.3, smoothing=0.1,
-                     smoothing_schedule=True, record_every=1)
+                     smoothing_schedule=True)
     tr, _ = group_subgradient_method(
         v, S, [np.eye(n, dtype=complex) for n in dims], cfg
     )
@@ -371,12 +373,12 @@ def test_energy_residual_refines_with_step():
 
 def test_energy_residual_trapezoid_sum():
     """Integrand 1, 3, 2 at t = 0, 1, 3 integrates to 2 + 5 = 7; f drops
-    from 10 to 4, so the defect is |4 - 10 + 7| / (1 + 6)."""
+    from 10 to 4, so the defect is |4 - 10 + 7| / (1 + 6).  The last sample
+    starts no step and is left out."""
     tr = FlowTrace()
-    tr.energy_times = [0.0, 1.0, 3.0]
-    tr.energy_half_q2 = [1.0, 2.0, 0.0]
-    tr.energy_conj_half = [0.0, 1.0, 2.0]
-    tr.energy_f = [10.0, 7.0, 4.0]
+    tr.samples = [TraceSample(t, 0.0, f, 0.0, 0.0, energy=e)
+                  for t, f, e in ((0.0, 10.0, 1.0), (1.0, 7.0, 3.0), (3.0, 4.0, 2.0),
+                                  (4.0, -50.0, 100.0))]
     assert abs(energy_residual(tr) - 1.0 / 7.0) < 1e-15
 
 
@@ -402,13 +404,6 @@ def test_extract_certificate_pure_ray():
     """A trajectory that is itself a base geodesic ray certifies as that ray."""
     dims = (2, 2)
     prob = make_problem(dims, 44)
-    S = builtin_objective("frobenius", dims)
-
-    class Trace:
-        pass
-
-    from qflow.solver import FlowTrace, TraceSample
-
     H = geom.TangentBlock([np.diag([1.0, -1.0]), np.diag([0.5, -0.5])])
     nrm = metric_norm(prob.identity_point(), H)
     u = H.scaled(1.0 / nrm)
@@ -416,7 +411,8 @@ def test_extract_certificate_pure_ray():
     tr = FlowTrace()
     tr.samples = [TraceSample(0.0, 1.0, 0.0, 0.0, 0.1),
                   TraceSample(3.0, 1.0, 0.0, R, 0.1)]
-    tr.final_point = geom.geodesic(prob.identity_point(), u, R)
+    x = geom.geodesic(prob.identity_point(), u, R)
+    tr.final_factors = [geom.sqrtm_pd(B) for B in x.blocks]
     cert = extract_certificate(tr, prob.identity_point())
     Y = cert.tangent_at_base()
     assert max(np.max(np.abs(a - b)) for a, b in zip(Y.blocks, u.blocks)) < 1e-8
@@ -439,22 +435,44 @@ def planted_pencil_tensor(rng, n, r, s, m):
     return np.stack(mats, axis=-1)
 
 
+@functools.lru_cache(maxsize=None)
+def escaping_flow(max_iters):
+    """A Frobenius flow on a planted pencil, whose orbit escapes."""
+    prob = KempfNessProblem(planted_pencil_tensor(np.random.default_rng(3), 4, 2, 3, 2),
+                            (0, 1))
+    S = builtin_objective("frobenius", prob.signature)
+    cfg = FlowConfig(max_iters=max_iters, ode_step=0.5, tol_stall=0.0)
+    return prob, S, integrate_flow(prob, S, prob.identity_point(), cfg)
+
+
 def test_escaping_flow_certifies_ill_conditioned_end():
     """The flow on a planted pencil drives cond(x_T) past 1e15, where an
     eigendecomposition of x_T no longer converges; the certificate comes
     from the factors and stays a valid lower bound."""
-    prob = KempfNessProblem(planted_pencil_tensor(np.random.default_rng(3), 4, 2, 3, 2),
-                            (0, 1))
-    S = builtin_objective("frobenius", prob.signature)
-    cfg = FlowConfig(max_iters=500, ode_step=0.5, tol_stall=0.0)
-    tr = integrate_flow(prob, S, prob.identity_point(), cfg)
-    assert tr.iterations == cfg.max_iters
+    prob, S, tr = escaping_flow(500)
+    assert tr.iterations == 500
     assert max(np.linalg.cond(B) for B in tr.final_point.blocks) > 1e15
     assert tr.certificate is not None
     assert all(np.all(np.isfinite(w)) for w in tr.certificate.weights)
     assert all(np.all(np.isfinite(k)) for k in tr.certificate.bases)
     d = dual_value(prob, S, tr.certificate)
     assert math.isfinite(d) and d <= tr.best_q + 1e-8
+
+
+@pytest.mark.parametrize("max_iters", [300, 500])
+def test_extract_certificate_reads_final_factors(max_iters):
+    """extract_certificate gives the solver's own certificate on the escaping
+    flow: it runs the factor formula on the final factors, where x_T^1/2
+    from an eigendecomposition of x_T (cond 3e11 at 300 steps, past 1e15 at
+    500) loses digits or fails."""
+    prob, S, tr = escaping_flow(max_iters)
+    cert = tr.certificate
+    again = extract_certificate(tr, prob.identity_point())
+    assert tr.certificate is cert
+    for w, w_ref in zip(again.weights, cert.weights):
+        assert np.max(np.abs(w - w_ref)) <= 1e-12
+    for Y, Y_ref in zip(again.tangent_at_base().blocks, cert.tangent_at_base().blocks):
+        assert np.max(np.abs(Y - Y_ref)) <= 1e-12
 
 
 def random_pd_point(rng, dims):
@@ -534,7 +552,10 @@ def test_extract_certificate_interior_status():
         v, S, [np.eye(2, dtype=complex)] * 3, cfg
     )
     assert tr.certificate is None
-    assert "interior_optimum" in tr.status
+    assert tr.status == "max_iters+interior_optimum"
+    # re-extracting reads the trace and leaves it as the run left it
+    assert extract_certificate(tr, prob.identity_point()) is None
+    assert tr.status == "max_iters+interior_optimum"
 
 
 def matrix_dual_reference(problem, Q, xi):
@@ -749,8 +770,6 @@ def test_config_validation():
         FlowConfig(step_rule="bogus").validate()
     with pytest.raises(ValidationError):
         FlowConfig(smoothing=-0.1).validate()
-    with pytest.raises(ValidationError):
-        FlowConfig(record_every=0).validate()
     for bad in (math.inf, math.nan):
         for name in ("step_size", "ode_step", "smoothing", "tol_stall"):
             with pytest.raises(ValidationError):
@@ -758,7 +777,7 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         FlowConfig(tol_stall=-1e-9).validate()
     bad_counts = [("stall_window", 0), ("stall_window", -3),
-                  ("record_every", 1.5), ("stall_window", 2.0), ("max_iters", 10.5)]
+                  ("stall_window", 2.0), ("max_iters", 10.5)]
     for name, bad in bad_counts:
         with pytest.raises(ValidationError, match=name):
             FlowConfig(**{name: bad}).validate()

@@ -342,13 +342,13 @@ def test_block_norms_are_a_dual_pair():
     """op_norm_max_weighted(alpha) is the block-linf norm max_i ||p_i||_inf /
     alpha_i and trace_norm_sum_weighted(weights=alpha) the block-l1 norm
     sum_i alpha_i ||p_i||_1: each one's conjugate gauge is the other, which
-    is the support function of its unit ball.  trace_dist_to_uniform(scale)
-    is the block-l1 norm with weights `scale` of p minus the uniform spectra."""
+    is the support function of its unit ball.  trace_dist_to_uniform is the
+    block-l1 norm with unit weights of p minus the uniform spectra."""
     alpha = [0.7, 2.0]
     linf = make("op_norm_max_weighted", {"alpha": alpha}).oracle
     l1 = make("trace_norm_sum_weighted", {"weights": alpha}).oracle
-    dist = make("trace_dist_to_uniform", {"scale": 1.7}).oracle
-    l1_scale = make("trace_norm_sum_weighted", {"weights": [1.7, 1.7]}).oracle
+    dist = make("trace_dist_to_uniform", {}).oracle
+    l1_unit = make("trace_norm_sum_weighted", {"weights": [1.0, 1.0]}).oracle
     wc = np.repeat(alpha, DIMS)
     uniform = np.concatenate([np.full(n, 1.0 / n) for n in DIMS])
     rng = np.random.default_rng(31)
@@ -356,15 +356,16 @@ def test_block_norms_are_a_dual_pair():
         p = rng.standard_normal(sum(DIMS)) * 10.0 ** rng.uniform(-3, 3)
         assert linf.conjugate_gauge(p) == l1.eval(p)
         assert l1.conjugate_gauge(p) == linf.eval(p)
-        assert dist.eval(p) == l1_scale.eval(p - uniform)
-        # the definitions, block by block, bit for bit
+        assert dist.eval(p) == l1_unit.eval(p - uniform)
+        # the definitions, block by block (the block-l1 sum in another order)
         blocks = np.split(p, np.cumsum(DIMS)[:-1])
         assert linf.eval(p) == max(np.max(np.abs(b)) / a for b, a in zip(blocks, alpha))
-        assert l1.eval(p) == sum(a * np.sum(np.abs(b)) for b, a in zip(blocks, alpha))
-        # support functions of the unit balls: the block-l1 ball has vertices
-        # +-e_j / w_j, the block-linf ball the sign patterns times w
+        block_sum = sum(a * np.sum(np.abs(b)) for b, a in zip(blocks, alpha))
+        assert abs(block_sum - l1.eval(p)) <= 1e-14 * l1.eval(p)
+        # support functions of the unit balls, bit for bit: the block-l1 ball
+        # has vertices +-e_j / w_j, the block-linf ball the sign patterns times w
         assert np.max(np.abs(p) / wc) == linf.eval(p)
-        assert abs(np.abs(p) @ wc - l1.eval(p)) <= 1e-14 * l1.eval(p)
+        assert np.abs(p) @ wc == l1.eval(p)
 
 
 def test_subgradient_basis_stability_under_ties():
@@ -396,10 +397,13 @@ def test_parameter_validation():
         builtin_objective("indicator_trace_ball", DIMS, radius=-1.0)
     with pytest.raises(ParameterError):
         builtin_objective("no_such_kind", DIMS)
+    # a parameter the kind does not take is an error, not ignored
+    with pytest.raises(ParameterError, match="takes no scale"):
+        builtin_objective("trace_dist_to_uniform", DIMS, scale=1.7)
+    with pytest.raises(ParameterError, match="takes no alpha"):
+        builtin_objective("frobenius", DIMS, alpha=[1.0, 1.0])
     # non-finite parameters, NaN included
-    bad = [("trace_dist_to_uniform", {"scale": math.nan}),
-           ("trace_dist_to_uniform", {"scale": math.inf}),
-           ("op_norm_max_weighted", {"alpha": [math.nan, 1.0]}),
+    bad = [("op_norm_max_weighted", {"alpha": [math.nan, 1.0]}),
            ("op_norm_max_weighted", {"alpha": [math.inf, 1.0]}),
            ("trace_norm_sum_weighted", {"weights": [math.inf, 1.0]}),
            ("trace_norm_sum_weighted", {"weights": [1.0, math.nan]}),

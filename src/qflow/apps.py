@@ -124,6 +124,10 @@ def _identity_factors(v, modes):
 FLOOR_TOL = 1e-9
 
 
+def _near_floor(value, floor):
+    return value - floor <= FLOOR_TOL * (1.0 + abs(floor))
+
+
 def _floor_certificate(S):
     """The ray with identity bases and weights -d, d the tie-averaged
     subgradient of S at the uniform spectra I/n_i: constant on each block for a
@@ -161,22 +165,20 @@ def _scaling_phase(problem, S, floor, sweeps, stop_below=None):
     first-non-improving stop leaves before cond(g) reaches rounding noise
     (measured at FULL_RANK_EPS)."""
     stop = -math.inf if stop_below is None else stop_below
-    tol = FLOOR_TOL * (1.0 + abs(floor))
     v, modes = problem.v, problem.modes
     g = _identity_factors(v, modes)
-    trace = FlowTrace()
+    trace, best = FlowTrace(), math.inf
     for k in itertools.count():
         w = tensors.act(g, v, modes)
         sp = spectral_pass(S, tensors.moment_map(w, modes))
         trace.samples.append(TraceSample(float(k), sp.value,
                                          2.0 * math.log(np.linalg.norm(w)), 0.0, 1.0))
-        trace.iterations = k
-        if not sp.value < trace.best_q:
+        if not sp.value < best:
             trace.status = "stalled"
             return trace
-        trace.best_q, trace.best_spectra = sp.value, sp.spectra
+        best, trace.best_spectra = sp.value, sp.spectra
         trace.status = ("certified" if sp.value < stop else
-                        "scaled_to_floor" if sp.value - floor <= tol else
+                        "scaled_to_floor" if _near_floor(sp.value, floor) else
                         "max_iters" if k == sweeps else None)
         if trace.status is not None:
             return trace
@@ -194,7 +196,7 @@ def _scaling_phase(problem, S, floor, sweeps, stop_below=None):
             w = tensors.act([h], w, [ax])
 
 
-def scale(v, S, config=None, modes=None, stop_below=None):
+def scale(v, S, config=None, modes=None, stop_below=None, ray=None):
     """Minimize S of the moment map over the scaling orbit of v, with a bracket.
 
     Every builtin S is symmetric and convex, so its least value on the
@@ -211,6 +213,12 @@ def scale(v, S, config=None, modes=None, stop_below=None):
     answer.  Either way the result carries the floor certificate and the
     phase's trace, one sample per sweep.
 
+    A caller that knows a boundary ray of v passes `ray`, a function of no
+    arguments that returns it (or None).  It is called only when the phase
+    ends otherwise; a ray whose dual_value beats the floor becomes the floor
+    and its certificate, and when the phase's best S lies within the same
+    tolerance of it, the run stops there with status `scaled_to_floor`.
+
     Otherwise (a sweep that does not lower S, a singular marginal, or the
     sweep budget spent) `group_subgradient_method` runs from the identity, as
     if the phase had not run: primal_value is the best value of S along that
@@ -225,6 +233,13 @@ def scale(v, S, config=None, modes=None, stop_below=None):
     floor_cert = _floor_certificate(S)
     floor = dual_value(problem, S, floor_cert)
     trace = _scaling_phase(problem, S, floor, config.max_iters, stop_below)
+    if trace.status not in ("certified", "scaled_to_floor") and ray is not None:
+        cert = ray()
+        bound = -math.inf if cert is None else dual_value(problem, S, cert)
+        if bound > floor:
+            floor_cert, floor = cert, bound
+            if _near_floor(trace.best_q, floor):
+                trace.status = "scaled_to_floor"
     if trace.status in ("certified", "scaled_to_floor"):
         trace.certificate, dual = floor_cert, floor
     else:
@@ -336,6 +351,70 @@ def check_common_kernel(A):
 FULL_RANK_EPS = 1e-9
 
 
+# wong_ray counts the singular values of M above RANK_MARGIN * n * eps *
+# sigma_1(M) as its rank.  By Weyl's inequality a perturbation E moves each
+# singular value by at most ||E||, and the rounding of M and of the slices is
+# a few n eps sigma_1.  On 1,848 planted pencils (n = 2 to 7, every r x s zero
+# block with r + s > n, m = 2 to 4, eight seeds each) the zero singular values
+# of M sat at most 0.55 n eps sigma_1 and the nonzero ones at least 1.2e12
+# n eps sigma_1; on the 50 seeded random pencils of acceptance criterion 7 the
+# smallest sat at 2.2e13.  100 stays two orders above the noise.  Below the
+# margin the zero block is trusted: a block perturbed by less than about
+# RANK_MARGIN n eps of its peak still reads as zero, and dual_value rates the
+# ray with tensors.recession, which drops entries below SUPPORT_TOL (1e-8)
+# of the peak.  That gap is not closed here; only an exact computation on
+# rational pencils closes it.
+RANK_MARGIN = 100.0
+
+
+def wong_ray(A):
+    """A boundary ray from a shrunk subspace pair of the pencil, or None.
+
+    M = sum_k c_k A_k, with c drawn from a fixed seed, has rank r at most
+    the nc-rank (counted with RANK_MARGIN).  When r < n, the second Wong
+    sequence W_0 = 0, W_{i+1} = span_k A_k M^-1(W_i) rises to a fixed point
+    W* (Ivanyos, Karpinski, Qiao and Santha, STACS 2014).  If W* lies in
+    im M, X = M^-1(W*) and Y = (W*)^perp satisfy Y^+ A_k X = 0 with
+    dim X + dim Y = 2n - r, so the nc-rank is r.  The ray has bases that
+    complete Y and conj(X) to unitaries, leading columns first, and weights
+    +1 on the leading columns and -1 on the rest, so `fortin_reutenauer_pair`
+    reads the pair off it; for trace_dist_to_uniform its dual_value is
+    2(n - r)/n.  None when r = n or when W* leaves im M (the skew pencil:
+    commutative rank 2, nc-rank 3).  Nothing here is trusted: a bound from
+    the ray rests on dual_value alone.
+    """
+    A = _as_pencil(A)
+    n = A.n
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal(A.m) + 1j * rng.standard_normal(A.m)
+    M = sum(ck * Ak for ck, Ak in zip(c, A.matrices))
+    tol = RANK_MARGIN * n * np.finfo(float).eps
+    s = np.linalg.svd(M, compute_uv=False)
+    r = int(np.sum(s > tol * s[0]))
+    if r == n:
+        return None
+    span_tol = tol * np.linalg.norm(np.hstack(A.matrices), 2)
+    dw = 0
+    W = np.zeros((n, 0), dtype=complex)
+    while True:
+        # M^-1(W) = {x : M x in W} is the kernel of (I - W W^+) M
+        sx, vh = np.linalg.svd(M - W @ (W.conj().T @ M))[1:]
+        dx = n - int(np.sum(sx > tol * s[0]))
+        u, sw = np.linalg.svd(np.hstack([Ak @ vh[n - dx:].conj().T
+                                         for Ak in A.matrices]))[:2]
+        # the W_i increase, so the first step that adds no dimension ends it
+        grown = int(np.sum(sw > span_tol))
+        if grown <= dw:
+            break
+        dw, W = grown, u[:, :grown]
+    if dx + n - dw != 2 * n - r:
+        return None
+    lead = [np.arange(n) < n - dw, np.arange(n) < dx]
+    return BoundaryCertificate(np.zeros(0),
+                               [np.roll(u, -dw, axis=1), np.roll(vh.T, dx, axis=1)],
+                               [np.where(x, 1.0, -1.0) for x in lead])
+
+
 def ncrank(A, config=None):
     """Noncommutative rank of a pencil via left-right tensor scaling.
 
@@ -349,9 +428,17 @@ def ncrank(A, config=None):
     2/n - FULL_RANK_EPS (the margin is argued at FULL_RANK_EPS); on full-rank
     pencils `scale`'s alternating scaling gets there within a few sweeps, and
     rank_upper is then n (the floor certificate is the zero ray, dual 0).
-    Otherwise the subgradient run goes on to its stall or max_iters stop, and
-    the integer nearest rank_lower is accepted only when it sits within a
-    fixed window of 0.25 of it (status `+unrounded` and rank None when not).
+
+    When the phase ends otherwise, `scale` tries `wong_ray`.  Its dual
+    2(n - r)/n, r the rank of a random combination of the slices, is inf S
+    when r is the nc-rank; once the phase's best S lies within FLOOR_TOL of
+    it, the run stops with status `scaled_to_floor` and rank_upper r.  On the
+    planted pencils with both marginals regular at the start (n = 3 to 6,
+    every zero block), the phase stalled within 2.5e-10 of it after 2 to 33
+    sweeps.  Otherwise the subgradient run goes on to its stall or max_iters
+    stop, with the ray's dual in its bracket, and the integer nearest
+    rank_lower is accepted only when it sits within a fixed window of 0.25 of
+    it (status `+unrounded` and rank None when not).
     """
     A = _as_pencil(A)
     kern = check_common_kernel(A)
@@ -366,7 +453,7 @@ def ncrank(A, config=None):
     S = builtin_objective("trace_dist_to_uniform", (n, n))
     full_rank_below = 2.0 / n - FULL_RANK_EPS
     res = scale(A.tensor(), S, config or default_config("ncrank"), modes=(0, 1),
-                stop_below=full_rank_below)
+                stop_below=full_rank_below, ray=lambda: wong_ray(A))
     rank_real = n - 0.5 * n * res.primal_value
     if res.primal_value < full_rank_below:
         # rank_lower > n - 1: round() could still give n - 1

@@ -105,9 +105,18 @@ class FlowTrace:
     final_factors: Optional[list] = None
     certificate: Optional[BoundaryCertificate] = None
     status: str = "unknown"
-    iterations: int = 0
-    best_q: float = math.inf
     best_spectra: Optional[list] = None
+
+    @property
+    def iterations(self):
+        """Steps taken: the samples are the start and one per step."""
+        return max(len(self.samples) - 1, 0)
+
+    @property
+    def best_q(self):
+        """The least sample value (NaN values skipped), inf without one."""
+        return min((s.q_value for s in self.samples if not math.isnan(s.q_value)),
+                   default=math.inf)
 
     @property
     def r_cumulative(self):
@@ -231,15 +240,16 @@ def _descend(problem, g0, Q, config, policy, stop_below=None):
     g0 = [np.array(gi, dtype=complex) for gi in g0]
     orbit = _Orbit(problem.v, problem.modes, g0)
     trace = FlowTrace()
-    r_cum = 0.0
+    r_cum, best_q = 0.0, math.inf
 
     def pass_at(orbit, i):
         mu, f = orbit.evaluate()
         return spectral_pass(Q, mu, config.smoothing_at(i)), f
 
     def observe(sp, f):
-        if sp.value < trace.best_q:
-            trace.best_q, trace.best_spectra = sp.value, sp.spectra
+        nonlocal best_q
+        if sp.value < best_q:
+            best_q, trace.best_spectra = sp.value, sp.spectra
         fac = sp.smoothed + shift
         energy = None if hsc is None else (
             0.5 * fac ** 2 + float(hsc(fac * np.concatenate(sp.direction))))
@@ -255,14 +265,13 @@ def _descend(problem, g0, Q, config, policy, stop_below=None):
     stalled = False
     for i in range(config.max_iters):
         fac = observe(sp, f)
-        orbit, sp, f, h, stalled = policy.advance(trace, orbit, sp, fac, i,
+        orbit, sp, f, h, stalled = policy.advance(best_q, orbit, sp, fac, i,
                                                   lambda o: pass_at(o, i + 1))
         r_cum += h * fac
-        trace.iterations = i + 1
-        if stalled or trace.best_q < stop:
+        if stalled or best_q < stop:
             break
     observe(sp, f)
-    trace.status = ("certified" if trace.best_q < stop else
+    trace.status = ("certified" if best_q < stop else
                     "stalled" if stalled else "max_iters")
     trace.final_factors = [math.exp(cj) * gj for cj, gj in zip(orbit.c, orbit.g)]
     trace.certificate = _certify(trace.final_factors, g0, trace.r_cumulative)
@@ -273,18 +282,19 @@ def _descend(problem, g0, Q, config, policy, stop_below=None):
 
 class _SubgradientSteps:
     """group_subgradient_method's steps, on the clock t = step count.  The
-    stall rule reads best_q before the next orbit's value is folded in."""
+    stall rule reads the run's best_q before the next orbit's value is folded
+    in."""
 
     def __init__(self, config):
         self.config, self.t, self.h = config, 0.0, config.step(0)
         self.best_window, self.improved = math.inf, -1
 
-    def advance(self, trace, orbit, sp, fac, i, pass_at):
+    def advance(self, best_q, orbit, sp, fac, i, pass_at):
         delta, self.t, self.h = self.h, float(i + 1), self.config.step(i + 1)
         orbit = orbit.advanced(sp, fac, delta)
-        tol = self.config.tol_stall * (1.0 + abs(trace.best_q))
-        if trace.best_q < self.best_window - tol:
-            self.best_window, self.improved = trace.best_q, i
+        tol = self.config.tol_stall * (1.0 + abs(best_q))
+        if best_q < self.best_window - tol:
+            self.best_window, self.improved = best_q, i
         # a step that improves best_q never stalls, whatever stall_window is
         stalled = 0 < i - self.improved >= self.config.stall_window
         return (orbit, *pass_at(orbit), delta, stalled)
@@ -298,7 +308,7 @@ class _FlowSteps:
         # q_prev = inf: the first step has no previous value and never stalls
         self.config, self.t, self.q_prev = config, 0.0, math.inf
 
-    def advance(self, trace, orbit, sp, fac, i, pass_at):
+    def advance(self, best_q, orbit, sp, fac, i, pass_at):
         q, self.q_prev = self.q_prev, sp.smoothed
         stalled = abs(q - sp.smoothed) <= self.config.tol_stall * (1.0 + abs(sp.smoothed))
         # trials are smoothed at the next level; when a schedule shrinks lambda,

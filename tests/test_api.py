@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qflow
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,7 +77,8 @@ def test_manifold_dataclass_fields_pinned():
 def test_run_dataclass_fields_pinned():
     """A solver setting or a fact of a run is added or removed on purpose:
     the config is echoed in every result record, and a run keeps each fact
-    once (the energy in its samples, x_T as its final factors)."""
+    once (the energy in its samples, x_T as its final factors, the step
+    count and the best value read off the samples)."""
     def names(cls):
         return [f.name for f in dataclasses.fields(cls)]
 
@@ -83,8 +86,12 @@ def test_run_dataclass_fields_pinned():
         "max_iters", "step_rule", "step_size", "smoothing", "smoothing_schedule",
         "ode_step", "tol_stall", "stall_window"]
     assert names(qflow.FlowTrace) == [
-        "samples", "final_factors", "certificate", "status", "iterations", "best_q",
-        "best_spectra"]
+        "samples", "final_factors", "certificate", "status", "best_spectra"]
+    trace = qflow.FlowTrace()
+    assert (trace.iterations, trace.best_q) == (0, float("inf"))
+    for name in ("iterations", "best_q"):
+        with pytest.raises(AttributeError):
+            setattr(trace, name, 0)
     assert names(qflow.solver.TraceSample) == [
         "t", "q_value", "f_value", "r_cum", "step", "q_smooth", "energy"]
 

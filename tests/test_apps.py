@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from _pencils import planted_pencil
 
 from qflow import apps, tensors
 from qflow.errors import DomainError, ParameterError, ValidationError
@@ -107,21 +108,6 @@ def test_ncrank_rank_one_row_pencil():
     assert res.rank_upper < 1.8
 
 
-def planted_pencil(rng, n, r, s, m):
-    """The m slices P M_k Q of a pencil whose n x n M_k vanish on rows :r,
-    columns n-s:; with r + s > n the zero block caps its nc-rank at 2n - r - s."""
-    def gauss(shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    P, Q = gauss((n, n)), gauss((n, n))
-    mats = []
-    for _ in range(m):
-        M = gauss((n, n))
-        M[:r, n - s:] = 0.0
-        mats.append(P @ M @ Q)
-    return apps.MatrixPencil(mats)
-
-
 def planted_rank2_pencil():
     """A 3x3 pencil of nc-rank 2 whose runs reach inf S = 2/3 from below in
     floating point."""
@@ -130,13 +116,18 @@ def planted_rank2_pencil():
 
 def test_ncrank_does_not_certify_rank_deficient_pencil():
     """The bare test best_q < 2/n would report full rank here: the stop needs
-    its margin."""
+    its margin.  ncrank closes this pencil with the Wong pair, so the
+    subgradient run that undercuts 2/3 is `scale`'s without the pair."""
     A = planted_rank2_pencil()
     assert apps.ncrank_blowup_oracle(A) == 2
-    res = apps.ncrank(A)
+    S = builtin_objective("trace_dist_to_uniform", (3, 3))
+    res = apps.scale(A.tensor(), S, apps.default_config("ncrank"), modes=(0, 1),
+                     stop_below=2 / 3 - apps.FULL_RANK_EPS)
     assert res.primal_value < 2 / 3
     assert not res.status.startswith("certified")
-    assert res.rank == 2
+    nc = apps.ncrank(A)
+    assert not nc.status.startswith("certified")
+    assert nc.rank == 2
 
 
 # at the stop, rank_lower is 3.08 for seed 14 (the 0.25 window would give
@@ -184,7 +175,8 @@ def _descent_bracket(v, S, config, modes=None):
 def test_singular_marginal_falls_back_to_descent():
     """A pencil with a one-sided common kernel and a tensor with a zero slice
     have a singular marginal at the start: the phase leaves at sweep 0 and
-    `scale` returns the subgradient run's result, with no RuntimeWarning."""
+    `scale` without a ray returns the subgradient run's result, with no
+    RuntimeWarning."""
     A1 = np.zeros((2, 2), dtype=complex)
     A1[0, 0] = 1.0
     A2 = np.zeros((2, 2), dtype=complex)
@@ -198,16 +190,21 @@ def test_singular_marginal_falls_back_to_descent():
     S_gs = builtin_objective("op_norm_max_weighted", (3, 3, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # ncrank closes the pencil with the Wong pair; `scale` without it
+        # takes the fallback
         nc = apps.ncrank(A, cfg)
+        sc = apps.scale(A.tensor(), S_nc, cfg, modes=(0, 1),
+                        stop_below=2 / 2 - apps.FULL_RANK_EPS)
         gs = apps.g_stable_rank(v, [1.0, 1.0, 1.0], FAST)
         for w, modes, S in ((A.tensor(), (0, 1), S_nc), (v, None, S_gs)):
             trace = apps._scaling_phase(KempfNessProblem(w, modes), S, 0.0, 100)
             assert trace.status == "singular" and trace.iterations == 0
+    assert nc.rank == 1 and not nc.status.startswith("certified")
     trace, dual = _descent_bracket(A.tensor(), S_nc, cfg, (0, 1))
-    assert nc.rank == 1 and nc.status == trace.status == "stalled"
-    assert (nc.primal_value, nc.dual_value) == (trace.best_q, dual)
-    assert nc.iterations == trace.iterations
-    assert abs(nc.rank_upper - 1.0) < 1e-12
+    assert sc.status == trace.status == "stalled"
+    assert (sc.primal_value, sc.dual_value) == (trace.best_q, dual)
+    assert sc.iterations == trace.iterations
+    assert abs(2 - sc.dual_value - 1.0) < 1e-12
     trace, dual = _descent_bracket(v, S_gs, FAST)
     assert (gs.primal_value, gs.dual_value) == (trace.best_q, dual)
     assert gs.iterations == trace.iterations

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from _pencils import planted_pencil
 
 from qflow import apps, cli, io, tensors
 from qflow.cli import main
@@ -288,6 +289,24 @@ def test_certify_roundtrip(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["weak_duality_ok"]
     assert abs(rec["dual_value"] - run["result"]["dual_value"]) < 1e-9
+
+
+def test_ncrank_writes_the_pair_certificate(tmp_path, capsys):
+    """A planted pencil of rank 3 closes on the Wong pair: the record gives
+    rank and rank_upper 3, and its certificate alone certifies 2(n - r)/n."""
+    A = planted_pencil(np.random.default_rng(43), 4, 3, 2, 3)
+    pencil_path = write_pencil(tmp_path, A)
+    out_path = tmp_path / "run.json"
+    assert main(["ncrank", pencil_path, "--out", str(out_path)]) == 0
+    run = json.loads(out_path.read_text())
+    assert run["result"]["rank"] == 3 and run["result"]["status"] == "scaled_to_floor"
+    assert abs(run["result"]["rank_upper"] - 3) < 1e-12
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(run["certificate"]))
+    capsys.readouterr()
+    assert main(["certify", pencil_path, str(cert_path),
+                 "--objective", "trace_dist_to_uniform"]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["dual_value"] - 2 * (4 - 3) / 4) < 1e-12
 
 
 def _strict_json(text):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from _geometry_ref import distance, metric_norm, transport_to_base
+from _pencils import planted_pencil
 
 from qflow import apps
 from qflow import geometry as geom
@@ -420,25 +421,10 @@ def test_extract_certificate_pure_ray():
         extract_certificate(tr, geom.ProductPDPoint.identity((2,)))
 
 
-def planted_pencil_tensor(rng, n, r, s, m):
-    """The m slices P M_k Q of a pencil whose M_k vanish on rows :r, columns
-    n-s:; with r + s > n it is rank-deficient and its orbit escapes."""
-    def gauss(shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    P, Q = gauss((n, n)), gauss((n, n))
-    mats = []
-    for _ in range(m):
-        M = gauss((n, n))
-        M[:r, n - s:] = 0.0
-        mats.append(P @ M @ Q)
-    return np.stack(mats, axis=-1)
-
-
 @functools.lru_cache(maxsize=None)
 def escaping_flow(max_iters):
     """A Frobenius flow on a planted pencil, whose orbit escapes."""
-    prob = KempfNessProblem(planted_pencil_tensor(np.random.default_rng(3), 4, 2, 3, 2),
+    prob = KempfNessProblem(planted_pencil(np.random.default_rng(3), 4, 2, 3, 2).tensor(),
                             (0, 1))
     S = builtin_objective("frobenius", prob.signature)
     cfg = FlowConfig(max_iters=max_iters, ode_step=0.5, tol_stall=0.0)

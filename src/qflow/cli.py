@@ -157,8 +157,8 @@ def _run_ncrank(args, cfg):
     if kind != "pencil":
         raise ValidationError("ncrank requires a pencil file")
     result = apps.ncrank(inst, cfg)
-    print(f"ncrank: rank={result.rank} value={result.value:.6f}",
-          file=sys.stderr)
+    print(f"ncrank: rank={result.rank} "
+          f"bracket=[{result.rank_lower:.6f}, {result.rank_upper:.6f}]", file=sys.stderr)
     return result, {}
 
 

@@ -146,9 +146,6 @@ class KempfNessProblem:
     def signature(self):
         return tuple(self.v.shape[i] for i in self.modes)
 
-    def value(self, x):
-        return tensors.kempf_ness(self.v, x, self.modes)
-
     def differential(self, x):
         return tensors.kempf_ness_differential(self.v, x, self.modes)
 

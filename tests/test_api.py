@@ -75,10 +75,10 @@ def test_manifold_dataclass_fields_pinned():
 
 
 def test_run_dataclass_fields_pinned():
-    """A solver setting or a fact of a run is added or removed on purpose:
-    the config is echoed in every result record, and a run keeps each fact
-    once (the energy in its samples, x_T as its final factors, the step
-    count and the best value read off the samples)."""
+    """A solver setting, a fact of a run or a result field is added or removed
+    on purpose: the config and the result are echoed in every result record,
+    and a run keeps each fact once (the energy in its samples, x_T as its
+    final factors, the step count and the best value read off the samples)."""
     def names(cls):
         return [f.name for f in dataclasses.fields(cls)]
 
@@ -94,6 +94,10 @@ def test_run_dataclass_fields_pinned():
             setattr(trace, name, 0)
     assert names(qflow.solver.TraceSample) == [
         "t", "q_value", "f_value", "r_cum", "step", "q_smooth", "energy"]
+    # every field but the certificate and the trace is a result-record key
+    assert names(qflow.ApplicationResult) == [
+        "primal_value", "dual_value", "gap", "certificate", "spectra", "iterations",
+        "status", "rank", "rank_lower", "rank_upper", "trace"]
 
 
 def test_runtime_imports_no_scipy():

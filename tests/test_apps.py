@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,7 +49,9 @@ def test_mu2_transpose_convention():
     pencil-coordinate second marginal sum_k A_k^+ A_k / ||A||^2."""
     A = random_pencil(3, 3, 1)
     mu = tensors.moment_map(A.tensor(), modes=(0, 1))
-    assert np.max(np.abs(mu[1].T - apps.pencil_mu2(A))) < 1e-12
+    nrm2 = sum(float(np.sum(np.abs(M) ** 2)) for M in A.matrices)
+    mu2 = sum(M.conj().T @ M for M in A.matrices) / nrm2
+    assert np.max(np.abs(mu[1].T - 0.5 * (mu2 + mu2.conj().T))) < 1e-12
 
 
 def test_check_common_kernel():
@@ -78,7 +81,7 @@ def test_blowup_oracle_trivials():
 def test_ncrank_identity_pencil():
     res = apps.ncrank(identity_pencil(3), FAST)
     assert res.rank == 3
-    assert abs(res.value - 3.0) < 1e-6
+    assert abs(res.rank_lower - 3.0) < 1e-6
 
 
 def test_ncrank_scalar():
@@ -130,8 +133,9 @@ def test_ncrank_does_not_certify_rank_deficient_pencil():
     assert nc.rank == 2
 
 
-# at the stop, rank_lower is 3.08 for seed 14 (the 0.25 window would give
-# rank 3) and 1.45 for seed 15 (no rank): the certificate decides, not round()
+# at the stop, rank_lower is 3.08 for seed 14 (n = 4) and 1.45 for seed 15
+# (n = 2): far below n, but the full-rank stop puts it above n - 1 and
+# rank_upper is n, so n is the one integer in the bracket
 @pytest.mark.parametrize("seed", [0, 2, 14, 15, 21, 29])
 def test_ncrank_certifies_full_rank_early(seed):
     """Criterion 7's pencils: the run stops within a few steps at a point
@@ -144,6 +148,49 @@ def test_ncrank_certifies_full_rank_early(seed):
     assert res.rank == n == apps.ncrank_blowup_oracle(A)
     assert res.iterations <= 20
     assert res.dual_value <= res.primal_value + 1e-8
+
+
+def _ncrank_at(A, max_iters):
+    return apps.ncrank(A, replace(apps.default_config("ncrank"), max_iters=max_iters))
+
+
+@pytest.mark.parametrize("seed,shape,max_iters,rank", [
+    (21, (2, 1, 2, 2), 2, 1),      # bracket [0.21, 1]: the nearest integer is 0
+    (132, (3, 2, 2, 2), 0, None),  # bracket [-0.77, 2]: the nearest integer is -1
+])
+def test_ncrank_reports_the_integer_its_bracket_proves(seed, shape, max_iters, rank):
+    """A short run leaves a wide bracket: the rank is its one integer, and
+    None when it holds several; the integer nearest rank_lower lies outside
+    it in both cases."""
+    A = planted_pencil(np.random.default_rng(seed), *shape)
+    res = _ncrank_at(A, max_iters)
+    assert res.rank == rank
+    assert res.rank is None or res.rank_lower <= res.rank <= res.rank_upper
+    assert "+unrounded" not in res.status
+
+
+# n < r + s caps the rank below n; r = s = n is the zero pencil
+PLANTED_SHAPES = [(n, r, s, m) for n in (2, 3, 4) for r in range(1, n + 1)
+                  for s in range(1, n + 1) for m in (2, 3) if n < r + s < 2 * n]
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 2, 5, 20])
+def test_ncrank_short_budgets_report_no_wrong_rank(max_iters):
+    """Planted pencils of every zero block, n = 2 to 4, at short budgets: the
+    bracket holds the blow-up oracle's rank, and a reported rank is that
+    rank."""
+    solved = 0
+    for n, r, s, m in PLANTED_SHAPES:
+        A = planted_pencil(np.random.default_rng([n, r, s, m]), n, r, s, m)
+        if not apps.check_common_kernel(A)["ok"]:
+            continue
+        oracle = apps.ncrank_blowup_oracle(A)
+        res = _ncrank_at(A, max_iters)
+        assert res.rank_lower - apps.RANK_EPS <= oracle <= res.rank_upper + apps.RANK_EPS, \
+            (n, r, s, m)
+        assert res.rank in (None, oracle), (n, r, s, m)
+        solved += 1
+    assert solved >= 20
 
 
 def test_scaling_phase_never_proves_full_rank_on_planted_pencils():

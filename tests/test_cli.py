@@ -147,6 +147,19 @@ def test_ncrank_identity(tmp_path, capsys):
     assert out["result"]["rank"] == 3
 
 
+def test_ncrank_wide_bracket_reports_no_rank(tmp_path, capsys):
+    """With no iterations the bracket [-0.77, 2] holds three integers: the run
+    exits 0 with rank null, and stderr gives the bracket."""
+    A = planted_pencil(np.random.default_rng(132), 3, 2, 2, 2)
+    path = write_pencil(tmp_path, A)
+    assert main(["ncrank", path, "--max-iters", "0"]) == 0
+    out = capsys.readouterr()
+    result = json.loads(out.out)["result"]
+    assert result["rank"] is None
+    assert "+unrounded" not in result["status"] and "value" not in result
+    assert "rank=None bracket=[-0.76" in out.err
+
+
 def test_ncrank_common_kernel_exit_4(tmp_path, capsys):
     E11 = np.zeros((2, 2), dtype=complex)
     E11[0, 0] = 1.0

@@ -223,7 +223,8 @@ def scale(v, S, config=None, modes=None, stop_below=None, ray=None):
     if the phase had not run: primal_value is the best value of S along that
     run, dual_value the larger of the floor and `best_dual_on_ray` over its
     certificate, with the certificate giving it (the run's on a tie), and the
-    stop_below test applies there too.
+    stop_below test applies there too.  The run's `+interior_optimum` suffix
+    is kept only when the result carries no certificate.
     """
     v = tensors.normalize(v)
     modes = tuple(range(v.ndim)) if modes is None else tuple(modes)
@@ -247,6 +248,7 @@ def scale(v, S, config=None, modes=None, stop_below=None, ray=None):
         dual = best_dual_on_ray(problem, S, trace.certificate)
         if floor > dual:
             trace.certificate, dual = floor_cert, floor
+            trace.status = trace.status.removesuffix("+interior_optimum")
     return ApplicationResult(
         primal_value=trace.best_q,
         dual_value=dual,

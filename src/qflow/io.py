@@ -123,7 +123,15 @@ def _matrix_to_json(M):
 
 
 def _matrix_from_json(d):
-    return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
+    """A square complex matrix from its {re, im} record; re and im must have
+    one shape, so that neither is broadcast."""
+    M = np.array(d["re"], dtype=complex)
+    im = np.asarray(d["im"], dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or im.shape != M.shape:
+        raise ValidationError(f"a basis must be a square matrix with re and im of "
+                              f"one shape, got shapes {M.shape} and {im.shape}")
+    M.imag = im
+    return M
 
 
 def certificate_to_record(cert):
@@ -145,10 +153,6 @@ def certificate_from_record(rec):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed certificate record: {exc}")
-    for k in cert.bases:
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise ValidationError(f"malformed certificate record: a basis must be "
-                                  f"a square matrix, got shape {k.shape}")
     return cert
 
 

@@ -32,7 +32,7 @@ from .geometry import (
     sqrtm_pd,
     transport_from_base,
 )
-from .spectral import DOMAIN_SLACK, _check_blocks, infimum, spectral_pass
+from .spectral import DOMAIN_SLACK, infimum, spectral_pass
 from . import tensors
 
 # A run with R (the integral of Q) at most R_FLOOR, or that ends at most
@@ -405,18 +405,22 @@ def _ray_spectrum(Q, xi):
     if np.size(xi.euclid_dir):
         raise ValidationError("Kempf-Ness certificates have no Euclidean direction, "
                               f"got euclid_dir of size {np.size(xi.euclid_dir)}")
-    _check_blocks(Q, xi.bases)
-    weights = [np.asarray(w, dtype=float) for w in xi.weights]
-    if [w.shape for w in weights] != [(n,) for n in Q.block_dims]:
-        raise ValidationError(f"weight shapes {[w.shape for w in weights]} "
-                              f"do not match block dims {Q.block_dims}")
-    for k in xi.bases:
-        k = np.asarray(k)
-        dev = float(np.max(np.abs(k.conj().T @ k - np.eye(len(k)))))
+    dims = Q.block_dims
+    if len(xi.bases) != len(dims) or len(xi.weights) != len(dims):
+        raise ValidationError(f"expected {len(dims)} blocks, got {len(xi.bases)} "
+                              f"bases and {len(xi.weights)} weight vectors")
+    spectrum = []
+    for n, k, w in zip(dims, xi.bases, xi.weights):
+        k, w = np.asarray(k), np.asarray(w, dtype=float)
+        if k.shape != (n, n) or w.shape != (n,):
+            raise ValidationError(f"basis shape {k.shape} and weight shape {w.shape} "
+                                  f"do not match block dim {n}")
+        dev = float(np.abs(k.conj().T @ k - np.eye(n)).max())
         if not dev <= UNITARY_TOL:
             raise ValidationError(f"certificate basis is not unitary: "
                                   f"max|k^+ k - I| = {dev:.3e}")
-    return np.concatenate(weights)
+        spectrum.append(w)
+    return np.concatenate(spectrum)
 
 
 def dual_value(problem, Q, xi):
@@ -434,7 +438,7 @@ def dual_value(problem, Q, xi):
     y = -_ray_spectrum(Q, xi)
     gauge = Q.oracle.conjugate_gauge
     s = 1.0 if gauge is None else max(1.0, float(gauge(y)))
-    conj = float(Q.oracle.conjugate_eval(y / s))
+    conj = float(Q.oracle.conjugate_eval(y if s == 1.0 else y / s))
     if not (s <= 1.0 + DOMAIN_SLACK and np.isfinite(conj)):
         return -math.inf
     return -problem.recession(xi) / s - conj

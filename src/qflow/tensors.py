@@ -8,6 +8,8 @@ index given by the remaining indices in original order, row-major.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -48,21 +50,28 @@ def rank_one(vectors):
 
 
 def act(factors, v, modes=None):
-    """Apply matrices along the given modes (all modes by default)."""
+    """Apply matrices along the given modes (all modes by default).
+
+    The one mode-product kernel: the factor g of mode ax multiplies the tensor
+    viewed as a stack of (n_ax, rest) matrices, one per index of the leading
+    modes, through matmul broadcasting.
+    """
     v = as_tensor(v)
     if modes is None:
         modes = range(v.ndim)
     modes = list(modes)
     if len(factors) != len(modes):
         raise ValidationError("one factor per mode required")
+    shape = v.shape
     out = v
     for g, ax in zip(factors, modes):
         g = np.asarray(g, dtype=complex)
-        if g.shape != (v.shape[ax], v.shape[ax]):
+        if g.shape != (shape[ax], shape[ax]):
             raise ValidationError(
-                f"factor shape {g.shape} incompatible with mode {ax} of dims {v.shape}"
+                f"factor shape {g.shape} incompatible with mode {ax} of dims {shape}"
             )
-        out = np.moveaxis(np.tensordot(g, out, axes=(1, ax)), 0, ax)
+        stack = out.reshape(math.prod(shape[:ax]), shape[ax], math.prod(shape[ax + 1:]))
+        out = (g @ stack).reshape(shape)
     return out
 
 
@@ -128,8 +137,7 @@ def kempf_ness_differential(v, x, modes=None):
 
 
 def _certificate_weights(v, xi, modes):
-    """Bases and weights per tensor mode (zero weights on inactive modes)."""
-    d = v.ndim
+    """Bases and weights of a certificate, one per mode in `modes`."""
     if isinstance(xi, TangentBlock):
         bases, weights = [], []
         for B in xi.blocks:
@@ -138,17 +146,13 @@ def _certificate_weights(v, xi, modes):
             weights.append(r.values)
     else:
         bases, weights = xi.bases, xi.weights
-    if len(bases) != len(modes):
+    if len(bases) != len(modes) or len(weights) != len(modes):
         raise ValidationError("certificate has wrong number of blocks")
-    full_k = [None] * d
-    full_w = [np.zeros(n) for n in v.shape]
+    weights = [np.asarray(w, dtype=float) for w in weights]
     for k, w, ax in zip(bases, weights, modes):
-        w = np.asarray(w, dtype=float)
         if k.shape[0] != v.shape[ax] or w.shape != (v.shape[ax],):
             raise ValidationError("certificate dims do not match tensor")
-        full_k[ax] = k
-        full_w[ax] = w
-    return full_k, full_w
+    return bases, weights
 
 
 def recession(v, xi, modes=None):
@@ -160,19 +164,13 @@ def recession(v, xi, modes=None):
     v = as_tensor(v)
     if modes is None:
         modes = list(range(v.ndim))
-    full_k, full_w = _certificate_weights(v, xi, modes)
-    w = v
-    for ax, k in enumerate(full_k):
-        if k is not None:
-            w = act([k.conj().T], w, [ax])
-    mag = np.abs(w)
-    peak = float(np.max(mag))
+    bases, weights = _certificate_weights(v, xi, modes)
+    mag = np.abs(act([k.conj().T for k in bases], v, modes))
+    peak = float(mag.max())
     if peak == 0.0:
         raise ValidationError("recession undefined for the zero tensor")
     support = mag > SUPPORT_TOL * peak
-    total = np.zeros(v.shape)
-    for ax, lam in enumerate(full_w):
-        shape = [1] * v.ndim
-        shape[ax] = -1
-        total = total + lam.reshape(shape)
-    return float(np.max(total[support]))
+    total = 0.0
+    for ax, lam in zip(modes, weights):
+        total = total + lam.reshape([-1 if i == ax else 1 for i in range(v.ndim)])
+    return float(np.broadcast_to(total, v.shape)[support].max())

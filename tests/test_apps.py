@@ -169,6 +169,17 @@ def test_ncrank_reports_the_integer_its_bracket_proves(seed, shape, max_iters, r
     assert "+unrounded" not in res.status
 
 
+def test_interior_optimum_suffix_only_without_certificate():
+    """With no iterations the subgradient run has no certificate of its own,
+    but the result reports the Wong pair, whose rank_upper 2 < n = 3 shows
+    that the orbit escapes: there is no interior optimum to report."""
+    A = planted_pencil(np.random.default_rng(132), 3, 2, 2, 2)
+    res = _ncrank_at(A, 0)
+    assert res.certificate is not None
+    assert res.status == "max_iters"
+    assert abs(res.rank_upper - 2) < 1e-9
+
+
 # n < r + s caps the rank below n; r = s = n is the zero pencil
 PLANTED_SHAPES = [(n, r, s, m) for n in (2, 3, 4) for r in range(1, n + 1)
                   for s in range(1, n + 1) for m in (2, 3) if n < r + s < 2 * n]

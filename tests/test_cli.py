@@ -82,6 +82,17 @@ def test_certificate_roundtrip():
         io.certificate_from_record({"weights": []})
 
 
+@pytest.mark.parametrize("im", [[[0, 0], [0, 0]], 0], ids=["other_shape", "scalar"])
+def test_certificate_record_rejects_im_not_shaped_like_re(im):
+    """re and im of a basis must be matrices of one shape: numpy would
+    broadcast either into a basis the record does not hold."""
+    rec = {"euclid_dir": [], "bases": [{"re": [[1]], "im": im}], "weights": [[0.0]]}
+    with pytest.raises(ValidationError, match="malformed certificate record"):
+        io.certificate_from_record(rec)
+    rec["bases"][0]["im"] = [[0]]
+    assert io.certificate_from_record(rec).bases[0].shape == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # commands
 

@@ -634,12 +634,6 @@ def test_dual_value_checks_certificate_shape_and_unitarity():
     S = builtin_objective("frobenius", dims)
     I2 = np.eye(2, dtype=complex)
     w = np.array([0.3, -0.3])
-    for bases, weights in (([I2], [w]),  # one block short
-                           ([I2, np.eye(3)], [w, np.zeros(3)]),  # wrong dim
-                           ([I2, I2], [w, np.zeros(3)]),  # weights too long
-                           ([I2, I2 + 1e-7], [w, w])):  # beyond UNITARY_TOL
-        with pytest.raises(ValidationError):
-            dual_value(prob, S, geom.BoundaryCertificate(np.zeros(0), bases, weights))
     # an objective and certificate of another signature than the problem's,
     # on a ray where the conjugate is infinite
     with pytest.raises(ValidationError):
@@ -652,6 +646,31 @@ def test_dual_value_checks_certificate_shape_and_unitarity():
     assert math.isfinite(
         dual_value(prob, S, geom.BoundaryCertificate(np.zeros(0), [I2, near], [w, w]))
     )
+
+
+_I2 = np.eye(2, dtype=complex)
+_W = np.array([0.3, -0.3])
+
+
+@pytest.mark.parametrize("euclid,bases,weights,match", [
+    (np.ones(1), [_I2] * 3, [_W] * 3, "Euclidean"),
+    (np.zeros(0), [_I2] * 2, [_W] * 2, "expected 3 blocks"),
+    (np.zeros(0), [_I2] * 3, [_W] * 2, "expected 3 blocks"),
+    (np.zeros(0), [_I2, np.eye(3), _I2], [_W] * 3, "basis shape"),
+    (np.zeros(0), [_I2] * 3, [_W, np.ones(3), _W], "weight shape"),
+    (np.zeros(0), [0.5 * _I2] * 3, [_W] * 3, "not unitary"),
+    (np.zeros(0), [_I2, _I2 + 1e-7, _I2], [_W] * 3, "not unitary"),
+], ids=["euclid_dir", "block_count", "weight_count", "basis_shape", "weight_shape",
+        "half_identity", "beyond_unitary_tol"])
+def test_dual_value_rejects_malformed_certificates(euclid, bases, weights, match):
+    """Each check of the certificate a dual is read from, on the 3-mode unit
+    tensor: the identity ray with the same weights is accepted."""
+    prob = KempfNessProblem(tensors.unit_tensor(2, 3))
+    S = builtin_objective("frobenius", prob.signature)
+    ok = geom.BoundaryCertificate(np.zeros(0), [_I2] * 3, [_W] * 3)
+    assert math.isfinite(dual_value(prob, S, ok))
+    with pytest.raises(ValidationError, match=match):
+        dual_value(prob, S, geom.BoundaryCertificate(euclid, bases, weights))
 
 
 def test_dual_value_infeasible_certificate():

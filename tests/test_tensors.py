@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,39 @@ def test_act_partial_modes():
     out = tensors.act([g], v, modes=[1])
     expected = np.einsum("ab,ibj->iaj", g, v)
     assert np.max(np.abs(out - expected)) < 1e-12
+
+
+def _gauss(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _act_reference(factors, v, modes):
+    """act through einsum, one mode at a time."""
+    idx = "abcd"[:v.ndim]
+    for g, ax in zip(factors, modes):
+        v = np.einsum(f"z{idx[ax]},{idx}->{idx.replace(idx[ax], 'z')}", g, v)
+    return v
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+def test_act_matches_einsum_on_every_mode_order(ndim):
+    """Every subset of modes in every order, on a contiguous tensor and on a
+    transposed view of one."""
+    rng = np.random.default_rng(ndim)
+    dims = (2, 3, 4, 2)[:ndim]
+    v = _gauss(rng, dims)
+    view = _gauss(rng, dims[::-1]).T
+    assert not view.flags.c_contiguous or ndim == 1
+    for r in range(ndim + 1):
+        for modes in itertools.permutations(range(ndim), r):
+            factors = [_gauss(rng, (dims[ax], dims[ax])) for ax in modes]
+            for x in (v, view):
+                before = x.copy()
+                got = tensors.act(factors, x, modes)
+                ref = _act_reference(factors, x, modes)
+                assert got.shape == dims
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), modes
+                assert np.array_equal(x, before)
 
 
 def test_moment_map_entrywise_vs_flattening():
@@ -150,6 +185,34 @@ def test_recession_partial_modes_zero_weight_elsewhere():
     xi = geom.TangentBlock([np.diag([1.0, 0.0])])
     got = tensors.recession(v, xi, modes=[0])
     assert abs(got - 1.0) < 1e-12
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(_gauss(rng, (n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("dims,modes", [((3, 3, 2), (0, 1)), ((4, 4, 3), (0, 1)),
+                                        ((2, 3, 2), (0, 1, 2))])
+def test_recession_matches_einsum_reference(dims, modes):
+    """Pencils on modes (0, 1) and a 3-tensor on all modes.  The rotated tensor
+    has a planted zero block, and every other entry lies far above
+    SUPPORT_TOL times the peak, so the support does not hinge on rounding."""
+    rng = np.random.default_rng(sum(dims))
+    bases = [_unitary(rng, dims[ax]) for ax in modes]
+    weights = [rng.standard_normal(dims[ax]) for ax in modes]
+    rotated = _gauss(rng, dims)
+    rotated[:2, -2:] = 0.0
+    v = _act_reference(bases, rotated, modes)
+    back = _act_reference([k.conj().T for k in bases], v, modes)
+    mag = np.abs(back)
+    support = mag > tensors.SUPPORT_TOL * mag.max()
+    assert np.all(mag[support] > 1e-4 * mag.max())
+    assert np.all(mag[~support] < 1e-12 * mag.max()) and not support.all()
+    expected = max(sum(w[idx[ax]] for w, ax in zip(weights, modes))
+                   for idx in np.ndindex(*dims) if support[idx])
+    cert = geom.BoundaryCertificate(np.zeros(0), bases, weights)
+    assert abs(tensors.recession(v, cert, modes) - expected) <= 1e-12
 
 
 def test_zero_tensor_rejected():

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensors
 from .errors import DomainError, ParameterError, ValidationError
-from .geometry import BoundaryCertificate
+from .geometry import BoundaryCertificate, expm_herm
 from .solver import (
     FlowConfig,
     FlowTrace,
@@ -114,13 +114,38 @@ def _identity_factors(v, modes):
 # (1 + |floor|).  The tolerance only decides when to stop: the primal is S at
 # an orbit point and the dual is the floor certificate's dual_value, bounds
 # whatever the tolerance, and the gap reported is their actual difference.  It
-# must sit above the rounding of S near uniform marginals and cost few sweeps.
+# must sit above the rounding of S near uniform marginals and cost few steps.
 # On gaussian_tensor((3,3,3), 0), with the entropy (theta 0.2, 0.3, 0.5) and
-# op_norm_max_weighted (alpha 1), the gap fell below 1e-6 after 60 and 221
-# sweeps, below 1e-9 after 143 and 391 (0.1-0.3 s in all), and the scaling
-# stalled near 1e-14: 1e-9 stays five orders above that noise and six below
-# the digits the applications report.
+# op_norm_max_weighted (alpha 1), alternating sweeps alone brought the gap
+# below 1e-6 (1 + |floor|) after 49 and 215 sweeps and below 1e-9 (1 + |floor|)
+# after 131 and 381, and stalled near 1e-14; with the Newton steps below the
+# phase passes both marks at step 5 and step 8 and stalls at 4e-16.  1e-9
+# stays five orders above that noise and six below the digits the
+# applications report.
 FLOOR_TOL = 1e-9
+
+# Near the floor the phase tries a Newton step on the Kempf-Ness function
+# (see `_scaling_phase`), once S - floor <= NEWTON_GAP (1 + |floor|).  The
+# constant only trades the cost of rejected steps against sweeps: a step is
+# kept only where it lowers S, and every bound still rests on dual_value.
+# Over qfunc (theta 0.2, 0.3, 0.5) and gstable (alpha 1) on gaussian_tensor
+# with shapes 3x3x3 and 4x4x4 (seeds 1 to 3) and on the five 3x3x3 Gaussian
+# tensors of the tensor_entropy benchmark (seeds 1 to 5), 22 solves in all,
+# every one closed `scaled_to_floor` (time: median of 7 runs of all 22, one
+# BLAS thread, 2-core VM):
+#   NEWTON_GAP   steps  Newton  rejected  most steps  time
+#   1e-1         125    95      12        8           82 ms
+#   3e-2         137    83      7         8           80 ms
+#   1e-2         153    75      4         10          81 ms
+#   3e-3         192    67      1         14          94 ms
+#   1e-3         239    53      0         23          105 ms
+#   no Newton    1092   0       0         158         417 ms
+# The rejected steps are the first ones tried, where the quadratic model of
+# f is still poor.  From 1e-2 up the time is flat, as fewer sweeps pay for
+# more rejected steps; 1e-2 is the smallest such gap, so it rejects the
+# fewest.  Below it the phase sweeps longer before the quadratic rate
+# starts.
+NEWTON_GAP = 1e-2
 
 
 def _near_floor(value, floor):
@@ -139,24 +164,37 @@ def _floor_certificate(S):
                                [-m for m in sp.direction])
 
 
-def _scaling_phase(problem, S, floor, sweeps, stop_below=None):
+def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
     """Alternating scaling of problem.v from the identity, g_i <- (n_i mu_i)^-1/2
-    g_i mode by mode, for at most `sweeps` sweeps; each sweep makes every
-    marginal uniform in turn.  Returns a FlowTrace with one sample per sweep
-    (sweep 0 is the start; t counts sweeps; f = log ||g.v||^2 is the
-    Kempf-Ness value at x = g^+ g, which exact scaling keeps at 0; the step
-    is 1, as x <- g^+ exp(-log(n_i mu_i)) g is the group step of length 1
-    along log(n_i mu_i); R is 0), stopped with status
+    g_i mode by mode, finished by Newton steps on the Kempf-Ness function, for
+    at most `max_steps` steps; each sweep makes every marginal uniform in turn.
+
+    Once S - floor <= NEWTON_GAP (1 + |floor|), and only when stop_below is
+    unset, each step first tries g_i <- e^X_i g_i with X the Newton step of
+    f(X) = log ||(e^X_1 x ... x e^X_d).w||^2 at w = g.v (traceless Hermitian
+    X_i; `tensors.kempf_ness_newton`), which converges quadratically to
+    uniform marginals where the orbit reaches them.  The step is kept when S
+    at the new orbit point is lower; otherwise the sweep is taken from the
+    same point, so a rejected step leaves the run as it was.  `ncrank` sets
+    stop_below and never takes one: its FULL_RANK_EPS margin was measured on
+    sweeps alone.
+
+    Returns a FlowTrace with one sample per step (step 0 is the start; t
+    counts sweeps and Newton steps; f = log ||g.v||^2 is the Kempf-Ness value
+    at x = g^+ g, which exact scaling keeps at 0; the step is 1 for a sweep,
+    as x <- g^+ exp(-log(n_i mu_i)) g is the group step of length 1 along
+    log(n_i mu_i), and the Frobenius norm (sum_i ||X_i||^2)^1/2 of X for a
+    Newton step; R is 0), stopped with status
 
     - `certified` once S < stop_below (tested first),
     - `scaled_to_floor` once S - floor <= FLOOR_TOL (1 + |floor|),
-    - `stalled` at the first sweep that does not lower S (also when S is not
+    - `stalled` at the first step that does not lower S (also when S is not
       finite at the start),
     - `singular` when some marginal is numerically singular, and
-    - `max_iters` after `sweeps` sweeps.
+    - `max_iters` after `max_steps` steps.
 
     The last three leave the infimum to the subgradient method.  S is read
-    at g.v acted out from v at every sweep, an orbit point of the stored g
+    at g.v acted out from v at every step, an orbit point of the stored g
     up to the rounding of one action; the tensor is updated in place only
     within a sweep.  (Carried across sweeps, the rounding of early steps is
     amplified by later ones into a tensor off the orbit: on planted pencils
@@ -166,21 +204,30 @@ def _scaling_phase(problem, S, floor, sweeps, stop_below=None):
     stop = -math.inf if stop_below is None else stop_below
     v, modes = problem.v, problem.modes
     g = _identity_factors(v, modes)
-    trace, best = FlowTrace(), math.inf
+    trace, best, step = FlowTrace(), math.inf, 1.0
+    w = tensors.act(g, v, modes)
+    sp = spectral_pass(S, tensors.moment_map(w, modes))
     for k in itertools.count():
-        w = tensors.act(g, v, modes)
-        sp = spectral_pass(S, tensors.moment_map(w, modes))
         trace.samples.append(TraceSample(float(k), sp.value,
-                                         2.0 * math.log(np.linalg.norm(w)), 0.0, 1.0))
+                                         2.0 * math.log(np.linalg.norm(w)), 0.0, step))
         if not sp.value < best:
             trace.status = "stalled"
             return trace
         best, trace.best_spectra = sp.value, sp.spectra
         trace.status = ("certified" if sp.value < stop else
                         "scaled_to_floor" if _near_floor(sp.value, floor) else
-                        "max_iters" if k == sweeps else None)
+                        "max_iters" if k == max_steps else None)
         if trace.status is not None:
             return trace
+        if stop_below is None and sp.value - floor <= NEWTON_GAP * (1.0 + abs(floor)):
+            X = tensors.kempf_ness_newton(w, modes)
+            trial = [expm_herm(Xi) @ gi for Xi, gi in zip(X, g)]
+            w_trial = tensors.act(trial, v, modes)
+            sp_trial = spectral_pass(S, tensors.moment_map(w_trial, modes))
+            if sp_trial.value < sp.value:
+                g, w, sp = trial, w_trial, sp_trial
+                step = math.sqrt(sum(np.vdot(Xi, Xi).real for Xi in X))
+                continue
         for j, ax in enumerate(modes):
             # mode 0 reuses the pass's eigendecomposition of mu_0
             r = sp.decomps[0] if j == 0 else eigh(tensors.moment_map(w, (ax,))[0])
@@ -193,6 +240,9 @@ def _scaling_phase(problem, S, floor, sweeps, stop_below=None):
             h = (r.basis * (n * r.values) ** -0.5) @ r.basis.conj().T
             g[j] = h @ g[j]
             w = tensors.act([h], w, [ax])
+        w = tensors.act(g, v, modes)
+        sp = spectral_pass(S, tensors.moment_map(w, modes))
+        step = 1.0
 
 
 def scale(v, S, config=None, modes=None, stop_below=None, ray=None):
@@ -203,14 +253,16 @@ def scale(v, S, config=None, modes=None, stop_below=None, ray=None):
     floor certificate (identity bases, weights minus the subgradient of S
     there): a lower bound on inf S by weak duality, equal to S(uniform) on the
     builtins.  When the uniform point lies in the moment polytope of the orbit
-    closure, alternating scaling (`_scaling_phase`, at most config.max_iters
-    sweeps) drives S to it at a linear rate (Gurvits 2004; Burgisser, Garg,
-    Oliveira, Walter and Wigderson 2018); the run then stops with status
-    `scaled_to_floor`, primal_value the value reached and dual_value the
-    floor.  With stop_below set, it stops first with status `certified` as
-    soon as S is below it; a caller sets it where that alone decides its
-    answer.  Either way the result carries the floor certificate and the
-    phase's trace, one sample per sweep.
+    closure, alternating scaling drives S to it at a linear rate (Gurvits
+    2004; Burgisser, Garg, Oliveira, Walter and Wigderson 2018), and Newton
+    steps on the Kempf-Ness function finish the approach at a quadratic one
+    (Allen-Zhu, Garg, Li, Oliveira and Wigderson 2018; `_scaling_phase`, at
+    most config.max_iters sweeps and Newton steps); the run then stops with
+    status `scaled_to_floor`, primal_value the value reached and dual_value
+    the floor.  With stop_below set, it stops first with status `certified`
+    as soon as S is below it, and the phase takes sweeps only; a caller sets
+    it where that alone decides its answer.  Either way the result carries
+    the floor certificate and the phase's trace, one sample per step.
 
     A caller that knows a boundary ray of v passes `ray`, a function of no
     arguments that returns it (or None).  It is called only when the phase
@@ -272,7 +324,7 @@ def quantum_functional(v, theta, config=None):
     bracket.  primal_value is the best sum of theta-weighted von Neumann
     entropies of the moment map found along the run (a lower bound).
     dual_value is an upper bound: sum theta_i log2 n_i, the entropy of the
-    uniform spectra, when alternating scaling reaches it (status
+    uniform spectra, when the scaling phase reaches it (status
     `scaled_to_floor`; the Gaussian tensors' case); otherwise the
     variational expression inf_X Phi^inf(X) + sum theta_i log2 tr
     2^(-X_i/theta_i) over the line of the subgradient run's certificate, or
@@ -295,9 +347,10 @@ def g_stable_rank(v, alpha, config=None):
     `scale` brackets the smallest max_i ||mu_i||_op / alpha_i over the orbit;
     rank_lower and rank_upper are the reciprocals of its primal and dual
     values; the dual is at least the floor max_i 1 / (n_i alpha_i) > 0.  When
-    alternating scaling reaches uniform marginals (status `scaled_to_floor`),
-    the bracket closes: [3 - 1.2e-8, 3] on gaussian_tensor((3, 3, 3), 0) with
-    alpha = 1.  Otherwise the run's certificate may give a larger dual.
+    the scaling phase reaches uniform marginals (status `scaled_to_floor`),
+    the bracket closes: [3 - 8.0e-9, 3] on gaussian_tensor((3, 3, 3), 0) with
+    alpha = 1, after 5 sweeps and 3 Newton steps.  Otherwise the run's
+    certificate may give a larger dual.
     """
     v = tensors.as_tensor(v)
     S = builtin_objective("op_norm_max_weighted", v.shape, alpha=alpha)

@@ -43,9 +43,9 @@ def check_hermitian(H, name="matrix"):
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {H.shape}")
-    scale = 1.0 + (np.max(np.abs(H)) if H.size else 0.0)
+    scale = 1.0 + (np.abs(H).max() if H.size else 0.0)
     dev = np.abs(H - H.conj().T)
-    worst = float(np.max(dev)) if dev.size else 0.0
+    worst = float(dev.max()) if dev.size else 0.0
     if worst > 1e-12 * scale:
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise ValidationError(
@@ -216,7 +216,8 @@ def spectral_pass(S, Y, smoothing=None):
     for r, m in zip(decomps, _split(grad, S.block_dims)):
         m = m.copy()
         for grp in tie_groups(r.values):
-            m[grp] = np.mean(m[grp])
+            if grp.stop - grp.start > 1:
+                m[grp] = np.mean(m[grp])
         direction.append(m)
     return SpectralPass(value, smoothed, decomps, direction)
 

@@ -1,5 +1,7 @@
 """Dense complex tensors, the mode-wise GL-action, moment maps, the Kempf-Ness
-function and its differential, and the recession function of Kempf-Ness rays.
+function, its differential, its gradient and Hessian in an orthonormal basis
+of traceless Hermitian directions with the Newton step they give, and the
+recession function of Kempf-Ness rays.
 
 Modes are 0-based throughout.  A tensor is a plain complex ndarray of shape
 (n_1, ..., n_d); the flattening along mode i has row index j_i and column
@@ -8,6 +10,7 @@ index given by the remaining indices in original order, row-major.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -80,7 +83,8 @@ def flattening(v, i):
     v = as_tensor(v)
     if not 0 <= i < v.ndim:
         raise ValidationError(f"mode {i} out of range for a {v.ndim}-tensor")
-    return np.moveaxis(v, i, 0).reshape(v.shape[i], -1)
+    a, n, b = math.prod(v.shape[:i]), v.shape[i], math.prod(v.shape[i + 1:])
+    return v.reshape(a, n, b).transpose(1, 0, 2).reshape(n, a * b)
 
 
 def moment_map(v, modes=None):
@@ -134,6 +138,79 @@ def kempf_ness_differential(v, x, modes=None):
     roots = [sqrtm_pd(B) for B in x.blocks]
     w = act(roots, v, modes)
     return moment_map(w, modes)
+
+
+@functools.cache
+def traceless_hermitian_basis(n):
+    """An orthonormal basis E_a, tr(E_a E_b) = delta_ab, of the traceless
+    Hermitian n x n matrices, as a read-only (n^2 - 1, n, n) array built once
+    per n: the generalized Gell-Mann matrices (the symmetric and
+    antisymmetric pair of each k < l, then the diagonal ones) scaled to unit
+    norm."""
+    E = np.zeros((n * n - 1, n, n), dtype=complex)
+    a = 0
+    for k in range(n):
+        for l in range(k + 1, n):
+            E[a, k, l] = E[a, l, k] = 0.5 ** 0.5
+            E[a + 1, k, l], E[a + 1, l, k] = -1j * 0.5 ** 0.5, 1j * 0.5 ** 0.5
+            a += 2
+    for k in range(1, n):
+        E[a, range(k), range(k)] = 1.0
+        E[a, k, k] = -k
+        E[a] /= math.sqrt(k * (k + 1))
+        a += 1
+    E.flags.writeable = False
+    return E
+
+
+def kempf_ness_hessian(w, modes=None):
+    """Gradient and Hessian at X = 0 of f(X) = log ||(e^X_1 x ... x e^X_d).w||^2
+    over traceless Hermitian X_i on the modes, in the coordinates of
+    `traceless_hermitian_basis` of each mode, mode blocks in order.
+
+    With mu_i the marginals and rho_ij the two-mode marginals of w (trace 1),
+    df[X] = 2 sum_i tr(mu_i X_i) and
+    d^2 f[X, X] = 4 sum_i tr(mu_i X_i^2) + 8 sum_{i<j} tr(rho_ij (X_i x X_j))
+                  - 4 (sum_i tr(mu_i X_i))^2,
+    which is 4 ||X.w||^2 - 4 <w, X.w>^2 for X = sum_i X_i acting on w.  So
+    with y_a = E_a.w (E_a acting on its mode) and t_a = <w, y_a> = tr(mu_i E_a),
+    the gradient is 2t and H = 4 Re <y_a, y_b> - 4 t_a t_b: one Gram matrix
+    whose same-mode blocks are 4 Re tr(mu_i E_a E_b) - 4 t_a t_b and whose
+    cross-mode blocks are 4 tr(rho_ij (E_a x E_b)) - 4 t_a t_b.  H is positive
+    semidefinite (f is convex along e^sX) and singular along the stabilizer
+    of w.
+    """
+    w = normalize(w)
+    modes = list(range(w.ndim)) if modes is None else list(modes)
+    shape = w.shape
+    Y = np.vstack([
+        (traceless_hermitian_basis(shape[ax])[:, None]
+         @ w.reshape(math.prod(shape[:ax]), shape[ax], -1)).reshape(-1, w.size)
+        for ax in modes])
+    # Re <a, b> is the dot product of the real views (re, im interleaved)
+    Yr = Y.view(float)
+    t = Yr @ w.reshape(-1).view(float)
+    H = 4.0 * (Yr @ Yr.T - np.outer(t, t))
+    return 2.0 * t, 0.5 * (H + H.T)
+
+
+def kempf_ness_newton(w, modes=None):
+    """The Newton step X = (X_i) of f at X = 0 (see `kempf_ness_hessian`):
+    the least-squares solution of H p = -grad, which is the least-norm one
+    where H is singular along a stabilizer, as Hermitian blocks.  Zero when
+    the marginals of w are uniform."""
+    w = as_tensor(w)
+    modes = list(range(w.ndim)) if modes is None else list(modes)
+    grad, H = kempf_ness_hessian(w, modes)
+    p = np.linalg.lstsq(H, -grad, rcond=None)[0]
+    out, start = [], 0
+    for ax in modes:
+        n = w.shape[ax]
+        E = traceless_hermitian_basis(n)
+        X = (p[start:start + n * n - 1] @ E.reshape(-1, n * n)).reshape(n, n)
+        out.append(0.5 * (X + X.conj().T))
+        start += n * n - 1
+    return out
 
 
 def _certificate_weights(v, xi, modes):

@@ -557,3 +557,105 @@ def test_moment_limit_consistency():
     tail = [s.q_value for s in tr.samples[-max(1, len(tr.samples) // 10):]]
     assert min(tail) - tr.best_q < 5e-2
     assert max(tail) - min(tail) < 0.2
+
+
+def _newton_samples(trace):
+    """The samples of Newton steps: a sweep's sample records step 1."""
+    return [s for s in trace.samples[1:] if s.step != 1.0]
+
+
+def test_newton_steps_close_gaussian_scaling(monkeypatch):
+    """On gaussian_tensor((3, 3, 3), 0) sweeps alone take 131 (qfunc) and 381
+    (gstable) sweeps to the floor; with Newton steps near it both close
+    within 10 steps, and S falls at every step."""
+    v = gaussian_tensor((3, 3, 3), 0)
+    qf = apps.quantum_functional(v, [0.2, 0.3, 0.5])
+    gs = apps.g_stable_rank(v, [1.0, 1.0, 1.0])
+    for res in (qf, gs):
+        assert res.status == "scaled_to_floor" and res.iterations <= 10
+        assert len(_newton_samples(res.trace)) >= 2
+        q = [s.q_value for s in res.trace.samples]
+        assert all(b < a for a, b in zip(q, q[1:]))
+        assert [s.t for s in res.trace.samples] == list(range(len(q)))
+    assert 0.0 <= qf.gap <= apps.FLOOR_TOL * (1 + math.log2(3))
+    assert abs(gs.rank_upper - 3.0) < 1e-12 and 3.0 - 1e-8 <= gs.rank_lower <= 3.0
+    monkeypatch.setattr(apps, "NEWTON_GAP", -math.inf)
+    assert apps.quantum_functional(v, [0.2, 0.3, 0.5]).iterations == 131
+    assert apps.g_stable_rank(v, [1.0, 1.0, 1.0]).iterations == 381
+
+
+def test_rejected_newton_step_leaves_the_sweeps(monkeypatch):
+    """A Newton step that raises S is dropped and the sweep is taken from the
+    same point: with every step sent uphill the run is the sweeps-only run,
+    sample for sample."""
+    v = gaussian_tensor((3, 3, 3), 0)
+    S = builtin_objective("neg_entropy_weighted", (3, 3, 3), theta=[0.2, 0.3, 0.5])
+    problem = KempfNessProblem(v)
+    floor = dual_value(problem, S, apps._floor_certificate(S))
+    monkeypatch.setattr(apps, "NEWTON_GAP", -math.inf)
+    sweeps = apps._scaling_phase(problem, S, floor, 1000)
+    newton, tried = tensors.kempf_ness_newton, []
+
+    def uphill(w, modes):
+        tried.append(w)
+        return [-20.0 * X for X in newton(w, modes)]
+
+    monkeypatch.setattr(tensors, "kempf_ness_newton", uphill)
+    monkeypatch.setattr(apps, "NEWTON_GAP", 1e-2)
+    run = apps._scaling_phase(problem, S, floor, 1000)
+    assert len(tried) > 100
+    assert sweeps.status == run.status == "scaled_to_floor"
+    assert run.samples == sweeps.samples
+    assert all(np.array_equal(a, b) for a, b in zip(run.best_spectra, sweeps.best_spectra))
+
+
+def test_ncrank_takes_sweeps_only(monkeypatch):
+    """ncrank sets stop_below, so its phase never tries a Newton step, even
+    with the gap rule always met: its FULL_RANK_EPS margin was measured on
+    sweeps.  The sweep counts are those of the sweeps-only phase (the four
+    planted pencils of the ROADMAP baseline and criterion 7's pencils)."""
+    def never(*args):
+        raise AssertionError("Newton step tried in ncrank")
+
+    monkeypatch.setattr(tensors, "kempf_ness_hessian", never)
+    monkeypatch.setattr(apps, "NEWTON_GAP", math.inf)
+    planted = {(3, 2, 2): 6, (4, 3, 2): 18, (5, 3, 3): 25, (6, 4, 3): 32}
+    for (n, r, s), sweeps in planted.items():
+        res = apps.ncrank(planted_pencil(np.random.default_rng(10 * n + r), n, r, s, 3))
+        assert (res.status, res.iterations) == ("scaled_to_floor", sweeps), (n, r, s)
+        assert not _newton_samples(res.trace)
+    for seed, sweeps in {0: 1, 2: 1, 14: 1, 15: 0, 21: 0, 29: 1}.items():
+        res = apps.ncrank(random_pencil(2 + seed % 3, 1 + seed % 4, seed))
+        assert (res.status, res.iterations) == ("certified", sweeps), seed
+
+
+def test_escaping_and_face_instances_keep_their_results(monkeypatch):
+    """The W state (its orbit escapes) and rotated Z (a zero slice: singular
+    at the start) leave the phase far above the Newton gap, so they keep the
+    statuses, iteration counts and brackets of the sweeps-only phase."""
+    def never(*args):
+        raise AssertionError("Newton step tried")
+
+    monkeypatch.setattr(tensors, "kempf_ness_hessian", never)
+    rng = np.random.default_rng(5)
+    z = gaussian_tensor((3, 3, 3), 0)
+    z[2] = 0.0
+    z = tensors.act([np.linalg.qr(rng.standard_normal((3, 3))
+                                  + 1j * rng.standard_normal((3, 3)))[0] for _ in range(3)], z)
+    qcfg = replace(apps.default_config("qfunc"), max_iters=200)
+    gcfg = replace(apps.default_config("gstable"), max_iters=200)
+    # (primal_value, dual_value) of the sweeps-only phase: status max_iters
+    # from the subgradient run after 200 iterations
+    expected = [
+        (apps.quantum_functional(W_STATE, [0.2, 0.3, 0.5], qcfg),
+         (0.9260493445333253, 0.9920765069662387)),
+        (apps.g_stable_rank(W_STATE, [1.0, 1.0, 1.0], gcfg),
+         (0.6666666666666666, 0.6666666666666656)),
+        (apps.quantum_functional(z, [0.2, 0.3, 0.5], qcfg),
+         (1.4284796063169378, 1.5849625007211565)),
+        (apps.g_stable_rank(z, [1.0, 1.0, 1.0], gcfg),
+         (0.5000000007248212, 0.33333333333333326)),
+    ]
+    for res, bracket in expected:
+        assert (res.status, res.iterations) == ("max_iters", 200)
+        assert np.allclose((res.primal_value, res.dual_value), bracket, rtol=0, atol=1e-12)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from qflow import geometry as geom
 from qflow import tensors
 from qflow.errors import ValidationError
-from qflow.generate import gaussian_tensor
+from qflow.generate import gaussian_tensor, random_pencil
 
 RNG = np.random.default_rng(21)
 
@@ -227,3 +228,82 @@ def test_flattening_shape_and_mode_range():
     assert tensors.flattening(v, 1).shape == (3, 8)
     with pytest.raises(ValidationError):
         tensors.flattening(v, 3)
+
+
+def test_flattening_matches_moveaxis():
+    """The reshape-transpose unfolding is the moveaxis one, entry for entry
+    and in memory layout, so the moment maps built on it are unchanged."""
+    for shape in [(2, 3, 4), (3, 3, 3), (2, 3, 4, 2), (5,), (3, 1, 2)]:
+        v = gaussian_tensor(shape, 13)
+        for i in range(len(shape)):
+            ref = np.moveaxis(v, i, 0).reshape(shape[i], -1)
+            out = tensors.flattening(v, i)
+            assert np.array_equal(out, ref) and out.strides == ref.strides
+
+
+def test_traceless_hermitian_basis_is_orthonormal():
+    for n in (1, 2, 3, 4):
+        E = tensors.traceless_hermitian_basis(n)
+        assert E.shape == (n * n - 1, n, n)
+        assert np.array_equal(E, E.conj().transpose(0, 2, 1))
+        assert np.abs(np.trace(E, axis1=1, axis2=2)).max(initial=0.0) < 1e-15
+        gram = E.reshape(-1, n * n).conj() @ E.reshape(-1, n * n).T
+        assert np.abs(gram - np.eye(len(E))).max(initial=0.0) < 1e-15
+        assert tensors.traceless_hermitian_basis(n) is E
+
+
+def _kempf_ness_at(w, modes, p):
+    """f(X) = log ||(e^X_1 x ... x e^X_d).w||^2, X from basis coordinates p."""
+    factors, start = [], 0
+    for ax in modes:
+        E = tensors.traceless_hermitian_basis(w.shape[ax])
+        factors.append(geom.expm_herm(np.tensordot(p[start:start + len(E)], E, axes=1)))
+        start += len(E)
+    u = tensors.act(factors, w, modes)
+    return math.log(np.vdot(u, u).real)
+
+
+@pytest.mark.parametrize("w,modes", [
+    (gaussian_tensor((3, 3, 3), 1), (0, 1, 2)),
+    (gaussian_tensor((3, 2, 2), 2), (0, 1, 2)),
+    (random_pencil(3, 2, 3).tensor(), (0, 1)),
+], ids=["3x3x3", "3x2x2", "pencil"])
+def test_kempf_ness_hessian_matches_finite_differences(w, modes):
+    """Gradient and Hessian against central differences of f at X = 0, on
+    w = v/||v||: the truncation error at h = 1e-4 is about 1e-8."""
+    w = tensors.normalize(w)
+    grad, H = tensors.kempf_ness_hessian(w, modes)
+    K = sum(w.shape[ax] ** 2 - 1 for ax in modes)
+    assert grad.shape == (K,) and H.shape == (K, K)
+    h, I = 1e-4, np.eye(K)
+
+    def f(p):
+        return _kempf_ness_at(w, modes, p)
+
+    fd_grad = np.array([(f(h * e) - f(-h * e)) / (2 * h) for e in I])
+    fd_hess = np.array([[(f(h * (a + b)) - f(h * (a - b)) - f(h * (b - a)) + f(-h * (a + b)))
+                         / (4 * h * h) for b in I] for a in I])
+    assert np.abs(grad - fd_grad).max() < 1e-7
+    assert np.abs(H - fd_hess).max() < 1e-6
+    assert np.array_equal(H, H.T)
+    assert np.linalg.eigvalsh(H)[0] > -1e-12
+    # the same blocks from the marginals: 4 Re tr(mu E_a E_b) - 4 t_a t_b
+    mu = tensors.moment_map(w, modes)[0]
+    E = tensors.traceless_hermitian_basis(w.shape[modes[0]])
+    t = np.array([np.trace(mu @ Ea).real for Ea in E])
+    block = np.array([[4 * np.trace(mu @ Ea @ Eb).real for Eb in E] for Ea in E])
+    assert np.abs(grad[:len(E)] - 2 * t).max() < 1e-14
+    assert np.abs(H[:len(E), :len(E)] - (block - 4 * np.outer(t, t))).max() < 1e-14
+
+
+def test_newton_step_is_zero_at_uniform_marginals():
+    """A tensor with uniform marginals (the unit tensor, also under local
+    unitaries) is critical for f: zero gradient, zero Newton step."""
+    rng = np.random.default_rng(8)
+    v = tensors.unit_tensor(3, 3)
+    for w in (v, tensors.act([_unitary(rng, 3) for _ in range(3)], v)):
+        grad, _ = tensors.kempf_ness_hessian(w)
+        assert np.abs(grad).max() < 1e-15
+        for X in tensors.kempf_ness_newton(w):
+            assert X.shape == (3, 3) and np.abs(X).max() < 1e-14
+

@@ -28,7 +28,7 @@ from .solver import (
     dual_value,
     group_subgradient_method,
 )
-from .spectral import builtin_objective, eigh, spectral_pass
+from .spectral import _block_spectra, _split, builtin_objective, eigh
 
 
 @dataclass
@@ -153,15 +153,16 @@ def _near_floor(value, floor):
 
 
 def _floor_certificate(S):
-    """The ray with identity bases and weights -d, d the tie-averaged
-    subgradient of S at the uniform spectra I/n_i: constant on each block for a
-    symmetric S, so its dual_value is S(uniform) on every builtin (the zero ray,
-    dual inf S = 0, for trace_dist_to_uniform).  The bound rests on dual_value
+    """The ray with identity bases and weights -d, d the mean over each block of
+    the oracle's subgradient of S at the concatenated uniform spectra 1/n_i
+    (one call, no eigendecomposition): constant on each block for a symmetric
+    S, so its dual_value is S(uniform) on every builtin (the zero ray, dual
+    inf S = 0, for trace_dist_to_uniform).  The bound rests on dual_value
     alone, not on this derivation."""
-    sp = spectral_pass(S, [np.eye(n) / n for n in S.block_dims])
-    return BoundaryCertificate(np.zeros(0),
-                               [np.eye(n, dtype=complex) for n in S.block_dims],
-                               [-m for m in sp.direction])
+    dims = S.block_dims
+    d = S.oracle.subgradient(np.concatenate([np.full(n, 1.0 / n) for n in dims]))
+    return BoundaryCertificate(np.zeros(0), [np.eye(n, dtype=complex) for n in dims],
+                               [np.full(n, -np.mean(m)) for n, m in zip(dims, _split(d, dims))])
 
 
 def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
@@ -178,6 +179,10 @@ def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
     same point, so a rejected step leaves the run as it was.  `ncrank` sets
     stop_below and never takes one: its FULL_RANK_EPS margin was measured on
     sweeps alone.
+
+    Each step reads S alone at g.v, from one checked eigendecomposition of
+    each marginal (`spectral._block_spectra`) and the oracle's eval, with no
+    subgradient; the sweep's mode 0 reuses the decomposition of mu_0.
 
     Returns a FlowTrace with one sample per step (step 0 is the start; t
     counts sweeps and Newton steps; f = log ||g.v||^2 is the Kempf-Ness value
@@ -205,32 +210,37 @@ def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
     v, modes = problem.v, problem.modes
     g = _identity_factors(v, modes)
     trace, best, step = FlowTrace(), math.inf, 1.0
+
+    def read(w):
+        spectra, decomps = _block_spectra(S, tensors.moment_map(w, modes))
+        return float(S.oracle.eval(spectra)), decomps
+
     w = tensors.act(g, v, modes)
-    sp = spectral_pass(S, tensors.moment_map(w, modes))
+    value, decomps = read(w)
     for k in itertools.count():
-        trace.samples.append(TraceSample(float(k), sp.value,
+        trace.samples.append(TraceSample(float(k), value,
                                          2.0 * math.log(np.linalg.norm(w)), 0.0, step))
-        if not sp.value < best:
+        if not value < best:
             trace.status = "stalled"
             return trace
-        best, trace.best_spectra = sp.value, sp.spectra
-        trace.status = ("certified" if sp.value < stop else
-                        "scaled_to_floor" if _near_floor(sp.value, floor) else
+        best, trace.best_spectra = value, [r.values for r in decomps]
+        trace.status = ("certified" if value < stop else
+                        "scaled_to_floor" if _near_floor(value, floor) else
                         "max_iters" if k == max_steps else None)
         if trace.status is not None:
             return trace
-        if stop_below is None and sp.value - floor <= NEWTON_GAP * (1.0 + abs(floor)):
+        if stop_below is None and value - floor <= NEWTON_GAP * (1.0 + abs(floor)):
             X = tensors.kempf_ness_newton(w, modes)
             trial = [expm_herm(Xi) @ gi for Xi, gi in zip(X, g)]
             w_trial = tensors.act(trial, v, modes)
-            sp_trial = spectral_pass(S, tensors.moment_map(w_trial, modes))
-            if sp_trial.value < sp.value:
-                g, w, sp = trial, w_trial, sp_trial
+            value_trial, decomps_trial = read(w_trial)
+            if value_trial < value:
+                g, w, value, decomps = trial, w_trial, value_trial, decomps_trial
                 step = math.sqrt(sum(np.vdot(Xi, Xi).real for Xi in X))
                 continue
         for j, ax in enumerate(modes):
-            # mode 0 reuses the pass's eigendecomposition of mu_0
-            r = sp.decomps[0] if j == 0 else eigh(tensors.moment_map(w, (ax,))[0])
+            # mode 0 reuses the read's eigendecomposition of mu_0
+            r = decomps[0] if j == 0 else eigh(tensors.moment_map(w, (ax,))[0])
             n = r.values.size
             # mu = A A^+ / ||A||^2 is known to about eps lambda_max, so a
             # smaller eigenvalue carries no digit and its inverse root is noise
@@ -241,7 +251,7 @@ def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
             g[j] = h @ g[j]
             w = tensors.act([h], w, [ax])
         w = tensors.act(g, v, modes)
-        sp = spectral_pass(S, tensors.moment_map(w, modes))
+        value, decomps = read(w)
         step = 1.0
 
 

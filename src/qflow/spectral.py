@@ -505,17 +505,17 @@ def builtin_objective(kind, block_dims, **params):
             )
 
         def _clamp_block(q):
-            if np.min(q) < -1e-10:
+            if q.min() < -1e-10:
                 raise DomainError(
-                    f"entropy objective: eigenvalue {float(np.min(q)):.3e} below domain"
+                    f"entropy objective: eigenvalue {float(q.min()):.3e} below domain"
                 )
-            return np.clip(q, 0.0, None)
+            return q.clip(0.0, None)
 
         def ev(p):
             total = 0.0
             for b, th in zip(_split(p, dims), theta):
                 q = _clamp_block(b)
-                if abs(np.sum(q) - 1.0) > 1e-6:
+                if abs(q.sum() - 1.0) > 1e-6:
                     return math.inf
                 total += _entropy_value_block(q, th)
             return total
@@ -531,7 +531,7 @@ def builtin_objective(kind, block_dims, **params):
         def sub(p):
             out = []
             for b, th in zip(_split(p, dims), theta):
-                q = np.clip(_clamp_block(b), 1e-300, None)
+                q = _clamp_block(b).clip(1e-300, None)
                 out.append(th * np.log2(q))
             return np.concatenate(out)
 

@@ -21,7 +21,7 @@ from qflow.solver import (
     dual_value,
     group_subgradient_method,
 )
-from qflow.spectral import builtin_objective, lift_eval
+from qflow.spectral import builtin_objective, lift_eval, spectral_pass
 
 FAST = FlowConfig(max_iters=600, step_size=0.3, smoothing=0.1,
                   smoothing_schedule=True)
@@ -659,3 +659,57 @@ def test_escaping_and_face_instances_keep_their_results(monkeypatch):
     for res, bracket in expected:
         assert (res.status, res.iterations) == ("max_iters", 200)
         assert np.allclose((res.primal_value, res.dual_value), bracket, rtol=0, atol=1e-12)
+
+
+FLOOR_SHAPES = [(2, 2, 2), (3, 3, 3), (3, 2, 2), (4, 3, 2), (5, 5), (3,), (7, 1, 2)]
+
+
+def _builtin_params(kind, d):
+    w = np.arange(1.0, d + 1.0)
+    return {"op_norm_max_weighted": {"alpha": w},
+            "trace_norm_sum_weighted": {"weights": w},
+            "neg_entropy_weighted": {"theta": w / w.sum()},
+            "indicator_trace_ball": {"radius": 2.0}}.get(kind, {})
+
+
+@pytest.mark.parametrize("kind", ["frobenius", "op_norm_max_weighted",
+                                  "trace_norm_sum_weighted", "neg_entropy_weighted",
+                                  "trace_dist_to_uniform", "indicator_trace_ball"])
+@pytest.mark.parametrize("shape", FLOOR_SHAPES)
+def test_floor_weights_match_the_spectral_pass_at_uniform(kind, shape):
+    """The floor weights, minus the block means of the subgradient at the
+    uniform spectra, are bitwise those of the tie-averaged direction of a
+    spectral pass at the blocks I/n_i."""
+    S = builtin_objective(kind, shape, **_builtin_params(kind, len(shape)))
+    cert = apps._floor_certificate(S)
+    ref = spectral_pass(S, [np.eye(n) / n for n in shape])
+    for k, w, m, n in zip(cert.bases, cert.weights, ref.direction, shape):
+        assert (-m).tobytes() == w.tobytes()
+        assert np.array_equal(k, np.eye(n)) and k.dtype == complex
+
+
+def test_scaled_to_floor_solves_read_the_subgradient_once(monkeypatch):
+    """A qfunc and a gstable solve on gaussian_tensor((3, 3, 3), 0) read S
+    alone in the scaling phase: the one subgradient call is the floor's."""
+    made = []
+
+    def counted_objective(*args, **kwargs):
+        S = builtin_objective(*args, **kwargs)
+        sub, calls = S.oracle.subgradient, []
+
+        def counted(p):
+            calls.append(p)
+            return sub(p)
+
+        S.oracle.subgradient = counted
+        made.append(calls)
+        return S
+
+    monkeypatch.setattr(apps, "builtin_objective", counted_objective)
+    v = gaussian_tensor((3, 3, 3), 0)
+    for res in (apps.quantum_functional(v, [0.2, 0.3, 0.5]),
+                apps.g_stable_rank(v, [1.0, 1.0, 1.0])):
+        assert res.status == "scaled_to_floor"
+    assert [len(calls) for calls in made] == [1, 1]
+    for calls in made:
+        assert np.array_equal(calls[0], np.full(9, 1.0 / 3))

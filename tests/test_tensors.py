@@ -307,3 +307,48 @@ def test_newton_step_is_zero_at_uniform_marginals():
         for X in tensors.kempf_ness_newton(w):
             assert X.shape == (3, 3) and np.abs(X).max() < 1e-14
 
+
+def _lstsq_newton(w, modes=None):
+    """The Newton step by least squares alone, the reference for the guarded
+    solve of kempf_ness_newton."""
+    modes = list(range(w.ndim)) if modes is None else list(modes)
+    grad, H = tensors.kempf_ness_hessian(w, modes)
+    p = np.linalg.lstsq(H, -grad, rcond=None)[0]
+    out, start = [], 0
+    for ax in modes:
+        n = w.shape[ax]
+        E = tensors.traceless_hermitian_basis(n)
+        X = (p[start:start + n * n - 1] @ E.reshape(-1, n * n)).reshape(n, n)
+        out.append(0.5 * (X + X.conj().T))
+        start += n * n - 1
+    return out
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (4, 4, 4), (3, 2, 2)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_guarded_newton_step_matches_least_squares(dims, seed, monkeypatch):
+    """At a Gaussian tensor H is regular: the step is an LU solve, with no
+    least-squares call, within 1e-12 relative of the least-squares step."""
+    w = gaussian_tensor(dims, seed)
+    ref = np.concatenate([X.ravel() for X in _lstsq_newton(w)])
+    lstsq, calls = np.linalg.lstsq, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    got = np.concatenate([X.ravel() for X in tensors.kempf_ness_newton(w)])
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert not calls
+
+
+def test_guarded_newton_step_is_least_squares_on_the_unit_tensor():
+    """The unit tensor's H is singular, where LU gives noise along the kernel
+    (entries of order 0.1, while the step is 0): the step is exactly the
+    least-squares one, also under local unitaries."""
+    rng = np.random.default_rng(8)
+    v = tensors.unit_tensor(3, 3)
+    for w in [v] + [tensors.act([_unitary(rng, 3) for _ in range(3)], v) for _ in range(4)]:
+        for X, R in zip(tensors.kempf_ness_newton(w), _lstsq_newton(w)):
+            assert np.array_equal(X, R)

@@ -595,17 +595,16 @@ def fortin_reutenauer_pair(A, cert):
     Truncates the certificate flags at weight gaps exceeding FR_GAP_TOL and
     scans prefix/suffix blocks of the rotated tensor for a vanishing block,
     maximizing dim Y + dim X.  Returns None when no nontrivial pair passes the
-    direct verification.
+    direct verification.  Raises what dual_value raises on a bad certificate.
     """
     A = _as_pencil(A)
     v = A.tensor()
-    k1, k2 = cert.bases[0], cert.bases[1]
+    (k1, k2), (w1, w2) = tensors._certificate_weights(v, cert, (0, 1))
     w = tensors.act([k1.conj().T, k2.conj().T], v, [0, 1])
     peak = float(np.max(np.abs(w)))
     n = A.n
 
     def cuts(weights):
-        weights = np.asarray(weights, dtype=float)
         out = [0, n]
         for i in range(1, n):
             if weights[i - 1] - weights[i] > FR_GAP_TOL:
@@ -613,11 +612,11 @@ def fortin_reutenauer_pair(A, cert):
         return sorted(set(out))
 
     best = None
-    for a in cuts(cert.weights[0]):
+    for a in cuts(w1):
         for rows in (np.arange(a), np.arange(a, n)):
             if rows.size == 0:
                 continue
-            for b in cuts(cert.weights[1]):
+            for b in cuts(w2):
                 for cols in (np.arange(b), np.arange(b, n)):
                     if cols.size == 0:
                         continue

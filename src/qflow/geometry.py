@@ -143,7 +143,13 @@ def transport_from_base(x, H):
 
 
 def log_map(x, base=None):
-    """Initial velocity of the geodesic from `base` (default identity) to x."""
+    """Initial velocity of the geodesic from `base` (default identity) to x.
+
+    It eigendecomposes x, so ill-conditioned points defeat it: with
+    asymptotic_at_base it puts a ray's weights 1.7e-7 off at cond(x) 3e11
+    (1000 group steps on a planted pencil), and after 1000 flow steps its log
+    meets invalid values and asymptotic_at_base raises LinAlgError.  For a
+    run's ray use `solver.extract_certificate`, which reads the factors."""
     if base is None:
         return TangentBlock([logm_pd(B) for B in x.blocks])
     blocks = []
@@ -155,14 +161,21 @@ def log_map(x, base=None):
     return TangentBlock(blocks)
 
 
+def unitary_qr_factor(a):
+    """The unitary k of a = k b, b upper triangular with a real positive
+    diagonal: a normal form's basis (asymptotic_at_base, solver._certify)."""
+    q, r = np.linalg.qr(a)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 def asymptotic_at_base(x, H):
     """Normal form (basis, weights) of the ray t -> geodesic(x, H, t).
 
     Per block: eigendecompose x^-1/2 H x^-1/2 = u diag(lam) u^+ with lam
     nonincreasing, QR-factor x^1/2 u = k b with positive-diagonal b.  The ray
     from the identity with velocity k diag(lam) k^+ is asymptotic to the input
-    ray.
-    """
+    ray.  Ill-conditioned x defeat it as they defeat log_map (1.7e-7 off in
+    weights, then LinAlgError); use `solver.extract_certificate` there."""
     _check_pair(x, H)
     bases = []
     weights = []
@@ -170,12 +183,7 @@ def asymptotic_at_base(x, H):
         xs = sqrtm_pd(xb)
         xis = inv_sqrtm_pd(xb)
         r = eigh(_symmetrize(xis @ Hb @ xis), "transported velocity")
-        g = xs @ r.basis
-        q, rr = np.linalg.qr(g)
-        diag = np.diagonal(rr)
-        phases = diag / np.abs(diag)
-        k = q * phases  # make the triangular factor's diagonal real positive
-        bases.append(k)
+        bases.append(unitary_qr_factor(xs @ r.basis))
         weights.append(r.values.copy())
     # the weights are the eigenvalues of the transported velocity, so their
     # norm is the Riemannian norm of H at x

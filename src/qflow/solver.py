@@ -31,6 +31,7 @@ from .geometry import (
     TangentBlock,
     sqrtm_pd,
     transport_from_base,
+    unitary_qr_factor,
 )
 from .spectral import DOMAIN_SLACK, infimum, spectral_pass
 from . import tensors
@@ -205,9 +206,7 @@ def _certify(g, g0, R):
     bases, evs = [], []
     for gj, g0j in zip(g, g0):
         _, sv, vh = np.linalg.svd(np.linalg.solve(g0j.T, gj.T).T)
-        a = g0j.conj().T @ vh.conj().T
-        q, r = np.linalg.qr(a)
-        bases.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+        bases.append(unitary_qr_factor(g0j.conj().T @ vh.conj().T))
         evs.append(2.0 * np.log(sv))
     if R <= R_FLOOR or np.linalg.norm(np.concatenate(evs)) <= DIST_FLOOR:
         return None
@@ -392,37 +391,6 @@ def energy_residual(trace):
     return abs(fT - f0 + integral) / (1.0 + abs(f0 - fT))
 
 
-# Largest entry of k^+ k - I accepted in a certificate basis k.  Bases from
-# the solvers and from records are unitary to about 1e-15; dual_value reads
-# the spectrum of k diag(w) k^+ as w, which a non-unitary k breaks (with
-# k = 0.5 I the spectrum is w/4 and the reported "bound" can exceed inf Q).
-UNITARY_TOL = 1e-8
-
-
-def _ray_spectrum(Q, xi):
-    """The concatenated weights of a certificate, checked to have no Euclidean
-    direction and one unitary basis and one weight vector per block of Q."""
-    if np.size(xi.euclid_dir):
-        raise ValidationError("Kempf-Ness certificates have no Euclidean direction, "
-                              f"got euclid_dir of size {np.size(xi.euclid_dir)}")
-    dims = Q.block_dims
-    if len(xi.bases) != len(dims) or len(xi.weights) != len(dims):
-        raise ValidationError(f"expected {len(dims)} blocks, got {len(xi.bases)} "
-                              f"bases and {len(xi.weights)} weight vectors")
-    spectrum = []
-    for n, k, w in zip(dims, xi.bases, xi.weights):
-        k, w = np.asarray(k), np.asarray(w, dtype=float)
-        if k.shape != (n, n) or w.shape != (n,):
-            raise ValidationError(f"basis shape {k.shape} and weight shape {w.shape} "
-                                  f"do not match block dim {n}")
-        dev = float(np.abs(k.conj().T @ k - np.eye(n)).max())
-        if not dev <= UNITARY_TOL:
-            raise ValidationError(f"certificate basis is not unitary: "
-                                  f"max|k^+ k - I| = {dev:.3e}")
-        spectrum.append(w)
-    return np.concatenate(spectrum)
-
-
 def dual_value(problem, Q, xi):
     """Dual objective -f^inf(xi) - Q*(-Y_xi); lower-bounds inf_x Q(df_x).
 
@@ -432,16 +400,21 @@ def dual_value(problem, Q, xi):
     conjugate gauge lies in (1, 1 + DOMAIN_SLACK], which the conjugate accepts,
     is rated as xi/gauge, so that the slack cannot lift the dual above the primal.
     """
+    if not isinstance(xi, BoundaryCertificate):
+        raise ValidationError(
+            f"dual_value needs a BoundaryCertificate, not {type(xi).__name__}")
     if tuple(Q.block_dims) != problem.signature:
         raise ValidationError(f"objective block dims {Q.block_dims} do not match "
                               f"the problem's signature {problem.signature}")
-    y = -_ray_spectrum(Q, xi)
+    # recession checks the certificate (tensors._certificate_weights)
+    rec = problem.recession(xi)
+    y = -np.concatenate([np.asarray(w, dtype=float) for w in xi.weights])
     gauge = Q.oracle.conjugate_gauge
     s = 1.0 if gauge is None else max(1.0, float(gauge(y)))
     conj = float(Q.oracle.conjugate_eval(y if s == 1.0 else y / s))
     if not (s <= 1.0 + DOMAIN_SLACK and np.isfinite(conj)):
         return -math.inf
-    return -problem.recession(xi) / s - conj
+    return -rec / s - conj
 
 
 # Search bracket for scales of rays whose conjugate has no gauge (finite on

@@ -1,7 +1,7 @@
 """Dense complex tensors, the mode-wise GL-action, moment maps, the Kempf-Ness
 function, its differential, its gradient and Hessian in an orthonormal basis
 of traceless Hermitian directions with the Newton step they give, and the
-recession function of Kempf-Ness rays.
+recession function of Kempf-Ness rays, which checks the certificates.
 
 Modes are 0-based throughout.  A tensor is a plain complex ndarray of shape
 (n_1, ..., n_d); the flattening along mode i has row index j_i and column
@@ -236,8 +236,18 @@ def kempf_ness_newton(w, modes=None):
     return out
 
 
+# Largest entry of k^+ k - I accepted in a certificate basis k.  Bases from
+# the solvers and from records are unitary to about 1e-15; dual_value reads
+# the spectrum of k diag(w) k^+ as w, which a non-unitary k breaks (with
+# k = 0.5 I the spectrum is w/4 and the reported "bound" can exceed inf Q).
+UNITARY_TOL = 1e-8
+
+
 def _certificate_weights(v, xi, modes):
-    """Bases and weights of a certificate, one per mode in `modes`."""
+    """Bases and float weights of a ray, one per mode in `modes`: a
+    TangentBlock's eigendecompositions, or a certificate's, checked (for
+    recession, dual_value and fortin_reutenauer_pair) to have no Euclidean
+    direction and one unitary basis and weight vector per mode, of its dim."""
     if isinstance(xi, TangentBlock):
         bases, weights = [], []
         for B in xi.blocks:
@@ -245,13 +255,24 @@ def _certificate_weights(v, xi, modes):
             bases.append(r.basis)
             weights.append(r.values)
     else:
+        if np.size(xi.euclid_dir):
+            raise ValidationError("Kempf-Ness certificates have no Euclidean direction, "
+                                  f"got euclid_dir of size {np.size(xi.euclid_dir)}")
         bases, weights = xi.bases, xi.weights
     if len(bases) != len(modes) or len(weights) != len(modes):
-        raise ValidationError("certificate has wrong number of blocks")
+        raise ValidationError(f"expected {len(modes)} blocks, got {len(bases)} "
+                              f"bases and {len(weights)} weight vectors")
+    bases = [np.asarray(k) for k in bases]
     weights = [np.asarray(w, dtype=float) for w in weights]
     for k, w, ax in zip(bases, weights, modes):
-        if k.shape[0] != v.shape[ax] or w.shape != (v.shape[ax],):
-            raise ValidationError("certificate dims do not match tensor")
+        n = v.shape[ax]
+        if k.shape != (n, n) or w.shape != (n,):
+            raise ValidationError(f"basis shape {k.shape} and weight shape {w.shape} "
+                                  f"do not match block dim {n}")
+        dev = float(np.abs(k.conj().T @ k - np.eye(n)).max())
+        if not dev <= UNITARY_TOL:
+            raise ValidationError(f"certificate basis is not unitary: "
+                                  f"max|k^+ k - I| = {dev:.3e}")
     return bases, weights
 
 

@@ -11,6 +11,7 @@ from qflow.geometry import (
     geodesic,
     log_map,
     transport_from_base,
+    unitary_qr_factor,
 )
 
 RNG = np.random.default_rng(5)
@@ -110,6 +111,26 @@ def test_asymptotic_at_base_identity_ray():
         assert np.all(np.diff(w) <= 1e-12)
     for k in cert.bases:
         assert np.max(np.abs(k.conj().T @ k - np.eye(k.shape[0]))) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_unitary_qr_factor(n):
+    """The one normal-form QR of asymptotic_at_base and the solvers'
+    certificates, on random complex matrices and on the same matrices with
+    rephased columns: q is unitary and q^+ a is upper triangular with a real
+    positive diagonal."""
+    rng = np.random.default_rng(60 + n)
+    for _ in range(5):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        for m in (a, a * phases):
+            q = unitary_qr_factor(m)
+            assert np.max(np.abs(q.conj().T @ q - np.eye(n))) <= 1e-14
+            b = q.conj().T @ m
+            scale = np.max(np.abs(m))
+            assert np.max(np.abs(np.tril(b, -1))) <= 1e-14 * scale
+            assert np.max(np.abs(np.diagonal(b).imag)) <= 1e-14 * scale
+            assert np.all(np.diagonal(b).real > 0.0)
 
 
 def test_asymptotic_ray_is_asymptotic():

@@ -652,25 +652,64 @@ _I2 = np.eye(2, dtype=complex)
 _W = np.array([0.3, -0.3])
 
 
-@pytest.mark.parametrize("euclid,bases,weights,match", [
-    (np.ones(1), [_I2] * 3, [_W] * 3, "Euclidean"),
-    (np.zeros(0), [_I2] * 2, [_W] * 2, "expected 3 blocks"),
-    (np.zeros(0), [_I2] * 3, [_W] * 2, "expected 3 blocks"),
-    (np.zeros(0), [_I2, np.eye(3), _I2], [_W] * 3, "basis shape"),
-    (np.zeros(0), [_I2] * 3, [_W, np.ones(3), _W], "weight shape"),
-    (np.zeros(0), [0.5 * _I2] * 3, [_W] * 3, "not unitary"),
-    (np.zeros(0), [_I2, _I2 + 1e-7, _I2], [_W] * 3, "not unitary"),
+# each case builds (euclid_dir, bases, weights) for a signature of k blocks of
+# dim 2, and the text its check raises
+@pytest.mark.parametrize("case,match", [
+    (lambda k: (np.ones(1), [_I2] * k, [_W] * k), "Euclidean"),
+    (lambda k: (np.zeros(0), [_I2] * (k - 1), [_W] * (k - 1)), "expected {k} blocks"),
+    (lambda k: (np.zeros(0), [_I2] * k, [_W] * (k - 1)), "expected {k} blocks"),
+    (lambda k: (np.zeros(0), [_I2, np.eye(3)] + [_I2] * (k - 2), [_W] * k),
+     "basis shape"),
+    (lambda k: (np.zeros(0), [_I2] * k, [_W, np.ones(3)] + [_W] * (k - 2)),
+     "weight shape"),
+    (lambda k: (np.zeros(0), [0.5 * _I2] * k, [_W] * k), "not unitary"),
+    (lambda k: (np.zeros(0), [_I2, _I2 + 1e-7] + [_I2] * (k - 2), [_W] * k),
+     "not unitary"),
 ], ids=["euclid_dir", "block_count", "weight_count", "basis_shape", "weight_shape",
         "half_identity", "beyond_unitary_tol"])
-def test_dual_value_rejects_malformed_certificates(euclid, bases, weights, match):
-    """Each check of the certificate a dual is read from, on the 3-mode unit
-    tensor: the identity ray with the same weights is accepted."""
+def test_dual_value_rejects_malformed_certificates(case, match):
+    """Each check of a certificate, made once (tensors._certificate_weights)
+    for its three consumers: dual_value and tensors.recession on the 3-mode
+    unit tensor, and dual_value (through apps.certify) and
+    apps.fortin_reutenauer_pair on a pencil, whose certificates have two
+    blocks.  Every consumer raises dual_value's text; the identity ray with
+    the same weights is accepted by all of them."""
+    unit = tensors.unit_tensor(2, 3)
+    pencil = apps.MatrixPencil([np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2)])
+    consumers = {
+        3: [lambda xi: dual_value(KempfNessProblem(unit),
+                                  builtin_objective("frobenius", (2, 2, 2)), xi),
+            lambda xi: tensors.recession(unit, xi)],
+        2: [lambda xi: apps.certify(pencil, builtin_objective("frobenius", (2, 2)), xi),
+            lambda xi: apps.fortin_reutenauer_pair(pencil, xi)],
+    }
+    for k, calls in consumers.items():
+        ok = geom.BoundaryCertificate(np.zeros(0), [_I2] * k, [_W] * k)
+        bad = geom.BoundaryCertificate(*case(k))
+        assert math.isfinite(calls[0](ok))
+        texts = []
+        for call in calls:
+            call(ok)
+            with pytest.raises(ValidationError, match=match.format(k=k)) as info:
+                call(bad)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1]
+
+
+def test_dual_value_rejects_a_tangent_block(monkeypatch):
+    """A TangentBlock, which recession accepts as a ray direction, is not a
+    certificate: dual_value names the type it needs before any work."""
     prob = KempfNessProblem(tensors.unit_tensor(2, 3))
     S = builtin_objective("frobenius", prob.signature)
-    ok = geom.BoundaryCertificate(np.zeros(0), [_I2] * 3, [_W] * 3)
-    assert math.isfinite(dual_value(prob, S, ok))
-    with pytest.raises(ValidationError, match=match):
-        dual_value(prob, S, geom.BoundaryCertificate(euclid, bases, weights))
+    xi = geom.TangentBlock([np.diag([0.3, -0.3]).astype(complex)] * 3)
+    assert math.isfinite(tensors.recession(prob.v, xi))
+
+    def unreached(*args):
+        raise AssertionError("dual_value rated a TangentBlock")
+
+    monkeypatch.setattr(tensors, "recession", unreached)
+    with pytest.raises(ValidationError, match="BoundaryCertificate"):
+        dual_value(prob, S, xi)
 
 
 def test_dual_value_infeasible_certificate():

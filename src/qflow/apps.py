@@ -60,8 +60,9 @@ class MatrixPencil:
         return len(self.matrices)
 
     def tensor(self):
-        """The n x n x m tensor with slices A_k along the last mode."""
-        return np.stack(self.matrices, axis=-1)
+        """The n x n x m tensor with slices A_k along the last mode (a C-ordered
+        copy of the transposed stack, bitwise np.stack(matrices, axis=-1))."""
+        return np.array(self.matrices).transpose(1, 2, 0).copy()
 
 
 @dataclass
@@ -599,10 +600,10 @@ def fortin_reutenauer_pair(A, cert):
     """
     A = _as_pencil(A)
     v = A.tensor()
-    (k1, k2), (w1, w2) = tensors._certificate_weights(v, cert, (0, 1))
-    w = tensors.act([k1.conj().T, k2.conj().T], v, [0, 1])
+    (k1, k2), weights, w = tensors._certificate_weights(v, cert, (0, 1))
     peak = float(np.max(np.abs(w)))
     n = A.n
+    w1, w2 = weights[:n], weights[n:]
 
     def cuts(weights):
         out = [0, n]

@@ -391,30 +391,45 @@ def energy_residual(trace):
     return abs(fT - f0 + integral) / (1.0 + abs(f0 - fT))
 
 
-def dual_value(problem, Q, xi):
-    """Dual objective -f^inf(xi) - Q*(-Y_xi); lower-bounds inf_x Q(df_x).
-
-    Q* is unitarily invariant, so with Y_xi = k diag(w) k^+ for unitary
-    bases k it only sees the spectrum -w, and the oracle's conjugate, a
-    symmetric function, takes the weights in any order.  A ray whose
-    conjugate gauge lies in (1, 1 + DOMAIN_SLACK], which the conjugate accepts,
-    is rated as xi/gauge, so that the slack cannot lift the dual above the primal.
-    """
+def _weights_and_sums(problem, Q, xi):
+    """dual_value's checks and its one pass over the blocks of xi: minus its
+    float weights, concatenated, and its weight sums over the support (see
+    tensors.support_sums, which checks the certificate)."""
     if not isinstance(xi, BoundaryCertificate):
         raise ValidationError(
             f"dual_value needs a BoundaryCertificate, not {type(xi).__name__}")
     if tuple(Q.block_dims) != problem.signature:
         raise ValidationError(f"objective block dims {Q.block_dims} do not match "
                               f"the problem's signature {problem.signature}")
-    # recession checks the certificate (tensors._certificate_weights)
-    rec = problem.recession(xi)
-    y = -np.concatenate([np.asarray(w, dtype=float) for w in xi.weights])
+    weights, sums = tensors.support_sums(problem.v, xi, problem.modes)
+    return -weights, sums
+
+
+def _dual_from(Q, rec, y):
+    """-rec/s - Q*(y/s), with s = max(1, gauge(y)) for an objective with a
+    conjugate gauge and 1 otherwise; -inf off the conjugate's domain."""
     gauge = Q.oracle.conjugate_gauge
     s = 1.0 if gauge is None else max(1.0, float(gauge(y)))
     conj = float(Q.oracle.conjugate_eval(y if s == 1.0 else y / s))
-    if not (s <= 1.0 + DOMAIN_SLACK and np.isfinite(conj)):
+    if not (s <= 1.0 + DOMAIN_SLACK and math.isfinite(conj)):
         return -math.inf
     return -rec / s - conj
+
+
+def dual_value(problem, Q, xi):
+    """Dual objective -f^inf(xi) - Q*(-Y_xi); lower-bounds inf_x Q(df_x).
+
+    Q* is unitarily invariant, so with Y_xi = k diag(w) k^+ for unitary
+    bases k it only sees the spectrum -w, and the oracle's conjugate, a
+    symmetric function, takes the weights in any order.  One pass over the
+    blocks of xi checks it, rotates v into its bases and gives the recession
+    f^inf(xi) (tensors.support_sums); the conjugate reads the float weights
+    that pass made.  A ray whose conjugate gauge lies in (1, 1 + DOMAIN_SLACK],
+    which the conjugate accepts, is rated as xi/gauge, so that the slack cannot
+    lift the dual above the primal.
+    """
+    y, sums = _weights_and_sums(problem, Q, xi)
+    return _dual_from(Q, float(sums.max()), y)
 
 
 # Search bracket for scales of rays whose conjugate has no gauge (finite on
@@ -431,24 +446,32 @@ def best_dual_on_ray(problem, Q, cert):
     c -> dual_value(c * cert) is concave, and finite where Q*(-c Y) is: on
     [-1/gauge(w), 1/gauge(-w)] for an objective with a conjugate gauge (w the
     certificate's weights), everywhere otherwise, where the search keeps to
-    [-RAY_BRACKET, RAY_BRACKET].  A golden-section search maximizes it; both
-    ends of the bracket and c = 0, whose dual is inf Q, are candidates too.
-    With no certificate, or one with zero weights (a line that is the single
-    point c = 0, where a gauge would be 0), the result is inf Q.
+    [-RAY_BRACKET, RAY_BRACKET].  The search rotates v once: the recession
+    of c * cert is c times the largest weight sum over the support for c >= 0
+    and c times the smallest for c < 0 (tensors.support_sums), so a
+    golden-section search maximizes phi(c) = -c (largest or smallest) / s(c)
+    - Q*(-c w / s(c)), which evaluates only the conjugate.  Both ends of the
+    bracket are candidates too; the best candidate c is rated once more by
+    dual_value, so the bound rests on dual_value, and the result is the
+    larger of that and c = 0, whose dual is inf Q.  With no certificate, or
+    one with zero weights (a line that is the single point c = 0, where a
+    gauge would be 0), the result is inf Q.
     """
     best = infimum(Q)
     if cert is None or not any(np.any(w) for w in cert.weights):
         return best
+    y, sums = _weights_and_sums(problem, Q, cert)
+    largest = float(sums.max())
+    smallest = float(sums[sums > -math.inf].min(initial=math.inf))
 
     def phi(c):
-        val = dual_value(problem, Q, cert.scaled(c))
+        val = _dual_from(Q, c * (largest if c >= 0.0 else smallest), c * y)
         return -math.inf if math.isnan(val) else val
 
     gauge = Q.oracle.conjugate_gauge
     lo, hi = -RAY_BRACKET, RAY_BRACKET
-    if gauge is not None:
-        w = np.concatenate(cert.weights)
-        lo, hi = -1.0 / gauge(w), 1.0 / gauge(-w)
+    if gauge is not None:  # y = -w
+        lo, hi = -1.0 / gauge(-y), 1.0 / gauge(y)
     a, b = lo, hi
     c1, c2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
     f1, f2 = phi(c1), phi(c2)
@@ -461,4 +484,6 @@ def best_dual_on_ray(problem, Q, cert):
             b, c2, f2 = c2, c1, f1
             c1 = b - GOLDEN * (b - a)
             f1 = phi(c1)
-    return max(best, phi(lo), phi(hi), f1, f2)
+    _, c = max((phi(lo), lo), (phi(hi), hi), (f1, c1), (f2, c2))
+    val = dual_value(problem, Q, cert.scaled(c))
+    return max(best, -math.inf if math.isnan(val) else val)

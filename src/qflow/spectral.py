@@ -37,6 +37,11 @@ DOMAIN_SLACK = 1e-9
 # steps toward the root, which bounds their iterations.
 NEWTON_TOL = 4 * np.finfo(float).eps
 
+# Floor of the exponents of a log-sum-exp shifted by its largest term: a sum
+# that holds the term e^0 = 1 cannot feel terms below e^-700 (its ulp is
+# about e^-36), and e^-700 is still a normal number, so exp never underflows.
+LSE_FLOOR = -700.0
+
 
 def check_hermitian(H, name="matrix"):
     """Raise ValidationError unless H is Hermitian within roundoff."""
@@ -125,10 +130,15 @@ class SpectralObjective:
         return self.oracle.smooth
 
 
-def _split(p, dims):
+def _check_length(p, dims):
     p = np.asarray(p, dtype=float)
     if p.size != sum(dims):
         raise ValidationError(f"vector length {p.size} != sum of block dims {dims}")
+    return p
+
+
+def _split(p, dims):
+    p = _check_length(p, dims)
     return [p[end - n:end] for n, end in zip(dims, itertools.accumulate(dims))]
 
 
@@ -377,7 +387,7 @@ def _block_norm_pair(dims, w):
     def linf(p):
         # one vector op: x -> x / w_i is monotone in floating point too, so the
         # max of |p_j| / w_j over a block is max |p_i| / w_i
-        return float(np.max(np.abs(np.asarray(p, dtype=float)) / wc))
+        return float((np.abs(np.asarray(p, dtype=float)) / wc).max())
 
     def l1_sub(p):
         return wc * np.sign(np.asarray(p, dtype=float))
@@ -399,13 +409,17 @@ def _norm_objective(label, dims, norm, dual, dual_ball, sub, shift=None, smooth=
     u + p' - dual_ball(p', lam) with p' = p - u (Moreau decomposition), and a
     smooth norm's half-square conjugate is dual^2/2."""
     u = None if shift is None else np.concatenate(shift)
+    blocks = [slice(end - n, end) for n, end in zip(dims, itertools.accumulate(dims))]
 
     def conj(x):
         if not dual(x) <= 1.0 + DOMAIN_SLACK:
             return math.inf
         if u is None:
             return 0.0
-        return sum(float(b @ c) for b, c in zip(_split(x, dims), shift))
+        # x.u block by block: one dot of the concatenations rounds otherwise,
+        # which moves a dual that cancels to about 0 by an ulp of its terms
+        x = np.asarray(x, dtype=float)
+        return sum(float(x[b] @ c) for b, c in zip(blocks, shift))
 
     def prox(p, lam):
         p = np.asarray(p, dtype=float)
@@ -455,15 +469,18 @@ def builtin_objective(kind, block_dims, **params):
 
     if kind == "frobenius":
         def norm(p):
-            return float(np.linalg.norm(p))
+            # np.linalg.norm's arithmetic on a real vector, sqrt(p . p),
+            # without its dispatch
+            p = np.asarray(p, dtype=float).ravel()
+            return math.sqrt(p @ p)
 
         def ball(p, lam):
-            nrm = np.linalg.norm(p)
+            nrm = norm(p)
             return p * (lam / nrm) if nrm > lam else p
 
         def sub(p):
             p = np.asarray(p, dtype=float)
-            nrm = np.linalg.norm(p)
+            nrm = norm(p)
             return p / nrm if nrm > 0 else np.zeros_like(p)
 
         return _norm_objective(kind, dims, norm, norm, ball, sub, smooth=True)
@@ -520,13 +537,18 @@ def builtin_objective(kind, block_dims, **params):
                 total += _entropy_value_block(q, th)
             return total
 
+        starts = np.cumsum((0,) + dims[:-1])
+        block = np.repeat(np.arange(d), dims)  # the block of each coordinate
+        theta_rep = theta[block]
+
         def conj(x):
-            total = 0.0
-            for b, th in zip(_split(x, dims), theta):
-                z = b * LN2 / th  # log-sum-exp shifted by the max: no term overflows
-                m = np.max(z)
-                total += th * float(m + np.log(np.sum(np.exp(z - m)))) / LN2
-            return total
+            # one log-sum-exp per block, shifted by the block's max so that no
+            # term overflows, and floored at LSE_FLOOR so that none underflows
+            z = _check_length(x, dims) * LN2 / theta_rep
+            m = np.maximum.reduceat(z, starts)
+            terms = np.exp(np.maximum(z - m[block], LSE_FLOOR))
+            lse = m + np.log(np.add.reduceat(terms, starts))
+            return float(np.add.reduce(theta * lse / LN2))
 
         def sub(p):
             out = []

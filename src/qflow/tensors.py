@@ -73,9 +73,8 @@ def act(factors, v, modes=None):
             raise ValidationError(
                 f"factor shape {g.shape} incompatible with mode {ax} of dims {shape}"
             )
-        stack = out.reshape(math.prod(shape[:ax]), shape[ax], math.prod(shape[ax + 1:]))
-        out = (g @ stack).reshape(shape)
-    return out
+        out = g @ out.reshape(math.prod(shape[:ax]), shape[ax], math.prod(shape[ax + 1:]))
+    return out.reshape(shape)
 
 
 def flattening(v, i):
@@ -236,6 +235,14 @@ def kempf_ness_newton(w, modes=None):
     return out
 
 
+@functools.cache
+def _identity(n):
+    """The n x n identity, built once per n (read-only)."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 # Largest entry of k^+ k - I accepted in a certificate basis k.  Bases from
 # the solvers and from records are unitary to about 1e-15; dual_value reads
 # the spectrum of k diag(w) k^+ as w, which a non-unitary k breaks (with
@@ -244,10 +251,15 @@ UNITARY_TOL = 1e-8
 
 
 def _certificate_weights(v, xi, modes):
-    """Bases and float weights of a ray, one per mode in `modes`: a
-    TangentBlock's eigendecompositions, or a certificate's, checked (for
-    recession, dual_value and fortin_reutenauer_pair) to have no Euclidean
-    direction and one unitary basis and weight vector per mode, of its dim."""
+    """The one check of a ray and its one rotation, one pass over its blocks.
+
+    Bases and float weights per mode in `modes`: a TangentBlock's
+    eigendecompositions, or a certificate's, checked (for recession,
+    dual_value and fortin_reutenauer_pair) to have no Euclidean direction and
+    one basis and weight vector per mode, of its dim, and then, all bases at
+    once, max|K^+ K - I| <= UNITARY_TOL for the block-diagonal K of the bases.
+    Returns the bases, the weights concatenated in mode order and the rotated
+    tensor k^+ . v, the conjugate transposes being the diagonal blocks of K^+."""
     if isinstance(xi, TangentBlock):
         bases, weights = [], []
         for B in xi.blocks:
@@ -264,34 +276,75 @@ def _certificate_weights(v, xi, modes):
                               f"bases and {len(weights)} weight vectors")
     bases = [np.asarray(k) for k in bases]
     weights = [np.asarray(w, dtype=float) for w in weights]
+    blocks, end = [], 0
     for k, w, ax in zip(bases, weights, modes):
         n = v.shape[ax]
         if k.shape != (n, n) or w.shape != (n,):
             raise ValidationError(f"basis shape {k.shape} and weight shape {w.shape} "
                                   f"do not match block dim {n}")
-        dev = float(np.abs(k.conj().T @ k - np.eye(n)).max())
-        if not dev <= UNITARY_TOL:
-            raise ValidationError(f"certificate basis is not unitary: "
-                                  f"max|k^+ k - I| = {dev:.3e}")
-    return bases, weights
+        blocks.append(slice(end, end + n))
+        end += n
+    K = np.zeros((end, end), dtype=complex)
+    concatenated = np.zeros(end)
+    for k, w, b in zip(bases, weights, blocks):
+        K[b, b] = k
+        concatenated[b] = w
+    Kh = K.conj().T
+    dev = float(np.abs(Kh @ K - _identity(end)).max(initial=0.0))
+    if not dev <= UNITARY_TOL:
+        raise ValidationError(f"certificate basis is not unitary: "
+                              f"max|k^+ k - I| = {dev:.3e}")
+    rotated = act([Kh[b, b] for b in blocks], v, modes)
+    return bases, concatenated, rotated
+
+
+@functools.lru_cache(maxsize=128)
+def _weight_positions(shape, modes):
+    """For each index alpha of a tensor of this shape, in row-major order,
+    the positions of w_i[alpha_i] (i in `modes`) in the weights concatenated
+    in mode order: one row per alpha, read-only, built once per layout."""
+    grid = np.indices(shape).reshape(len(shape), -1)
+    positions = np.zeros((grid.shape[1], len(modes)), dtype=np.intp)
+    start = 0
+    for i, ax in enumerate(modes):
+        positions[:, i] = grid[ax] + start
+        start += shape[ax]
+    positions.flags.writeable = False
+    return positions
+
+
+def support_sums(v, xi, modes=None):
+    """The float weights of the ray xi and its weight sums over the support.
+
+    One pass over the blocks (`_certificate_weights`) checks xi and rotates v
+    into its bases.  Returns the weights concatenated in mode order and, for
+    every index alpha of v in row-major order, the sum of the per-mode
+    weights w_i[alpha_i], added in mode order, where the rotated tensor
+    exceeds SUPPORT_TOL times its peak, and -inf elsewhere.  The recession is
+    the largest sum; the recession of c * xi is c times the largest sum for
+    c >= 0 and c times the smallest for c < 0, so the certificate line search
+    rotates v once.
+    """
+    v = as_tensor(v)
+    if modes is None:
+        modes = list(range(v.ndim))
+    _, weights, rotated = _certificate_weights(v, xi, modes)
+    mag = np.abs(rotated)
+    peak = float(mag.max())
+    if peak == 0.0:
+        raise ValidationError("recession undefined for the zero tensor")
+    if not peak < math.inf:
+        raise ValidationError("recession undefined for a tensor with non-finite entries")
+    sums = np.add.reduce(weights[_weight_positions(v.shape, tuple(modes))], axis=1,
+                         initial=0.0)
+    return weights, np.where(mag.ravel() > SUPPORT_TOL * peak, sums, -math.inf)
 
 
 def recession(v, xi, modes=None):
     """Asymptotic slope of the Kempf-Ness function along the ray xi.
 
     Rotate v into the eigenbasis of each block and maximize the sum of
-    per-mode weights over the numerical support of the rotated tensor.
+    per-mode weights over the numerical support of the rotated tensor: the
+    largest of `support_sums`, from one pass over the blocks of xi.
     """
-    v = as_tensor(v)
-    if modes is None:
-        modes = list(range(v.ndim))
-    bases, weights = _certificate_weights(v, xi, modes)
-    mag = np.abs(act([k.conj().T for k in bases], v, modes))
-    peak = float(mag.max())
-    if peak == 0.0:
-        raise ValidationError("recession undefined for the zero tensor")
-    support = mag > SUPPORT_TOL * peak
-    total = 0.0
-    for ax, lam in zip(modes, weights):
-        total = total + lam.reshape([-1 if i == ax else 1 for i in range(v.ndim)])
-    return float(np.broadcast_to(total, v.shape)[support].max())
+    return float(support_sums(v, xi, modes)[1].max())

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from _pencils import planted_pencil
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflow import apps, tensors
 from qflow.errors import DomainError, ParameterError, ValidationError
@@ -14,6 +16,7 @@ from qflow.generate import (
     random_pencil,
     skew_pencil,
 )
+from qflow.geometry import BoundaryCertificate
 from qflow.solver import (
     FlowConfig,
     KempfNessProblem,
@@ -713,3 +716,75 @@ def test_scaled_to_floor_solves_read_the_subgradient_once(monkeypatch):
     assert [len(calls) for calls in made] == [1, 1]
     for calls in made:
         assert np.array_equal(calls[0], np.full(9, 1.0 / 3))
+
+
+BUILTINS = ["frobenius", "op_norm_max_weighted", "trace_norm_sum_weighted",
+            "neg_entropy_weighted", "trace_dist_to_uniform", "indicator_trace_ball"]
+# (shape, modes, as a pencil): a 3-tensor on all modes, a pencil on modes
+# (0, 1), and a 3-tensor on modes given as (1, 0)
+LAYOUTS = [((3, 2, 2), (0, 1, 2), False), ((3, 3, 2), (0, 1), True),
+           ((3, 2, 2), (1, 0), False)]
+
+
+def _einsum_act(factors, v, modes):
+    idx = "abc"[:v.ndim]
+    for g, ax in zip(factors, modes):
+        v = np.einsum(f"z{idx[ax]},{idx}->{idx.replace(idx[ax], 'z')}", g, v)
+    return v
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@pytest.mark.parametrize("kind", BUILTINS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(LAYOUTS),
+       planted=st.lists(st.sampled_from([0.5, 2.0]), max_size=4),
+       gap=st.floats(-12.0, -7.0), scale=st.floats(-3.0, 6.0))
+def test_certify_is_weakly_dual_on_rotated_tensors(kind, seed, layout, planted, gap, scale):
+    """apps.certify never exceeds S at a random orbit point (weak duality),
+    on rotated tensors with entries planted at 0.5 and 2 times the support
+    cut SUPPORT_TOL * peak, rays whose top two weights per block are 1e-12
+    to 1e-7 apart, and weights up to 1e6; and tensors.recession equals the
+    largest weight sum over the support of the tensor rotated by einsum,
+    bit for bit."""
+    shape, modes, pencil = layout
+    rng = np.random.default_rng(seed)
+    dims = tuple(shape[ax] for ax in modes)
+    bases = [_unitary(rng, n) for n in dims]
+    weights = []
+    for n in dims:
+        w = np.sort(rng.standard_normal(n))[::-1] * 10.0 ** scale
+        w[1] = w[0] - 10.0 ** gap
+        weights.append(w)
+    cert = BoundaryCertificate(np.zeros(0), bases, weights)
+    rotated = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    cut = tensors.SUPPORT_TOL * np.max(np.abs(rotated))
+    spots = rng.choice(rotated.size, size=len(planted), replace=False)
+    rotated.flat[spots] = np.array(planted) * cut * np.exp(2j * np.pi * rng.random(len(planted)))
+    v = _einsum_act(bases, rotated, modes)
+    instance = apps.MatrixPencil(list(np.moveaxis(v, -1, 0))) if pencil else v
+
+    d = len(dims)
+    params = {"op_norm_max_weighted": {"alpha": np.arange(1.0, d + 1.0)},
+              "trace_norm_sum_weighted": {"weights": np.arange(1.0, d + 1.0)},
+              "neg_entropy_weighted": {"theta": np.arange(1.0, d + 1.0) / (d * (d + 1) / 2)},
+              "indicator_trace_ball": {"radius": float(d)}}.get(kind, {})
+    S = builtin_objective(kind, dims, **params)
+    dual = apps.certify(instance, S, cert, None if pencil else modes)
+    g = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in dims]
+    w = tensors.act(g, v, modes)
+    primal = lift_eval(S, tensors.moment_map(w / np.linalg.norm(w), modes))
+    assert dual <= primal + 1e-12
+
+    back = np.abs(_einsum_act([k.conj().T for k in bases], v, modes))
+    support = back > tensors.SUPPORT_TOL * back.max()
+    expected = -math.inf
+    for alpha in zip(*np.nonzero(support)):
+        total = 0.0
+        for lam, ax in zip(weights, modes):
+            total = total + lam[alpha[ax]]
+        expected = max(expected, total)
+    assert tensors.recession(v, cert, modes) == expected

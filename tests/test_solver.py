@@ -712,6 +712,68 @@ def test_dual_value_rejects_a_tangent_block(monkeypatch):
         dual_value(prob, S, xi)
 
 
+def _identity_with_nan(n):
+    k = np.eye(n, dtype=complex)
+    k[0, 0] = np.nan
+    return k
+
+
+# bad bases for the unitarity check, each far outside UNITARY_TOL
+_BAD_BASES = {"half_identity": lambda n: 0.5 * np.eye(n, dtype=complex),
+              "identity_plus_1e-7": lambda n: np.eye(n, dtype=complex) + 1e-7,
+              "nan_entry": _identity_with_nan}
+
+
+def _certificate_with_bad_basis(rng, dims, bad, at):
+    cert = random_certificate(rng, dims)
+    bases = list(cert.bases)
+    bases[at] = _BAD_BASES[bad](dims[at])
+    return geom.BoundaryCertificate(np.zeros(0), bases, cert.weights)
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_BASES))
+def test_one_unitarity_check_finds_a_bad_block_anywhere(bad):
+    """The check runs once over the block-diagonal K of all bases, so a bad
+    block first, in the middle or last is found by dual_value and recession
+    on a (3, 2, 2) tensor, and by those, apps.certify and
+    fortin_reutenauer_pair on a pencil, whose certificates have two blocks."""
+    rng = np.random.default_rng(61)
+    prob = make_problem((3, 2, 2), 61)
+    S = builtin_objective("frobenius", (3, 2, 2))
+    for at in range(3):
+        cert = _certificate_with_bad_basis(rng, (3, 2, 2), bad, at)
+        for call in (lambda xi: dual_value(prob, S, xi),
+                     lambda xi: tensors.recession(prob.v, xi)):
+            with pytest.raises(ValidationError, match="certificate basis is not unitary"):
+                call(cert)
+    pencil = apps.MatrixPencil([rng.standard_normal((3, 3)) for _ in range(2)])
+    Sp = builtin_objective("frobenius", (3, 3))
+    pprob = KempfNessProblem(pencil.tensor(), (0, 1))
+    for at in range(2):
+        cert = _certificate_with_bad_basis(rng, (3, 3), bad, at)
+        for call in (lambda xi: dual_value(pprob, Sp, xi),
+                     lambda xi: tensors.recession(pencil.tensor(), xi, (0, 1)),
+                     lambda xi: apps.certify(pencil, Sp, xi),
+                     lambda xi: apps.fortin_reutenauer_pair(pencil, xi)):
+            with pytest.raises(ValidationError, match="certificate basis is not unitary"):
+                call(cert)
+
+
+def test_certificate_shapes_are_checked_before_unitarity():
+    """A certificate with a non-unitary first basis and a misshapen last one
+    fails on the shape: every block's shape is checked before the one
+    unitarity check of all bases."""
+    prob = make_problem((3, 2, 2), 62)
+    S = builtin_objective("frobenius", (3, 2, 2))
+    cert = random_certificate(np.random.default_rng(62), (3, 2, 2))
+    bases = [0.5 * cert.bases[0], cert.bases[1], np.eye(3, dtype=complex)]
+    bad = geom.BoundaryCertificate(np.zeros(0), bases, cert.weights)
+    for call in (lambda xi: dual_value(prob, S, xi),
+                 lambda xi: tensors.recession(prob.v, xi)):
+        with pytest.raises(ValidationError, match="basis shape"):
+            call(bad)
+
+
 def test_dual_value_infeasible_certificate():
     dims = (2, 2)
     prob = make_problem(dims, 45)
@@ -886,3 +948,33 @@ def test_best_dual_on_ray_gauge_objectives(kind):
         assert abs(best - max(ends + [infimum(S)])) <= 1e-12
         assert best <= tr.best_q + 1e-8
 
+
+@pytest.mark.parametrize("kind", ["frobenius", "op_norm_max_weighted",
+                                  "trace_norm_sum_weighted", "trace_dist_to_uniform",
+                                  "neg_entropy_weighted", "indicator_trace_ball"])
+def test_best_dual_on_ray_rotates_v_at_most_twice(kind, monkeypatch):
+    """One rotation gives the largest and smallest weight sums over the
+    support, the golden-section search then evaluates only the conjugate,
+    and one dual_value rates the chosen scale: two calls to tensors.act,
+    whatever the objective.  The result is at least inf S and at least the
+    dual of the ray as given."""
+    dims = (3, 2, 2)
+    prob = make_problem(dims, 63)
+    params = {"theta": [0.5, 0.25, 0.25]} if kind == "neg_entropy_weighted" else {}
+    S = builtin_objective(kind, dims, **params)
+    calls = []
+    act = tensors.act
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return act(*args, **kwargs)
+
+    rng = np.random.default_rng(63)
+    for cert in (random_certificate(rng, dims), random_certificate(rng, dims).scaled(5.0)):
+        base = dual_value(prob, S, cert)
+        monkeypatch.setattr(tensors, "act", counted)
+        best = best_dual_on_ray(prob, S, cert)
+        monkeypatch.setattr(tensors, "act", act)
+        assert len(calls) == 2
+        calls.clear()
+        assert best >= max(infimum(S), base) - 1e-12

@@ -241,6 +241,45 @@ def test_entropy_conjugate_matches_scipy_logsumexp():
                 assert abs(got - sum(parts)) <= 1e-14 * sum(abs(v) for v in parts)
 
 
+def _entropy_conjugate_by_block(x, dims, theta):
+    """The conjugate one block at a time: theta_i log2 sum_j 2^(x_j / theta_i),
+    as a log-sum-exp shifted by the block's max.  Returns the value and the
+    sum of the magnitudes of its block terms."""
+    ln2 = math.log(2.0)
+    terms = []
+    for b, th in zip(np.split(x, np.cumsum(dims)[:-1]), theta):
+        z = b * ln2 / th
+        m = np.max(z)
+        with np.errstate(under="ignore"):
+            terms.append(th * float(m + np.log(np.sum(np.exp(z - m)))) / ln2)
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("dims", [(1,), (1, 4, 1), (3, 2, 2), (4, 3, 2)])
+def test_entropy_conjugate_matches_the_blockwise_reference(dims):
+    """One log-sum-exp over all blocks (maximum.reduceat, add.reduceat)
+    matches the per-block one within 1e-15, relative to the sum of the block
+    terms' magnitudes, on entries up to 1e6 theta, where e^(z - max z)
+    underflows for all but the largest entries of a block; no floating-point
+    warning is raised.  The two sum a block's exponentials in different
+    orders, so values that cancel between blocks agree only to that scale."""
+    rng = np.random.default_rng(sum(dims))
+    theta = np.arange(1.0, len(dims) + 1.0)
+    theta /= theta.sum()
+    S = builtin_objective("neg_entropy_weighted", dims, theta=theta)
+    cases = []
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        for _ in range(40):
+            cases.append(rng.uniform(-scale, scale, sum(dims)) * np.repeat(theta, dims))
+        cases.append(np.full(sum(dims), scale))
+        cases.append(np.repeat(theta, dims) * scale * (-1.0) ** np.arange(sum(dims)))
+    for x in cases:
+        with np.errstate(all="raise"):
+            got = S.oracle.conjugate_eval(x)
+        ref, size = _entropy_conjugate_by_block(x, dims, theta)
+        assert abs(got - ref) <= 1e-15 * size, (x, got, ref)
+
+
 def test_moreau_envelope_below_function_and_smooth():
     S = make("trace_dist_to_uniform", {})
     E = moreau_objective(S, 0.5)

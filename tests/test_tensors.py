@@ -8,6 +8,8 @@ from qflow import geometry as geom
 from qflow import tensors
 from qflow.errors import ValidationError
 from qflow.generate import gaussian_tensor, random_pencil
+from qflow.solver import KempfNessProblem, dual_value
+from qflow.spectral import builtin_objective
 
 RNG = np.random.default_rng(21)
 
@@ -221,6 +223,23 @@ def test_zero_tensor_rejected():
         tensors.normalize(np.zeros((2, 2)))
     with pytest.raises(ValidationError):
         tensors.moment_map(np.zeros((2, 2)))
+
+
+def test_recession_rejects_non_finite_tensors():
+    """A NaN or infinite entry leaves no entry above the support cut, whose
+    largest weight sum would be -inf and make a dual +inf: the recession, and
+    dual_value through it, refuse such a tensor."""
+    w = np.array([0.3, -0.3])
+    cert = geom.BoundaryCertificate(np.zeros(0), [np.eye(2, dtype=complex)] * 3, [w] * 3)
+    S = builtin_objective("frobenius", (2, 2, 2))
+    for bad in (np.nan, np.inf):
+        v = tensors.unit_tensor(2, 3)
+        v[0, 1, 1] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValidationError, match="non-finite"):
+                tensors.recession(v, cert)
+            with pytest.raises(ValidationError, match="non-finite"):
+                dual_value(KempfNessProblem(v), S, cert)
 
 
 def test_flattening_shape_and_mode_range():

@@ -600,10 +600,9 @@ def fortin_reutenauer_pair(A, cert):
     """
     A = _as_pencil(A)
     v = A.tensor()
-    (k1, k2), weights, w = tensors._certificate_weights(v, cert, (0, 1))
+    (k1, k2), (w1, w2), w = tensors._certificate_weights(v, cert, (0, 1))
     peak = float(np.max(np.abs(w)))
     n = A.n
-    w1, w2 = weights[:n], weights[n:]
 
     def cuts(weights):
         out = [0, n]

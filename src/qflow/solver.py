@@ -391,18 +391,13 @@ def energy_residual(trace):
     return abs(fT - f0 + integral) / (1.0 + abs(f0 - fT))
 
 
-def _weights_and_sums(problem, Q, xi):
-    """dual_value's checks and its one pass over the blocks of xi: minus its
-    float weights, concatenated, and its weight sums over the support (see
-    tensors.support_sums, which checks the certificate)."""
+def _check_dual_args(problem, Q, xi):
     if not isinstance(xi, BoundaryCertificate):
         raise ValidationError(
             f"dual_value needs a BoundaryCertificate, not {type(xi).__name__}")
     if tuple(Q.block_dims) != problem.signature:
         raise ValidationError(f"objective block dims {Q.block_dims} do not match "
                               f"the problem's signature {problem.signature}")
-    weights, sums = tensors.support_sums(problem.v, xi, problem.modes)
-    return -weights, sums
 
 
 def _dual_from(Q, rec, y):
@@ -416,20 +411,24 @@ def _dual_from(Q, rec, y):
     return -rec / s - conj
 
 
+def _minus_weights(xi):
+    return -np.concatenate(xi.weights, dtype=float)
+
+
 def dual_value(problem, Q, xi):
     """Dual objective -f^inf(xi) - Q*(-Y_xi); lower-bounds inf_x Q(df_x).
 
     Q* is unitarily invariant, so with Y_xi = k diag(w) k^+ for unitary
     bases k it only sees the spectrum -w, and the oracle's conjugate, a
-    symmetric function, takes the weights in any order.  One pass over the
-    blocks of xi checks it, rotates v into its bases and gives the recession
-    f^inf(xi) (tensors.support_sums); the conjugate reads the float weights
-    that pass made.  A ray whose conjugate gauge lies in (1, 1 + DOMAIN_SLACK],
-    which the conjugate accepts, is rated as xi/gauge, so that the slack cannot
-    lift the dual above the primal.
+    symmetric function, takes the weights in any order.  The recession
+    f^inf(xi) checks xi and rotates v into its bases in one pass over its
+    blocks (tensors.recession).  A ray whose conjugate gauge lies in
+    (1, 1 + DOMAIN_SLACK], which the conjugate accepts, is rated as xi/gauge,
+    so that the slack cannot lift the dual above the primal.
     """
-    y, sums = _weights_and_sums(problem, Q, xi)
-    return _dual_from(Q, float(sums.max()), y)
+    _check_dual_args(problem, Q, xi)
+    rec = problem.recession(xi)
+    return _dual_from(Q, rec, _minus_weights(xi))
 
 
 # Search bracket for scales of rays whose conjugate has no gauge (finite on
@@ -460,7 +459,9 @@ def best_dual_on_ray(problem, Q, cert):
     best = infimum(Q)
     if cert is None or not any(np.any(w) for w in cert.weights):
         return best
-    y, sums = _weights_and_sums(problem, Q, cert)
+    _check_dual_args(problem, Q, cert)
+    sums = tensors.support_sums(problem.v, cert, problem.modes)
+    y = _minus_weights(cert)
     largest = float(sums.max())
     smallest = float(sums[sums > -math.inf].min(initial=math.inf))
 

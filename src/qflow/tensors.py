@@ -31,7 +31,9 @@ def as_tensor(v):
 
 def normalize(v):
     v = as_tensor(v)
-    nrm = np.linalg.norm(v)
+    # np.linalg.norm's arithmetic on a complex array, without its dispatch
+    x = v.ravel()
+    nrm = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
     if nrm == 0.0:
         raise ValidationError("zero tensor")
     return v / nrm
@@ -235,14 +237,6 @@ def kempf_ness_newton(w, modes=None):
     return out
 
 
-@functools.cache
-def _identity(n):
-    """The n x n identity, built once per n (read-only)."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
 # Largest entry of k^+ k - I accepted in a certificate basis k.  Bases from
 # the solvers and from records are unitary to about 1e-15; dual_value reads
 # the spectrum of k diag(w) k^+ as w, which a non-unitary k breaks (with
@@ -256,10 +250,10 @@ def _certificate_weights(v, xi, modes):
     Bases and float weights per mode in `modes`: a TangentBlock's
     eigendecompositions, or a certificate's, checked (for recession,
     dual_value and fortin_reutenauer_pair) to have no Euclidean direction and
-    one basis and weight vector per mode, of its dim, and then, all bases at
-    once, max|K^+ K - I| <= UNITARY_TOL for the block-diagonal K of the bases.
-    Returns the bases, the weights concatenated in mode order and the rotated
-    tensor k^+ . v, the conjugate transposes being the diagonal blocks of K^+."""
+    one basis and weight vector per mode, of its dim, and then to have
+    max|k^+ k - I| <= UNITARY_TOL in every block.  Returns the bases, the
+    weights and the rotated tensor k^+ . v, each k^+ being the one its block's
+    check made."""
     if isinstance(xi, TangentBlock):
         bases, weights = [], []
         for B in xi.blocks:
@@ -276,54 +270,40 @@ def _certificate_weights(v, xi, modes):
                               f"bases and {len(weights)} weight vectors")
     bases = [np.asarray(k) for k in bases]
     weights = [np.asarray(w, dtype=float) for w in weights]
-    blocks, end = [], 0
     for k, w, ax in zip(bases, weights, modes):
         n = v.shape[ax]
         if k.shape != (n, n) or w.shape != (n,):
             raise ValidationError(f"basis shape {k.shape} and weight shape {w.shape} "
                                   f"do not match block dim {n}")
-        blocks.append(slice(end, end + n))
-        end += n
-    K = np.zeros((end, end), dtype=complex)
-    concatenated = np.zeros(end)
-    for k, w, b in zip(bases, weights, blocks):
-        K[b, b] = k
-        concatenated[b] = w
-    Kh = K.conj().T
-    dev = float(np.abs(Kh @ K - _identity(end)).max(initial=0.0))
+    # k^+ k of each block on the diagonal of one matrix, zero elsewhere, less
+    # the identity: one reduction reads the deviations of all blocks, and each
+    # block's product costs what a check of that block alone costs
+    adjoints, end = [], sum(len(k) for k in bases)
+    gram = np.zeros((end, end), dtype=complex)
+    start = 0
+    for k in bases:
+        stop = start + len(k)
+        adjoints.append(k.conj().T)
+        np.matmul(adjoints[-1], k, out=gram[start:stop, start:stop])
+        start = stop
+    gram.ravel()[::end + 1] -= 1.0
+    dev = float(np.abs(gram).max(initial=0.0))
     if not dev <= UNITARY_TOL:
         raise ValidationError(f"certificate basis is not unitary: "
                               f"max|k^+ k - I| = {dev:.3e}")
-    rotated = act([Kh[b, b] for b in blocks], v, modes)
-    return bases, concatenated, rotated
-
-
-@functools.lru_cache(maxsize=128)
-def _weight_positions(shape, modes):
-    """For each index alpha of a tensor of this shape, in row-major order,
-    the positions of w_i[alpha_i] (i in `modes`) in the weights concatenated
-    in mode order: one row per alpha, read-only, built once per layout."""
-    grid = np.indices(shape).reshape(len(shape), -1)
-    positions = np.zeros((grid.shape[1], len(modes)), dtype=np.intp)
-    start = 0
-    for i, ax in enumerate(modes):
-        positions[:, i] = grid[ax] + start
-        start += shape[ax]
-    positions.flags.writeable = False
-    return positions
+    return bases, weights, act(adjoints, v, modes)
 
 
 def support_sums(v, xi, modes=None):
-    """The float weights of the ray xi and its weight sums over the support.
+    """The weight sums of the ray xi over the support of v in its bases.
 
     One pass over the blocks (`_certificate_weights`) checks xi and rotates v
-    into its bases.  Returns the weights concatenated in mode order and, for
-    every index alpha of v in row-major order, the sum of the per-mode
-    weights w_i[alpha_i], added in mode order, where the rotated tensor
-    exceeds SUPPORT_TOL times its peak, and -inf elsewhere.  The recession is
-    the largest sum; the recession of c * xi is c times the largest sum for
-    c >= 0 and c times the smallest for c < 0, so the certificate line search
-    rotates v once.
+    into its bases.  Returns an array of v's shape: at index alpha, the sum
+    of the per-mode weights w_i[alpha_i], added in mode order from 0.0, where
+    the rotated tensor exceeds SUPPORT_TOL times its peak, and -inf
+    elsewhere.  The recession is the largest sum; the recession of c * xi is
+    c times the largest sum for c >= 0 and c times the smallest for c < 0, so
+    the certificate line search rotates v once.
     """
     v = as_tensor(v)
     if modes is None:
@@ -335,9 +315,11 @@ def support_sums(v, xi, modes=None):
         raise ValidationError("recession undefined for the zero tensor")
     if not peak < math.inf:
         raise ValidationError("recession undefined for a tensor with non-finite entries")
-    sums = np.add.reduce(weights[_weight_positions(v.shape, tuple(modes))], axis=1,
-                         initial=0.0)
-    return weights, np.where(mag.ravel() > SUPPORT_TOL * peak, sums, -math.inf)
+    total = 0.0
+    for ax, w in zip(modes, weights):
+        # trailing unit axes put w along axis ax under broadcasting
+        total = total + w.reshape((-1,) + (1,) * (v.ndim - 1 - ax))
+    return np.where(mag > SUPPORT_TOL * peak, total, -math.inf)
 
 
 def recession(v, xi, modes=None):
@@ -347,4 +329,4 @@ def recession(v, xi, modes=None):
     per-mode weights over the numerical support of the rotated tensor: the
     largest of `support_sums`, from one pass over the blocks of xi.
     """
-    return float(support_sums(v, xi, modes)[1].max())
+    return float(support_sums(v, xi, modes).max())

@@ -733,10 +733,10 @@ def _certificate_with_bad_basis(rng, dims, bad, at):
 
 @pytest.mark.parametrize("bad", sorted(_BAD_BASES))
 def test_one_unitarity_check_finds_a_bad_block_anywhere(bad):
-    """The check runs once over the block-diagonal K of all bases, so a bad
-    block first, in the middle or last is found by dual_value and recession
-    on a (3, 2, 2) tensor, and by those, apps.certify and
-    fortin_reutenauer_pair on a pencil, whose certificates have two blocks."""
+    """One reduction reads k^+ k - I of every block, so a bad block first, in
+    the middle or last is found by dual_value and recession on a (3, 2, 2)
+    tensor, and by those, apps.certify and fortin_reutenauer_pair on a
+    pencil, whose certificates have two blocks."""
     rng = np.random.default_rng(61)
     prob = make_problem((3, 2, 2), 61)
     S = builtin_objective("frobenius", (3, 2, 2))
@@ -757,6 +757,54 @@ def test_one_unitarity_check_finds_a_bad_block_anywhere(bad):
                      lambda xi: apps.fortin_reutenauer_pair(pencil, xi)):
             with pytest.raises(ValidationError, match="certificate basis is not unitary"):
                 call(cert)
+
+
+def test_unitarity_check_multiplies_each_block_alone(monkeypatch):
+    """The check's products are k^+ k of each block, n x n, never one of the
+    block-diagonal matrix of all bases, whose cost grows as (sum n)^3."""
+    shapes = []
+    matmul = np.matmul
+
+    def recorded(a, b, *args, **kwargs):
+        shapes.append((np.shape(a), np.shape(b)))
+        return matmul(a, b, *args, **kwargs)
+
+    rng = np.random.default_rng(65)
+    for dims, v, modes in (((3, 2, 2), make_problem((3, 2, 2), 65).v, None),
+                           ((4, 4), rng.standard_normal((4, 4, 2)), (0, 1))):
+        cert = random_certificate(rng, dims)
+        monkeypatch.setattr(np, "matmul", recorded)
+        tensors.recession(v, cert, modes)
+        monkeypatch.setattr(np, "matmul", matmul)
+        assert shapes == [((n, n), (n, n)) for n in dims]
+        shapes.clear()
+
+
+def test_dual_value_reaches_the_pass_through_recession(monkeypatch):
+    """dual_value, apps.certify and the last step of best_dual_on_ray call
+    tensors.recession once each, so a benchmark span on recession times the
+    pass over the blocks, and its result is the recession that dual_value
+    rates."""
+    prob = make_problem((3, 2, 2), 64)
+    S = builtin_objective("frobenius", (3, 2, 2))
+    cert = random_certificate(np.random.default_rng(64), (3, 2, 2))
+    seen = []
+    recession = tensors.recession
+
+    def counted(*args, **kwargs):
+        seen.append(recession(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(tensors, "recession", counted)
+    # best_dual_on_ray's one dual_value rates a scaled copy of the ray
+    for call, rates_cert in ((lambda: dual_value(prob, S, cert), True),
+                             (lambda: apps.certify(prob.v, S, cert), True),
+                             (lambda: best_dual_on_ray(prob, S, cert), False)):
+        seen.clear()
+        call()
+        assert len(seen) == 1
+        if rates_cert:
+            assert seen == [recession(prob.v, cert)]
 
 
 def test_certificate_shapes_are_checked_before_unitarity():

@@ -17,6 +17,7 @@ one SVD of e^c g g0^-1 per block, lower-bound inf_x Q(df_x) by weak duality.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -132,26 +133,36 @@ class FlowTrace:
 
 @dataclass
 class KempfNessProblem:
-    """Minimum S-gradient-norm problem data for a tensor scaling instance."""
+    """Minimum S-gradient-norm problem data for a tensor scaling instance: the
+    tensor as given, the modes it is scaled along, and its unit normalization
+    v, made when first asked for.  The signature and the recession, which is
+    scale-invariant, read the tensor as given, so a certificate check never
+    normalizes it."""
 
-    v: np.ndarray
+    tensor: np.ndarray
     modes: Optional[tuple] = None
 
     def __post_init__(self):
-        self.v = tensors.normalize(self.v)
-        self.modes = tuple(range(self.v.ndim)) if self.modes is None else tuple(self.modes)
-        if sorted(self.modes) != [m for m in range(self.v.ndim) if m in self.modes]:
+        self.tensor = tensors.as_tensor(self.tensor)
+        ndim = self.tensor.ndim
+        self.modes = tuple(range(ndim)) if self.modes is None else tuple(self.modes)
+        if sorted(self.modes) != [m for m in range(ndim) if m in self.modes]:
             raise ValidationError(f"modes {self.modes} are not distinct axes of v")
+
+    @functools.cached_property
+    def v(self):
+        """The unit tensor: the tensor over its norm."""
+        return tensors.normalize(self.tensor)
 
     @property
     def signature(self):
-        return tuple(self.v.shape[i] for i in self.modes)
+        return tuple(self.tensor.shape[i] for i in self.modes)
 
     def differential(self, x):
         return tensors.kempf_ness_differential(self.v, x, self.modes)
 
     def recession(self, xi):
-        return tensors.recession(self.v, xi, self.modes)
+        return tensors.recession(self.tensor, xi, self.modes)
 
     def identity_point(self):
         return ProductPDPoint.identity(self.signature)
@@ -460,7 +471,7 @@ def best_dual_on_ray(problem, Q, cert):
     if cert is None or not any(np.any(w) for w in cert.weights):
         return best
     _check_dual_args(problem, Q, cert)
-    sums = tensors.support_sums(problem.v, cert, problem.modes)
+    sums = tensors.support_sums(problem.tensor, cert, problem.modes)
     y = _minus_weights(cert)
     largest = float(sums.max())
     smallest = float(sums[sums > -math.inf].min(initial=math.inf))

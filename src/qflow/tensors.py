@@ -270,15 +270,17 @@ def _certificate_weights(v, xi, modes):
                               f"bases and {len(weights)} weight vectors")
     bases = [np.asarray(k) for k in bases]
     weights = [np.asarray(w, dtype=float) for w in weights]
+    end = 0
     for k, w, ax in zip(bases, weights, modes):
         n = v.shape[ax]
         if k.shape != (n, n) or w.shape != (n,):
             raise ValidationError(f"basis shape {k.shape} and weight shape {w.shape} "
                                   f"do not match block dim {n}")
+        end += n
     # k^+ k of each block on the diagonal of one matrix, zero elsewhere, less
     # the identity: one reduction reads the deviations of all blocks, and each
     # block's product costs what a check of that block alone costs
-    adjoints, end = [], sum(len(k) for k in bases)
+    adjoints = []
     gram = np.zeros((end, end), dtype=complex)
     start = 0
     for k in bases:

@@ -807,6 +807,31 @@ def test_dual_value_reaches_the_pass_through_recession(monkeypatch):
             assert seen == [recession(prob.v, cert)]
 
 
+def test_certificate_check_does_not_normalize_the_tensor(monkeypatch):
+    """The recession is scale-invariant, so dual_value and apps.certify read
+    the problem's tensor as given; the unit tensor v is made on first use,
+    once, and a dual is the same at any scale of the tensor."""
+    rng = np.random.default_rng(66)
+    w = gaussian_tensor((3, 2, 2), 66)
+    S = builtin_objective("frobenius", (3, 2, 2))
+    cert = random_certificate(rng, (3, 2, 2))
+    unit = dual_value(KempfNessProblem(w), S, cert)
+    calls = []
+    normalize = tensors.normalize
+
+    def counted(v):
+        calls.append(1)
+        return normalize(v)
+
+    monkeypatch.setattr(tensors, "normalize", counted)
+    prob = KempfNessProblem(1e3 * w)
+    assert dual_value(prob, S, cert) == unit
+    assert apps.certify(1e3 * w, S, cert) == unit
+    assert calls == []
+    assert abs(np.linalg.norm(prob.v) - 1.0) < 1e-15 and prob.v is prob.v
+    assert calls == [1]
+
+
 def test_certificate_shapes_are_checked_before_unitarity():
     """A certificate with a non-unitary first basis and a misshapen last one
     fails on the shape: every block's shape is checked before the one

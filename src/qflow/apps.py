@@ -47,6 +47,8 @@ class MatrixPencil:
                 raise ValidationError(
                     f"pencil matrices must all be {n}x{n}, got {M.shape}"
                 )
+        if n == 0:
+            raise ValidationError("pencil matrices must be at least 1x1")
         if all(np.max(np.abs(M)) == 0.0 for M in mats):
             raise ValidationError("pencil must contain a nonzero matrix")
         self.matrices = mats
@@ -155,13 +157,13 @@ def _near_floor(value, floor):
 
 def _floor_certificate(S):
     """The ray with identity bases and weights -d, d the mean over each block of
-    the oracle's subgradient of S at the concatenated uniform spectra 1/n_i
-    (one call, no eigendecomposition): constant on each block for a symmetric
-    S, so its dual_value is S(uniform) on every builtin (the zero ray, dual
-    inf S = 0, for trace_dist_to_uniform).  The bound rests on dual_value
-    alone, not on this derivation."""
+    S.subgradient at the concatenated uniform spectra 1/n_i (one call, no
+    eigendecomposition): constant on each block for a symmetric S, so its
+    dual_value is S(uniform) on every builtin (the zero ray, dual inf S = 0,
+    for trace_dist_to_uniform).  The bound rests on dual_value alone, not on
+    this derivation."""
     dims = S.block_dims
-    d = S.oracle.subgradient(np.concatenate([np.full(n, 1.0 / n) for n in dims]))
+    d = S.subgradient(np.concatenate([np.full(n, 1.0 / n) for n in dims]))
     return BoundaryCertificate(np.zeros(0), [np.eye(n, dtype=complex) for n in dims],
                                [np.full(n, -np.mean(m)) for n, m in zip(dims, _split(d, dims))])
 
@@ -182,7 +184,7 @@ def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
     sweeps alone.
 
     Each step reads S alone at g.v, from one checked eigendecomposition of
-    each marginal (`spectral._block_spectra`) and the oracle's eval, with no
+    each marginal (`spectral._block_spectra`) and S.eval, with no
     subgradient; the sweep's mode 0 reuses the decomposition of mu_0.
 
     Returns a FlowTrace with one sample per step (step 0 is the start; t
@@ -214,7 +216,7 @@ def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
 
     def read(w):
         spectra, decomps = _block_spectra(S, tensors.moment_map(w, modes))
-        return float(S.oracle.eval(spectra)), decomps
+        return float(S.eval(spectra)), decomps
 
     w = tensors.act(g, v, modes)
     value, decomps = read(w)
@@ -594,9 +596,11 @@ def fortin_reutenauer_pair(A, cert):
     """Candidate subspace pair (Y, X) with Y^+ A_k X = 0 from a certificate.
 
     Truncates the certificate flags at weight gaps exceeding FR_GAP_TOL and
-    scans prefix/suffix blocks of the rotated tensor for a vanishing block,
-    maximizing dim Y + dim X.  Returns None when no nontrivial pair passes the
-    direct verification.  Raises what dual_value raises on a bad certificate.
+    scans prefix/suffix blocks of the rotated tensor for one whose entries are
+    at most FR_ZERO_TOL times its peak, maximizing dim Y + dim X.  Returns
+    None when there is no such block; otherwise the pair with its residual
+    max_k ||Y^+ A_k X||_max (`verify_subspace_pair`), to which no threshold
+    is applied.  Raises what dual_value raises on a bad certificate.
     """
     A = _as_pencil(A)
     v = A.tensor()
@@ -628,7 +632,6 @@ def fortin_reutenauer_pair(A, cert):
                                 "dim_sum": dim,
                                 "Y_basis": k1[:, rows],
                                 "X_basis": k2[:, cols].conj(),
-                                "residual": float(np.max(np.abs(block))),
                             }
     if best is not None:
         best["residual"] = verify_subspace_pair(A, best["Y_basis"], best["X_basis"])

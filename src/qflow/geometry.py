@@ -56,10 +56,14 @@ class ProductPDPoint:
         return tuple(B.shape[0] for B in self.blocks)
 
     def validate(self):
+        """The point, if every block is finite, Hermitian and positive
+        definite (tested so that NaN fails); ValidationError otherwise."""
         for i, B in enumerate(self.blocks):
+            if not np.all(np.isfinite(B)):
+                raise ValidationError(f"block {i} has non-finite entries")
             check_hermitian(B, f"block {i}")
             w = np.linalg.eigvalsh(B)
-            if w[0] <= 1e-12 * max(1.0, w[-1]):
+            if not w[0] > 1e-12 * max(1.0, w[-1]):
                 raise ValidationError(
                     f"block {i} is not positive definite (min eig {w[0]:.3e})"
                 )

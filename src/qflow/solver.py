@@ -243,7 +243,7 @@ def _descend(problem, g0, Q, config, policy, stop_below=None):
             f"objective {Q.label!r} is unbounded below (Q*(0) = +inf)"
         )
     # the Moreau envelope carries no half-square conjugate
-    hsc = Q.oracle.half_square_conjugate if config.smoothing is None else None
+    hsc = Q.half_square_conjugate if config.smoothing is None else None
     g0 = [np.array(gi, dtype=complex) for gi in g0]
     orbit = _Orbit(problem.v, problem.modes, g0)
     trace = FlowTrace()
@@ -414,9 +414,9 @@ def _check_dual_args(problem, Q, xi):
 def _dual_from(Q, rec, y):
     """-rec/s - Q*(y/s), with s = max(1, gauge(y)) for an objective with a
     conjugate gauge and 1 otherwise; -inf off the conjugate's domain."""
-    gauge = Q.oracle.conjugate_gauge
+    gauge = Q.conjugate_gauge
     s = 1.0 if gauge is None else max(1.0, float(gauge(y)))
-    conj = float(Q.oracle.conjugate_eval(y if s == 1.0 else y / s))
+    conj = float(Q.conjugate_eval(y if s == 1.0 else y / s))
     if not (s <= 1.0 + DOMAIN_SLACK and math.isfinite(conj)):
         return -math.inf
     return -rec / s - conj
@@ -430,7 +430,7 @@ def dual_value(problem, Q, xi):
     """Dual objective -f^inf(xi) - Q*(-Y_xi); lower-bounds inf_x Q(df_x).
 
     Q* is unitarily invariant, so with Y_xi = k diag(w) k^+ for unitary
-    bases k it only sees the spectrum -w, and the oracle's conjugate, a
+    bases k it only sees the spectrum -w, and the objective's conjugate, a
     symmetric function, takes the weights in any order.  The recession
     f^inf(xi) checks xi and rotates v into its bases in one pass over its
     blocks (tensors.recession).  A ray whose conjugate gauge lies in
@@ -480,7 +480,7 @@ def best_dual_on_ray(problem, Q, cert):
         val = _dual_from(Q, c * (largest if c >= 0.0 else smallest), c * y)
         return -math.inf if math.isnan(val) else val
 
-    gauge = Q.oracle.conjugate_gauge
+    gauge = Q.conjugate_gauge
     lo, hi = -RAY_BRACKET, RAY_BRACKET
     if gauge is not None:  # y = -w
         lo, hi = -1.0 / gauge(-y), 1.0 / gauge(y)

@@ -97,14 +97,16 @@ def tie_groups(lam):
     return groups
 
 
-@dataclass
-class SymmetricFunctionOracle:
-    """Oracle bundle for a symmetric convex function of concatenated block spectra.
+@dataclass(kw_only=True)
+class SpectralObjective:
+    """A K-invariant convex objective on tuples of Hermitian blocks, as the
+    symmetric convex function f of their concatenated spectra that it lifts.
 
-    All callables act on the concatenation of per-block vectors (lengths given
-    by `SpectralObjective.block_dims`).  `prox` solves min_q f(q) +
-    ||p-q||^2/(2*lam); it may be None for objectives without a usable proximal
-    map.  `conjugate_gauge`, when set, is a gauge whose unit ball is the
+    The callables act on the concatenation of per-block vectors (lengths
+    `block_dims`).  `prox` solves min_q f(q) + ||p-q||^2/(2*lam); it may be
+    None for objectives without a usable proximal map.  `smooth` marks an f
+    whose subgradient is its gradient.  `half_square_conjugate`, when set, is
+    (f^2/2)*.  `conjugate_gauge`, when set, is a gauge whose unit ball is the
     domain of the conjugate (norm-type objectives: finite only there).
     """
 
@@ -115,19 +117,8 @@ class SymmetricFunctionOracle:
     smooth: bool = False
     half_square_conjugate: Optional[Callable[[np.ndarray], float]] = None
     conjugate_gauge: Optional[Callable[[np.ndarray], float]] = None
-
-
-@dataclass
-class SpectralObjective:
-    """A K-invariant convex objective on tuples of Hermitian blocks."""
-
-    oracle: SymmetricFunctionOracle
     block_dims: tuple
     label: str = ""
-
-    @property
-    def smooth(self):
-        return self.oracle.smooth
 
 
 def _check_length(p, dims):
@@ -164,19 +155,19 @@ def _block_spectra(S, Y):
 def lift_eval(S, Y):
     """Value of the lifted objective at Hermitian blocks Y."""
     spectra, _ = _block_spectra(S, Y)
-    return float(S.oracle.eval(spectra))
+    return float(S.eval(spectra))
 
 
 def conjugate_eval(S, X):
     """Value of the Fenchel conjugate of the lifted objective at blocks X."""
     spectra, _ = _block_spectra(S, X)
-    return float(S.oracle.conjugate_eval(spectra))
+    return float(S.conjugate_eval(spectra))
 
 
 def infimum(S):
     """inf S = -S*(0): the dual value of the zero ray, and minus the smallest
     shift that makes S nonnegative."""
-    return 0.0 - float(S.oracle.conjugate_eval(np.zeros(sum(S.block_dims))))
+    return 0.0 - float(S.conjugate_eval(np.zeros(sum(S.block_dims))))
 
 
 @dataclass(frozen=True)
@@ -216,12 +207,12 @@ def spectral_pass(S, Y, smoothing=None):
     envelope of S with parameter lam; otherwise it is a subgradient of S.
     """
     spectra, decomps = _block_spectra(S, Y)
-    value = float(S.oracle.eval(spectra))
+    value = float(S.eval(spectra))
     if smoothing is None:
-        smoothed, grad = value, S.oracle.subgradient(spectra)
+        smoothed, grad = value, S.subgradient(spectra)
     else:
         _check_smoothing(S, smoothing)
-        smoothed, grad = _moreau_value_grad(S.oracle, spectra, smoothing)
+        smoothed, grad = _moreau_value_grad(S, spectra, smoothing)
     direction = []
     for r, m in zip(decomps, _split(grad, S.block_dims)):
         m = m.copy()
@@ -232,31 +223,25 @@ def spectral_pass(S, Y, smoothing=None):
     return SpectralPass(value, smoothed, decomps, direction)
 
 
-def spectral_subgradient(S, Y):
-    """A subgradient of the lifted objective, as Hermitian blocks."""
-    sp = spectral_pass(S, Y)
-    return sp.lift(sp.direction)
-
-
 def value_and_subgradient(S, Y):
-    """lift_eval and spectral_subgradient sharing one eigendecomposition pass."""
+    """lift_eval and a subgradient as Hermitian blocks, from one spectral pass."""
     sp = spectral_pass(S, Y)
     return sp.value, sp.lift(sp.direction)
 
 
-def _moreau_value_grad(oracle, p, lam):
-    """Moreau envelope value and gradient of a vector function at p.
+def _moreau_value_grad(S, p, lam):
+    """Moreau envelope value and gradient of S's vector function at p.
 
     One prox call q = prox(p, lam) gives both: f(q) + ||p-q||^2/(2 lam) and
     (p - q)/lam.
     """
     p = np.asarray(p, dtype=float)
-    q = np.asarray(oracle.prox(p, lam), dtype=float)
-    return float(oracle.eval(q)) + float(np.sum((p - q) ** 2)) / (2 * lam), (p - q) / lam
+    q = np.asarray(S.prox(p, lam), dtype=float)
+    return float(S.eval(q)) + float(np.sum((p - q) ** 2)) / (2 * lam), (p - q) / lam
 
 
 def _check_smoothing(S, lam_smooth):
-    if S.oracle.prox is None:
+    if S.prox is None:
         raise UnsupportedObjectiveError(
             f"objective {S.label!r} has no prox oracle; Moreau smoothing unavailable"
         )
@@ -267,37 +252,32 @@ def _check_smoothing(S, lam_smooth):
 def moreau_objective(S, lam_smooth):
     """The Moreau envelope of S as a smooth SpectralObjective.
 
-    Its conjugate is S* + (lam/2)||.||^2 and its prox composes with the prox
-    of S, so the envelope is again a fully equipped objective.
+    Its conjugate is S* + (lam/2)||.||^2, its prox composes with the prox of
+    S and its conjugate gauge is S's, so the envelope is again a fully
+    equipped objective, with no half-square conjugate.
     """
     _check_smoothing(S, lam_smooth)
-    base = S.oracle
     lam = float(lam_smooth)
 
     def env_eval(p):
-        return _moreau_value_grad(base, p, lam)[0]
+        return _moreau_value_grad(S, p, lam)[0]
 
     def env_grad(p):
-        return _moreau_value_grad(base, p, lam)[1]
+        return _moreau_value_grad(S, p, lam)[1]
 
     def env_conj(x):
         x = np.asarray(x, dtype=float)
-        return float(base.conjugate_eval(x)) + 0.5 * lam * float(x @ x)
+        return float(S.conjugate_eval(x)) + 0.5 * lam * float(x @ x)
 
     def env_prox(p, t):
         p = np.asarray(p, dtype=float)
-        q = np.asarray(base.prox(p, t + lam), dtype=float)
+        q = np.asarray(S.prox(p, t + lam), dtype=float)
         return p + (t / (t + lam)) * (q - p)
 
-    oracle = SymmetricFunctionOracle(
-        eval=env_eval,
-        conjugate_eval=env_conj,
-        subgradient=env_grad,
-        prox=env_prox,
-        smooth=True,
-        conjugate_gauge=base.conjugate_gauge,
-    )
-    return SpectralObjective(oracle, S.block_dims, label=f"moreau[{lam:g}]({S.label})")
+    return SpectralObjective(
+        eval=env_eval, conjugate_eval=env_conj, subgradient=env_grad, prox=env_prox,
+        smooth=True, conjugate_gauge=S.conjugate_gauge, block_dims=S.block_dims,
+        label=f"moreau[{lam:g}]({S.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +408,7 @@ def _norm_objective(label, dims, norm, dual, dual_ball, sub, shift=None, smooth=
         q = p - u
         return u + (q - dual_ball(q, lam))
 
-    oracle = SymmetricFunctionOracle(
+    return SpectralObjective(
         eval=norm if u is None else lambda p: norm(np.asarray(p, dtype=float) - u),
         conjugate_eval=conj,
         subgradient=sub if u is None else lambda p: sub(np.asarray(p, dtype=float) - u),
@@ -436,8 +416,8 @@ def _norm_objective(label, dims, norm, dual, dual_ball, sub, shift=None, smooth=
         smooth=smooth,
         half_square_conjugate=(lambda x: 0.5 * dual(x) ** 2) if smooth else None,
         conjugate_gauge=dual,
+        block_dims=dims, label=label,
     )
-    return SpectralObjective(oracle, dims, label=label)
 
 
 _PARAMS = {"op_norm_max_weighted": "alpha", "trace_norm_sum_weighted": "weights",
@@ -445,7 +425,8 @@ _PARAMS = {"op_norm_max_weighted": "alpha", "trace_norm_sum_weighted": "weights"
 
 
 def builtin_objective(kind, block_dims, **params):
-    """Construct one of the built-in spectral objectives.
+    """One of the built-in spectral objectives, as a SpectralObjective labelled
+    by its kind.
 
     kinds: frobenius, op_norm_max_weighted (alpha), trace_norm_sum_weighted
     (weights), neg_entropy_weighted (theta), trace_dist_to_uniform,
@@ -565,10 +546,8 @@ def builtin_objective(kind, block_dims, **params):
                 ]
             )
 
-        oracle = SymmetricFunctionOracle(
-            eval=ev, conjugate_eval=conj, subgradient=sub, prox=prox,
-        )
-        return SpectralObjective(oracle, dims, label="neg_entropy_weighted")
+        return SpectralObjective(eval=ev, conjugate_eval=conj, subgradient=sub,
+                                 prox=prox, block_dims=dims, label=kind)
 
     if kind == "trace_dist_to_uniform":
         l1, linf, l1_sub, _, linf_ball = _block_norm_pair(dims, np.ones(d))
@@ -578,13 +557,13 @@ def builtin_objective(kind, block_dims, **params):
     if kind == "indicator_trace_ball":
         (radius,) = _positive("radius", params.get("radius", 1.0), 1)
         l1, linf, _, l1_ball, _ = _block_norm_pair(dims, np.ones(d))
-        oracle = SymmetricFunctionOracle(
+        return SpectralObjective(
             eval=lambda p: 0.0 if l1(p) <= radius * (1.0 + DOMAIN_SLACK) else math.inf,
             conjugate_eval=lambda x: radius * linf(x),
             subgradient=lambda p: np.zeros(sum(dims)),
             # the projection onto the ball; lam is irrelevant for an indicator
             prox=lambda p, lam: l1_ball(p, radius),
+            block_dims=dims, label=kind,
         )
-        return SpectralObjective(oracle, dims, label=kind)
 
     raise ParameterError(f"unknown objective kind {kind!r}")

@@ -26,6 +26,8 @@ def as_tensor(v):
     v = np.asarray(v, dtype=complex)
     if v.ndim < 1:
         raise ValidationError("tensor must have at least one mode")
+    if 0 in v.shape:
+        raise ValidationError(f"tensor has an empty mode: dims {v.shape}")
     return v
 
 

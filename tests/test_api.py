@@ -100,6 +100,18 @@ def test_run_dataclass_fields_pinned():
         "status", "rank", "rank_lower", "rank_upper", "trace"]
 
 
+def test_objective_fields_pinned():
+    """An objective is one record: its vector callables, its block dims and
+    its label, set by keyword."""
+    assert [f.name for f in dataclasses.fields(qflow.SpectralObjective)] == [
+        "eval", "conjugate_eval", "subgradient", "prox", "smooth",
+        "half_square_conjugate", "conjugate_gauge", "block_dims", "label"]
+    S = qflow.builtin_objective("frobenius", (2, 2))
+    with pytest.raises(TypeError):
+        qflow.SpectralObjective(S.eval, S.conjugate_eval, S.subgradient,
+                                block_dims=(2, 2))
+
+
 def test_runtime_imports_no_scipy():
     """numpy is qflow's only runtime dependency: importing the library, its
     record I/O and its CLI loads no scipy module (a scipy-backed feature must

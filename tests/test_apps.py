@@ -37,6 +37,8 @@ def test_pencil_validation():
         apps.MatrixPencil([np.zeros((2, 2))])
     with pytest.raises(ValidationError):
         apps.MatrixPencil([np.eye(2), np.eye(3)])
+    with pytest.raises(ValidationError, match="at least 1x1"):
+        apps.MatrixPencil([np.zeros((0, 0))])
 
 
 def test_pencil_tensor_roundtrip():
@@ -698,13 +700,13 @@ def test_scaled_to_floor_solves_read_the_subgradient_once(monkeypatch):
 
     def counted_objective(*args, **kwargs):
         S = builtin_objective(*args, **kwargs)
-        sub, calls = S.oracle.subgradient, []
+        sub, calls = S.subgradient, []
 
         def counted(p):
             calls.append(p)
             return sub(p)
 
-        S.oracle.subgradient = counted
+        S.subgradient = counted
         made.append(calls)
         return S
 

@@ -44,6 +44,18 @@ def test_identity_point_and_validation():
         bad.validate()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validation_rejects_non_finite_blocks(bad):
+    """A NaN fails neither the Hermitian test nor a positive-definite test
+    written as min eig <= tol, and an inf makes H - H^+ warn: non-finite
+    entries are rejected first."""
+    off = ProductPDPoint([np.array([[1.0, bad], [bad, 1.0]]), np.eye(2)])
+    diag = ProductPDPoint([np.eye(3), np.diag([1.0, bad])])
+    for x in (off, diag):
+        with pytest.raises(ValidationError, match="non-finite"):
+            x.validate()
+
+
 def test_geodesic_endpoints_and_pd():
     x = random_point()
     H = random_tangent(x)

@@ -30,7 +30,6 @@ from qflow.spectral import (
     EighResult,
     SpectralObjective,
     SpectralPass,
-    SymmetricFunctionOracle,
     builtin_objective,
     conjugate_eval,
     infimum,
@@ -152,6 +151,37 @@ def test_flow_monotone_and_step_distance_bound():
     G0 = q_gradient(prob, S, x)
     step = geom.geodesic(x, G0, -cfg.ode_step)
     assert distance(x, step) <= alpha * cfg.ode_step + 1e-9
+
+
+def test_flow_halves_a_step_that_raises_the_value():
+    """At ode_step = 4 the first Euler step of this flow raises Q and a step
+    of 2 does not, so the first step taken is 2.  The step is halved for
+    good: every step taken is ode_step over a power of two, none is longer
+    than the one before, and no accepted value rises by more than the 1e-9
+    that the acceptance test allows."""
+    prob = make_problem((3, 2, 2), 33)
+    S = builtin_objective("frobenius", prob.signature)
+    cfg = FlowConfig(max_iters=30, ode_step=4.0)
+    tr = integrate_flow(prob, S, prob.identity_point(), cfg)
+    halvings = [math.log2(cfg.ode_step / s.step) for s in tr.samples[1:]]
+    assert all(k == int(k) for k in halvings)
+    assert halvings[0] == 1 and halvings == sorted(halvings)
+    qs = [s.q_smooth for s in tr.samples]
+    assert max(b - a for a, b in zip(qs, qs[1:])) <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_flow_and_certificate_reject_non_finite_start(bad):
+    """A start point with a NaN or infinite entry is invalid input: both the
+    flow and extract_certificate refuse it before any arithmetic on it."""
+    prob = make_problem((2, 2, 2), 36)
+    S = builtin_objective("frobenius", prob.signature)
+    x0 = geom.ProductPDPoint([np.array([[1.0, bad], [bad, 1.0]]), np.eye(2), np.eye(2)])
+    with pytest.raises(ValidationError, match="non-finite"):
+        integrate_flow(prob, S, x0, FlowConfig(max_iters=5))
+    tr = integrate_flow(prob, S, prob.identity_point(), FlowConfig(max_iters=5))
+    with pytest.raises(ValidationError, match="non-finite"):
+        extract_certificate(tr, x0)
 
 
 def test_smoothed_flow_monotone_for_nonsmooth_objective():
@@ -342,7 +372,7 @@ def test_shared_bookkeeping(form, smoothing):
         tr, _ = group_subgradient_method(prob.v, S, identity_factors(prob.signature),
                                          cfg)
     assert tr.best_spectra is not None
-    assert float(S.oracle.eval(np.concatenate(tr.best_spectra))) == tr.best_q
+    assert float(S.eval(np.concatenate(tr.best_spectra))) == tr.best_q
     for s in tr.samples:
         if smoothing is None:
             assert s.q_smooth == s.q_value
@@ -569,7 +599,7 @@ def test_certificate_phases_do_not_matter():
                          ("trace_dist_to_uniform", {}),
                          ("neg_entropy_weighted", {"theta": [0.5, 0.25, 0.25]})):
         S = builtin_objective(kind, dims, **params)
-        gauge = S.oracle.conjugate_gauge
+        gauge = S.conjugate_gauge
         finite = 0
         for trial in range(12):
             cert = random_certificate(rng, dims)
@@ -915,13 +945,14 @@ def test_unbounded_objective_rejected():
     """An objective with inf Q = -inf (Q*(0) = +inf) has no finite Q-shift."""
     prob = make_problem((2, 2, 2), 51)
     dims = prob.signature
-    linear = SymmetricFunctionOracle(
+    S = SpectralObjective(
         eval=lambda p: float(np.sum(p)),
         conjugate_eval=lambda x: 0.0 if np.allclose(x, 1.0) else math.inf,
         subgradient=lambda p: np.ones_like(p),
         smooth=True,
+        block_dims=dims,
+        label="linear",
     )
-    S = SpectralObjective(linear, dims, "linear")
     with pytest.raises(UnsupportedObjectiveError):
         group_subgradient_method(prob.v, S, identity_factors(dims),
                                  FlowConfig(max_iters=20))
@@ -1011,7 +1042,7 @@ def test_best_dual_on_ray_gauge_objectives(kind):
         cert = tr.certificate
         assert cert is not None
         w = np.concatenate(cert.weights)
-        gauge = S.oracle.conjugate_gauge
+        gauge = S.conjugate_gauge
         lo, hi = -1.0 / gauge(w), 1.0 / gauge(-w)
         ends = [dual_value(prob, S, cert.scaled(c)) for c in (lo, hi)]
         assert all(math.isfinite(d) for d in ends)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -12,7 +13,6 @@ from qflow.errors import (
     ValidationError,
 )
 from qflow.spectral import (
-    SpectralObjective,
     _entropy_prox_block,
     _log_w_exp,
     builtin_objective,
@@ -23,7 +23,6 @@ from qflow.spectral import (
     moreau_objective,
     project_weighted_l1_ball,
     spectral_pass,
-    spectral_subgradient,
     tie_groups,
     value_and_subgradient,
 )
@@ -111,7 +110,7 @@ def test_fenchel_young_equality(kind, params):
     for _ in range(30):
         Y = sample_point(kind, rng)
         val = lift_eval(S, Y)
-        G = spectral_subgradient(S, Y)
+        G = value_and_subgradient(S, Y)[1]
         conj = conjugate_eval(S, G)
         pair = sum(float(np.real(np.trace(A @ B))) for A, B in zip(Y, G))
         assert abs(val + conj - pair) < 1e-8
@@ -143,8 +142,8 @@ def test_prox_optimality(kind, params):
         p = np.concatenate(
             [np.sort(np.linalg.eigvalsh(B))[::-1] for B in sample_point(kind, rng)]
         )
-        q = np.asarray(S.oracle.prox(p, lam), dtype=float)
-        base = S.oracle.eval(q) + np.sum((p - q) ** 2) / (2 * lam)
+        q = np.asarray(S.prox(p, lam), dtype=float)
+        base = S.eval(q) + np.sum((p - q) ** 2) / (2 * lam)
         assert math.isfinite(base)
         for _ in range(60):
             if kind == "neg_entropy_weighted":
@@ -155,7 +154,7 @@ def test_prox_optimality(kind, params):
                 y = np.concatenate(blocks)
             else:
                 y = q + 0.05 * rng.standard_normal(q.size)
-            cand = S.oracle.eval(y) + np.sum((p - y) ** 2) / (2 * lam)
+            cand = S.eval(y) + np.sum((p - y) ** 2) / (2 * lam)
             assert cand >= base - 1e-6
 
 
@@ -165,7 +164,7 @@ def test_entropy_conjugate_matches_brute_force():
     for _ in range(10):
         x = rng.standard_normal(sum(DIMS))
         # sup over the product of simplices via dense grid on each block
-        got = S.oracle.conjugate_eval(x)
+        got = S.conjugate_eval(x)
         brute = 0.0
         offset = 0
         for n, th in zip(DIMS, (0.4, 0.6)):
@@ -207,7 +206,7 @@ def test_entropy_prox_meets_kkt():
             scale = np.max(a * (np.abs(np.log(q[on])) + 1.0) + (q[on] + np.abs(p[on])) / lam)
             assert np.ptp(terms) <= 1e-10 * scale, (th, lam, p, q)
     S = builtin_objective("neg_entropy_weighted", (3,), theta=[1.0])
-    q = S.oracle.prox(np.array([1660.0, 1160.0, 0.0]), 1e-9)
+    q = S.prox(np.array([1660.0, 1160.0, 0.0]), 1e-9)
     np.testing.assert_allclose(q, [1.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
 
 
@@ -234,7 +233,7 @@ def test_entropy_conjugate_matches_scipy_logsumexp():
         for scale in (1e-3, 1.0, 1e2, 1e4):
             for _ in range(20):
                 x = rng.uniform(-scale, scale, sum(DIMS)) * np.repeat(theta, DIMS)
-                got = S.oracle.conjugate_eval(x)
+                got = S.conjugate_eval(x)
                 parts = [th * special.logsumexp(b * math.log(2.0) / th) / math.log(2.0)
                          for b, th in zip(np.split(x, [DIMS[0]]), theta)]
                 assert math.isfinite(got)
@@ -275,7 +274,7 @@ def test_entropy_conjugate_matches_the_blockwise_reference(dims):
         cases.append(np.repeat(theta, dims) * scale * (-1.0) ** np.arange(sum(dims)))
     for x in cases:
         with np.errstate(all="raise"):
-            got = S.oracle.conjugate_eval(x)
+            got = S.conjugate_eval(x)
         ref, size = _entropy_conjugate_by_block(x, dims, theta)
         assert abs(got - ref) <= 1e-15 * size, (x, got, ref)
 
@@ -305,7 +304,7 @@ def test_moreau_conjugate_identity():
             assert abs(val + conj - pair) < 1e-6
             # and the conjugate is the shifted-quadratic form of S*
             g = np.concatenate([np.sort(np.linalg.eigvalsh(B))[::-1] for B in G])
-            expected = S.oracle.conjugate_eval(g) + 0.5 * lam * float(g @ g)
+            expected = S.conjugate_eval(g) + 0.5 * lam * float(g @ g)
             assert abs(conj - expected) < 1e-9
 
 
@@ -327,17 +326,36 @@ def test_smoothed_pass_matches_moreau_objective():
                 assert np.max(np.abs(A - B)) < 1e-14
 
 
+@pytest.mark.parametrize("kind,params", [("frobenius", {}),
+                                         ("trace_norm_sum_weighted", {"weights": [1.0, 0.5]})])
+def test_moreau_prox_matches_direct_minimization(kind, params):
+    """The envelope's prox, p + t/(t + lam) (prox of S at p with t + lam,
+    minus p), minimizes e(q) + ||p - q||^2/(2t), e the envelope: checked
+    against BFGS on that smooth, strongly convex function."""
+    optimize = pytest.importorskip("scipy.optimize")
+    lam = 0.3
+    E = moreau_objective(make(kind, params), lam)
+    rng = np.random.default_rng(37)
+    for t in (0.05, 0.7, 5.0):
+        for _ in range(5):
+            p = 2.0 * rng.standard_normal(sum(DIMS))
+
+            def fun(q):
+                return E.eval(q) + float((p - q) @ (p - q)) / (2 * t)
+
+            def jac(q):
+                return E.subgradient(q) + (q - p) / t
+
+            ref = optimize.minimize(fun, p, jac=jac, method="BFGS",
+                                    options={"gtol": 1e-12}).x
+            q = E.prox(p, t)
+            assert fun(q) <= fun(ref) + 1e-12 * (1.0 + abs(fun(ref))), (t, p)
+            assert np.max(np.abs(q - ref)) <= 1e-8, (t, p, q, ref)
+
+
 def test_moreau_requires_prox():
     S = make("frobenius", {})
-    stripped = SpectralObjective(
-        oracle=type(S.oracle)(
-            eval=S.oracle.eval,
-            conjugate_eval=S.oracle.conjugate_eval,
-            subgradient=S.oracle.subgradient,
-            prox=None,
-        ),
-        block_dims=S.block_dims,
-    )
+    stripped = dataclasses.replace(S, prox=None)
     with pytest.raises(UnsupportedObjectiveError):
         moreau_objective(stripped, 0.1)
     with pytest.raises(UnsupportedObjectiveError):
@@ -363,8 +381,8 @@ def test_infimum_is_minus_conjugate_at_zero(kind, params):
 @pytest.mark.parametrize("kind,params", ALL_KINDS)
 def test_conjugate_gauge_is_domain(kind, params):
     S = make(kind, params)
-    gauge = S.oracle.conjugate_gauge
-    assert moreau_objective(S, 0.1).oracle.conjugate_gauge is gauge
+    gauge = S.conjugate_gauge
+    assert moreau_objective(S, 0.1).conjugate_gauge is gauge
     if kind in ("neg_entropy_weighted", "indicator_trace_ball"):
         assert gauge is None
         return
@@ -373,8 +391,8 @@ def test_conjugate_gauge_is_domain(kind, params):
         x = rng.standard_normal(sum(DIMS))
         g = gauge(x)
         assert abs(gauge(2.5 * x) - 2.5 * g) <= 1e-12 * g
-        assert math.isfinite(S.oracle.conjugate_eval(x / g))
-        assert S.oracle.conjugate_eval(1.01 * x / g) == math.inf
+        assert math.isfinite(S.conjugate_eval(x / g))
+        assert S.conjugate_eval(1.01 * x / g) == math.inf
 
 
 def test_block_norms_are_a_dual_pair():
@@ -384,10 +402,10 @@ def test_block_norms_are_a_dual_pair():
     is the support function of its unit ball.  trace_dist_to_uniform is the
     block-l1 norm with unit weights of p minus the uniform spectra."""
     alpha = [0.7, 2.0]
-    linf = make("op_norm_max_weighted", {"alpha": alpha}).oracle
-    l1 = make("trace_norm_sum_weighted", {"weights": alpha}).oracle
-    dist = make("trace_dist_to_uniform", {}).oracle
-    l1_unit = make("trace_norm_sum_weighted", {"weights": [1.0, 1.0]}).oracle
+    linf = make("op_norm_max_weighted", {"alpha": alpha})
+    l1 = make("trace_norm_sum_weighted", {"weights": alpha})
+    dist = make("trace_dist_to_uniform", {})
+    l1_unit = make("trace_norm_sum_weighted", {"weights": [1.0, 1.0]})
     wc = np.repeat(alpha, DIMS)
     uniform = np.concatenate([np.full(n, 1.0 / n) for n in DIMS])
     rng = np.random.default_rng(31)
@@ -411,10 +429,10 @@ def test_subgradient_basis_stability_under_ties():
     S = make("trace_norm_sum_weighted", {"weights": [1.0, 0.5]})
     rng = np.random.default_rng(29)
     Y = [np.eye(3), np.eye(2)]  # fully degenerate spectra
-    G1 = spectral_subgradient(S, Y)
+    G1 = value_and_subgradient(S, Y)[1]
     # perturb by a tiny rotation: subgradient should barely move
     U = np.linalg.qr(np.eye(3) + 1e-13 * rng.standard_normal((3, 3)))[0]
-    G2 = spectral_subgradient(S, [U @ Y[0] @ U.T, Y[1]])
+    G2 = value_and_subgradient(S, [U @ Y[0] @ U.T, Y[1]])[1]
     assert np.max(np.abs(G1[0] - G2[0])) < 1e-9
 
 
@@ -458,4 +476,4 @@ def test_parameter_validation():
 def test_frobenius_half_square_conjugate():
     S = make("frobenius", {})
     s = np.array([1.0, -2.0, 0.5, 0.0, 1.5])
-    assert abs(S.oracle.half_square_conjugate(s) - 0.5 * s @ s) < 1e-12
+    assert abs(S.half_square_conjugate(s) - 0.5 * s @ s) < 1e-12

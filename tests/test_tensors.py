@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from qflow import apps, tensors
 from qflow import geometry as geom
-from qflow import tensors
 from qflow.errors import ValidationError
 from qflow.generate import gaussian_tensor, random_pencil
 from qflow.solver import KempfNessProblem, dual_value
@@ -223,6 +223,21 @@ def test_zero_tensor_rejected():
         tensors.normalize(np.zeros((2, 2)))
     with pytest.raises(ValidationError):
         tensors.moment_map(np.zeros((2, 2)))
+
+
+def test_empty_tensor_rejected():
+    """A tensor with an empty mode has no entries to scale: the recession and
+    the certificate check refuse it instead of reducing an empty array."""
+    ray = geom.BoundaryCertificate(np.zeros(0), [np.eye(2, dtype=complex), np.eye(0)],
+                                   [np.ones(2), np.zeros(0)])
+    S = builtin_objective("frobenius", (2, 1))
+    for v in (np.zeros((2, 0)), np.zeros((0,)), np.zeros((3, 0, 2))):
+        with pytest.raises(ValidationError, match="empty mode"):
+            tensors.as_tensor(v)
+    with pytest.raises(ValidationError, match="empty mode"):
+        tensors.recession(np.zeros((2, 0)), ray)
+    with pytest.raises(ValidationError, match="empty mode"):
+        apps.certify(np.zeros((2, 0)), S, ray)
 
 
 def test_recession_rejects_non_finite_tensors():

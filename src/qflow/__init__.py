@@ -30,10 +30,9 @@ from .solver import (
     extract_certificate,
     group_subgradient_method,
     integrate_flow,
-    q_gradient,
 )
 from .spectral import SpectralObjective, builtin_objective, moreau_objective
-from .tensors import kempf_ness, moment_map, recession, unit_tensor
+from .tensors import moment_map, recession, unit_tensor
 
 __all__ = [
     "ApplicationResult",
@@ -56,13 +55,11 @@ __all__ = [
     "geodesic",
     "group_subgradient_method",
     "integrate_flow",
-    "kempf_ness",
     "log_map",
     "moment_map",
     "moreau_objective",
     "ncrank",
     "ncrank_blowup_oracle",
-    "q_gradient",
     "quantum_functional",
     "recession",
     "unit_tensor",

@@ -41,9 +41,12 @@ class MatrixPencil:
         mats = [np.asarray(M, dtype=complex) for M in self.matrices]
         if not mats:
             raise ValidationError("pencil needs at least one matrix")
+        for M in mats:
+            if M.ndim != 2:
+                raise ValidationError(f"pencil matrices must be 2-D, got shape {M.shape}")
         n = mats[0].shape[0]
         for M in mats:
-            if M.ndim != 2 or M.shape != (n, n):
+            if M.shape != (n, n):
                 raise ValidationError(
                     f"pencil matrices must all be {n}x{n}, got {M.shape}"
                 )

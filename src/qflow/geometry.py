@@ -1,5 +1,6 @@
-"""Geometry of P_{n1} x ... x P_{nd}: geodesics, parallel transport from the
-base, log map, and normal forms of geodesic rays at infinity.
+"""Geometry of P_{n1} x ... x P_{nd}: geodesics, the log map, and normal forms
+of geodesic rays at infinity (BoundaryCertificate, the one ray type that
+the certificate check takes).
 
 Each factor carries the GL-invariant metric <X,Y>_x = tr(x^-1 X x^-1 Y).
 All matrix functions go through Hermitian eigendecomposition (dims are small
@@ -135,15 +136,6 @@ def geodesic(x, H, t):
         A = _symmetrize(xis @ Hb @ xis)
         blocks.append(_symmetrize(xs @ expm_herm(t * A) @ xs))
     return ProductPDPoint(blocks)
-
-
-def transport_from_base(x, H):
-    """Parallel transport of a tangent vector at the base point to x."""
-    blocks = []
-    for xb, Hb in zip(x.blocks, H.blocks):
-        xs = sqrtm_pd(xb)
-        blocks.append(_symmetrize(xs @ Hb @ xs))
-    return TangentBlock(blocks)
 
 
 def log_map(x, base=None):

@@ -26,14 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, UnsupportedObjectiveError, ValidationError
-from .geometry import (
-    BoundaryCertificate,
-    ProductPDPoint,
-    TangentBlock,
-    sqrtm_pd,
-    transport_from_base,
-    unitary_qr_factor,
-)
+from .geometry import BoundaryCertificate, ProductPDPoint, sqrtm_pd, unitary_qr_factor
 from .spectral import DOMAIN_SLACK, infimum, spectral_pass
 from . import tensors
 
@@ -144,10 +137,7 @@ class KempfNessProblem:
 
     def __post_init__(self):
         self.tensor = tensors.as_tensor(self.tensor)
-        ndim = self.tensor.ndim
-        self.modes = tuple(range(ndim)) if self.modes is None else tuple(self.modes)
-        if sorted(self.modes) != [m for m in range(ndim) if m in self.modes]:
-            raise ValidationError(f"modes {self.modes} are not distinct axes of v")
+        self.modes = tensors.check_modes(self.tensor, self.modes)
 
     @functools.cached_property
     def v(self):
@@ -158,25 +148,11 @@ class KempfNessProblem:
     def signature(self):
         return tuple(self.tensor.shape[i] for i in self.modes)
 
-    def differential(self, x):
-        return tensors.kempf_ness_differential(self.v, x, self.modes)
-
     def recession(self, xi):
         return tensors.recession(self.tensor, xi, self.modes)
 
     def identity_point(self):
         return ProductPDPoint.identity(self.signature)
-
-
-def q_gradient(problem, Q, x):
-    """The Q-gradient of f at x (a tangent vector at x); Q must be smooth."""
-    if not Q.smooth:
-        raise UnsupportedObjectiveError(
-            f"objective {Q.label!r} is not smooth; wrap it with moreau_objective"
-        )
-    sp = spectral_pass(Q, problem.differential(x))
-    g0 = sp.lift([sp.value * m for m in sp.direction])
-    return transport_from_base(x, TangentBlock(g0))
 
 
 class _Orbit:
@@ -402,10 +378,7 @@ def energy_residual(trace):
     return abs(fT - f0 + integral) / (1.0 + abs(f0 - fT))
 
 
-def _check_dual_args(problem, Q, xi):
-    if not isinstance(xi, BoundaryCertificate):
-        raise ValidationError(
-            f"dual_value needs a BoundaryCertificate, not {type(xi).__name__}")
+def _check_dual_args(problem, Q):
     if tuple(Q.block_dims) != problem.signature:
         raise ValidationError(f"objective block dims {Q.block_dims} do not match "
                               f"the problem's signature {problem.signature}")
@@ -432,12 +405,13 @@ def dual_value(problem, Q, xi):
     Q* is unitarily invariant, so with Y_xi = k diag(w) k^+ for unitary
     bases k it only sees the spectrum -w, and the objective's conjugate, a
     symmetric function, takes the weights in any order.  The recession
-    f^inf(xi) checks xi and rotates v into its bases in one pass over its
-    blocks (tensors.recession).  A ray whose conjugate gauge lies in
-    (1, 1 + DOMAIN_SLACK], which the conjugate accepts, is rated as xi/gauge,
-    so that the slack cannot lift the dual above the primal.
+    f^inf(xi) checks xi, which must be a BoundaryCertificate, and rotates v
+    into its bases in one pass over its blocks (tensors.recession).  A ray
+    whose conjugate gauge lies in (1, 1 + DOMAIN_SLACK], which the conjugate
+    accepts, is rated as xi/gauge, so that the slack cannot lift the dual
+    above the primal.
     """
-    _check_dual_args(problem, Q, xi)
+    _check_dual_args(problem, Q)
     rec = problem.recession(xi)
     return _dual_from(Q, rec, _minus_weights(xi))
 
@@ -470,7 +444,7 @@ def best_dual_on_ray(problem, Q, cert):
     best = infimum(Q)
     if cert is None or not any(np.any(w) for w in cert.weights):
         return best
-    _check_dual_args(problem, Q, cert)
+    _check_dual_args(problem, Q)
     sums = tensors.support_sums(problem.tensor, cert, problem.modes)
     y = _minus_weights(cert)
     largest = float(sums.max())

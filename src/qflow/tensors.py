@@ -1,7 +1,8 @@
-"""Dense complex tensors, the mode-wise GL-action, moment maps, the Kempf-Ness
-function, its differential, its gradient and Hessian in an orthonormal basis
-of traceless Hermitian directions with the Newton step they give, and the
-recession function of Kempf-Ness rays, which checks the certificates.
+"""Dense complex tensors, the mode-wise GL-action, moment maps, the gradient
+and Hessian of the Kempf-Ness function in an orthonormal basis of traceless
+Hermitian directions with the Newton step they give, and the recession
+function of Kempf-Ness rays, which checks the certificates: a ray is a
+`BoundaryCertificate` on distinct modes of the tensor.
 
 Modes are 0-based throughout.  A tensor is a plain complex ndarray of shape
 (n_1, ..., n_d); the flattening along mode i has row index j_i and column
@@ -16,10 +17,21 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import BoundaryCertificate, TangentBlock, sqrtm_pd
+from .geometry import BoundaryCertificate
 from .spectral import eigh
 
 SUPPORT_TOL = 1e-8
+
+
+def check_modes(v, modes):
+    """The modes as a tuple: every axis of v when None, and otherwise
+    distinct axes of v, in any order (ValidationError else)."""
+    if modes is None:
+        return tuple(range(v.ndim))
+    modes = tuple(modes)
+    if sorted(modes) != [m for m in range(v.ndim) if m in modes]:
+        raise ValidationError(f"modes {modes} are not distinct axes of v")
+    return modes
 
 
 def as_tensor(v):
@@ -109,38 +121,6 @@ def moment_map(v, modes=None):
 def spectrum(mu):
     """Nonincreasing eigenvalues of each Hermitian block."""
     return [eigh(B).values.copy() for B in mu]
-
-
-def _pd_factors(x, modes, v):
-    shape = tuple(v.shape[i] for i in modes)
-    if tuple(B.shape[0] for B in x.blocks) != shape:
-        raise ValidationError(
-            f"point dims {tuple(B.shape[0] for B in x.blocks)} do not match tensor modes {shape}"
-        )
-
-
-def kempf_ness(v, x, modes=None):
-    """log <v, x.v> for a positive-definite block tuple x."""
-    v = as_tensor(v)
-    if modes is None:
-        modes = list(range(v.ndim))
-    _pd_factors(x, modes, v)
-    xv = act(x.blocks, v, modes)
-    ip = float(np.vdot(v, xv).real)
-    if ip <= 0.0:
-        raise ValidationError("inner product <v, x.v> is not positive")
-    return float(np.log(ip))
-
-
-def kempf_ness_differential(v, x, modes=None):
-    """Base-transported differential of the Kempf-Ness function: mu(x^1/2 . v)."""
-    v = as_tensor(v)
-    if modes is None:
-        modes = list(range(v.ndim))
-    _pd_factors(x, modes, v)
-    roots = [sqrtm_pd(B) for B in x.blocks]
-    w = act(roots, v, modes)
-    return moment_map(w, modes)
 
 
 @functools.cache
@@ -249,24 +229,20 @@ UNITARY_TOL = 1e-8
 def _certificate_weights(v, xi, modes):
     """The one check of a ray and its one rotation, one pass over its blocks.
 
-    Bases and float weights per mode in `modes`: a TangentBlock's
-    eigendecompositions, or a certificate's, checked (for recession,
-    dual_value and fortin_reutenauer_pair) to have no Euclidean direction and
-    one basis and weight vector per mode, of its dim, and then to have
-    max|k^+ k - I| <= UNITARY_TOL in every block.  Returns the bases, the
-    weights and the rotated tensor k^+ . v, each k^+ being the one its block's
-    check made."""
-    if isinstance(xi, TangentBlock):
-        bases, weights = [], []
-        for B in xi.blocks:
-            r = eigh(B, "ray direction")
-            bases.append(r.basis)
-            weights.append(r.values)
-    else:
-        if np.size(xi.euclid_dir):
-            raise ValidationError("Kempf-Ness certificates have no Euclidean direction, "
-                                  f"got euclid_dir of size {np.size(xi.euclid_dir)}")
-        bases, weights = xi.bases, xi.weights
+    xi must be a BoundaryCertificate, and modes distinct axes of v
+    (`check_modes`); both are checked before any arithmetic.  Then (for
+    recession, support_sums, dual_value and fortin_reutenauer_pair) the certificate
+    must have no Euclidean direction and one basis and weight vector per mode,
+    of its dim, and max|k^+ k - I| <= UNITARY_TOL in every block.  Returns
+    the bases, the float weights and the rotated tensor k^+ . v, each k^+
+    being the one its block's check made."""
+    if not isinstance(xi, BoundaryCertificate):
+        raise ValidationError(f"a ray must be a BoundaryCertificate, not {type(xi).__name__}")
+    modes = check_modes(v, modes)
+    if np.size(xi.euclid_dir):
+        raise ValidationError("Kempf-Ness certificates have no Euclidean direction, "
+                              f"got euclid_dir of size {np.size(xi.euclid_dir)}")
+    bases, weights = xi.bases, xi.weights
     if len(bases) != len(modes) or len(weights) != len(modes):
         raise ValidationError(f"expected {len(modes)} blocks, got {len(bases)} "
                               f"bases and {len(weights)} weight vectors")
@@ -310,8 +286,7 @@ def support_sums(v, xi, modes=None):
     the certificate line search rotates v once.
     """
     v = as_tensor(v)
-    if modes is None:
-        modes = list(range(v.ndim))
+    modes = check_modes(v, modes)
     _, weights, rotated = _certificate_weights(v, xi, modes)
     mag = np.abs(rotated)
     peak = float(mag.max())
@@ -327,10 +302,13 @@ def support_sums(v, xi, modes=None):
 
 
 def recession(v, xi, modes=None):
-    """Asymptotic slope of the Kempf-Ness function along the ray xi.
+    """Asymptotic slope of the Kempf-Ness function along the ray xi, a
+    BoundaryCertificate on the given modes (all by default).
 
-    Rotate v into the eigenbasis of each block and maximize the sum of
-    per-mode weights over the numerical support of the rotated tensor: the
-    largest of `support_sums`, from one pass over the blocks of xi.
+    Rotate v into the bases of xi and maximize the sum of per-mode weights
+    over the numerical support of the rotated tensor: the largest of
+    `support_sums`, from one pass over the blocks of xi.  A tangent
+    direction H at the base has the ray
+    `geometry.asymptotic_at_base(ProductPDPoint.identity(dims), H)`.
     """
     return float(support_sums(v, xi, modes).max())

@@ -38,13 +38,11 @@ def test_public_api_pinned():
         "geodesic",
         "group_subgradient_method",
         "integrate_flow",
-        "kempf_ness",
         "log_map",
         "moment_map",
         "moreau_objective",
         "ncrank",
         "ncrank_blowup_oracle",
-        "q_gradient",
         "quantum_functional",
         "recession",
         "unit_tensor",

@@ -39,6 +39,10 @@ def test_pencil_validation():
         apps.MatrixPencil([np.eye(2), np.eye(3)])
     with pytest.raises(ValidationError, match="at least 1x1"):
         apps.MatrixPencil([np.zeros((0, 0))])
+    # a 0-D entry is caught before the first entry's shape is read
+    for mats in ([np.float64(1.0)], [np.eye(2), np.float64(1.0)], [np.ones(2)]):
+        with pytest.raises(ValidationError, match="2-D"):
+            apps.MatrixPencil(mats)
 
 
 def test_pencil_tensor_roundtrip():

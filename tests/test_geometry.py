@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from _geometry_ref import distance, metric_norm, pairing, transport_to_base
+from _geometry_ref import (
+    distance,
+    metric_norm,
+    pairing,
+    transport_from_base,
+    transport_to_base,
+)
 
 from qflow.errors import ValidationError
 from qflow.geometry import (
@@ -10,7 +16,6 @@ from qflow.geometry import (
     asymptotic_at_base,
     geodesic,
     log_map,
-    transport_from_base,
     unitary_qr_factor,
 )
 

@@ -4,7 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
-from _geometry_ref import distance, metric_norm, transport_to_base
+from _geometry_ref import (
+    differential,
+    distance,
+    kempf_ness,
+    metric_norm,
+    q_gradient,
+    transport_from_base,
+    transport_to_base,
+)
 from _pencils import planted_pencil
 
 from qflow import apps
@@ -24,7 +32,6 @@ from qflow.solver import (
     extract_certificate,
     group_subgradient_method,
     integrate_flow,
-    q_gradient,
 )
 from qflow.spectral import (
     EighResult,
@@ -62,7 +69,8 @@ def random_certificate(rng, dims):
 
 
 def test_q_gradient_chain_rule():
-    """The base form of the Q-gradient is the gradient of Q^2/2 at the
+    """The base form of the Q-gradient (the test-side manifold form, on the
+    differential the solvers compute) is the gradient of Q^2/2 at the
     transported differential: pairing it with the finite-difference velocity
     of the differential reproduces the derivative of Q^2/2 along the curve."""
     rng = np.random.default_rng(31)
@@ -80,10 +88,10 @@ def test_q_gradient_chain_rule():
         for n in prob.signature:
             M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             H0.append(0.5 * (M + M.conj().T))
-        Hx = geom.transport_from_base(x, geom.TangentBlock(H0))
+        Hx = transport_from_base(x, geom.TangentBlock(H0))
         eps = 1e-5
-        pp = prob.differential(geom.geodesic(x, Hx, eps))
-        pm = prob.differential(geom.geodesic(x, Hx, -eps))
+        pp = differential(prob, geom.geodesic(x, Hx, eps))
+        pm = differential(prob, geom.geodesic(x, Hx, -eps))
         fd = (
             0.5 * lift_eval(S, pp) ** 2 - 0.5 * lift_eval(S, pm) ** 2
         ) / (2 * eps)
@@ -101,15 +109,8 @@ def test_q_gradient_zero_differential():
     x = prob.identity_point()
     G = q_gradient(prob, S, x)
     # differential is (I/2, I/2, I/2): Q-gradient = Q * normalized subgradient
-    q = lift_eval(S, prob.differential(x))
+    q = lift_eval(S, differential(prob, x))
     assert abs(metric_norm(x, G) - q) < 1e-10
-
-
-def test_q_gradient_requires_smooth():
-    prob = make_problem((2, 2), 32)
-    S = builtin_objective("trace_dist_to_uniform", prob.signature)
-    with pytest.raises(UnsupportedObjectiveError):
-        q_gradient(prob, S, prob.identity_point())
 
 
 def test_flow_reaches_interior_minimum_on_unit_tensor():
@@ -145,12 +146,12 @@ def test_flow_monotone_and_step_distance_bound():
     qs = [s.q_value for s in tr.samples]
     assert max(qs[i + 1] - qs[i] for i in range(len(qs) - 1)) < 1e-7
     # Lipschitz bound: per-step movement at most (initial Q) * h, since the
-    # flow speed never exceeds the initial gradient norm
+    # flow speed never exceeds the initial gradient norm; the flow's own
+    # first step
     alpha = qs[0]
     x = prob.identity_point()
-    G0 = q_gradient(prob, S, x)
-    step = geom.geodesic(x, G0, -cfg.ode_step)
-    assert distance(x, step) <= alpha * cfg.ode_step + 1e-9
+    first = integrate_flow(prob, S, x, FlowConfig(max_iters=1, ode_step=cfg.ode_step))
+    assert distance(x, first.final_point) <= alpha * cfg.ode_step + 1e-9
 
 
 def test_flow_halves_a_step_that_raises_the_value():
@@ -224,7 +225,7 @@ def test_zero_step_is_stationary():
 
 def test_group_form_matches_manifold_form():
     """Reference: the manifold-form iteration x <- exp_x(-delta Q grad_x f),
-    built from the public geodesic and Q-gradient."""
+    built from the public geodesic and the test-side Q-gradient."""
     dims = (3, 2, 2)
     v = tensors.normalize(gaussian_tensor(dims, 38))
     prob = KempfNessProblem(v)
@@ -315,7 +316,7 @@ def test_group_method_f_at_iterate():
         v, S, [np.eye(n, dtype=complex) for n in dims], cfg
     )
     # f is recorded at the iterate, the shares c included
-    assert abs(tr.samples[-1].f_value - tensors.kempf_ness(v, tr.final_point)) < 1e-10
+    assert abs(tr.samples[-1].f_value - kempf_ness(v, tr.final_point)) < 1e-10
 
 
 def test_orbit_step_moves_scale_into_c():
@@ -726,20 +727,37 @@ def test_dual_value_rejects_malformed_certificates(case, match):
         assert texts[0] == texts[1]
 
 
-def test_dual_value_rejects_a_tangent_block(monkeypatch):
-    """A TangentBlock, which recession accepts as a ray direction, is not a
-    certificate: dual_value names the type it needs before any work."""
-    prob = KempfNessProblem(tensors.unit_tensor(2, 3))
+def test_checks_take_only_a_boundary_certificate(monkeypatch):
+    """A BoundaryCertificate is the one ray type.  tensors.recession,
+    tensors.support_sums, dual_value and apps.fortin_reutenauer_pair reject a
+    TangentBlock with one text before any rotation (tensors.act fails here),
+    and accept the ray of the same tangent direction at the base,
+    asymptotic_at_base(ProductPDPoint.identity(dims), H)."""
+    unit = tensors.unit_tensor(2, 3)
+    pencil = apps.MatrixPencil([np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2)])
+    prob = KempfNessProblem(unit)
     S = builtin_objective("frobenius", prob.signature)
-    xi = geom.TangentBlock([np.diag([0.3, -0.3]).astype(complex)] * 3)
-    assert math.isfinite(tensors.recession(prob.v, xi))
+    calls = [(lambda xi: tensors.recession(unit, xi), 3),
+             (lambda xi: tensors.support_sums(unit, xi), 3),
+             (lambda xi: dual_value(prob, S, xi), 3),
+             (lambda xi: apps.fortin_reutenauer_pair(pencil, xi), 2)]
 
-    def unreached(*args):
-        raise AssertionError("dual_value rated a TangentBlock")
+    def tangent(k):
+        return geom.TangentBlock([np.diag([0.3, -0.3]).astype(complex)] * k)
 
-    monkeypatch.setattr(tensors, "recession", unreached)
-    with pytest.raises(ValidationError, match="BoundaryCertificate"):
-        dual_value(prob, S, xi)
+    for call, k in calls:
+        call(geom.asymptotic_at_base(geom.ProductPDPoint.identity((2,) * k), tangent(k)))
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("a TangentBlock was rotated")
+
+    monkeypatch.setattr(tensors, "act", unreached)
+    texts = set()
+    for call, k in calls:
+        with pytest.raises(ValidationError, match="BoundaryCertificate") as info:
+            call(tangent(k))
+        texts.add(str(info.value))
+    assert len(texts) == 1
 
 
 def _identity_with_nan(n):

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from _geometry_ref import differential, kempf_ness, transport_from_base
 
-from qflow import apps, tensors
+from qflow import apps, solver, tensors
 from qflow import geometry as geom
 from qflow.errors import ValidationError
 from qflow.generate import gaussian_tensor, random_pencil
@@ -101,12 +102,16 @@ def test_moment_map_scale_invariance():
 
 
 def test_kempf_ness_at_identity_zero():
+    """f = log <v, x.v> of a unit tensor is 0 at g = I, as the solvers'
+    orbit evaluates it."""
     v = tensors.normalize(gaussian_tensor((2, 3), 5))
-    x = geom.ProductPDPoint.identity(v.shape)
-    assert abs(tensors.kempf_ness(v, x)) < 1e-12
+    g = [np.eye(n, dtype=complex) for n in v.shape]
+    assert abs(solver._Orbit(v, (0, 1), g).evaluate()[1]) < 1e-12
 
 
 def test_kempf_ness_differential_finite_differences():
+    """The differential the solvers compute (solver._Orbit) against finite
+    differences of f along geodesics."""
     rng = np.random.default_rng(6)
     v = tensors.normalize(gaussian_tensor((2, 2, 2), 6))
     blocks = []
@@ -114,17 +119,17 @@ def test_kempf_ness_differential_finite_differences():
         M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         blocks.append(M @ M.conj().T + 0.4 * np.eye(n))
     x = geom.ProductPDPoint(blocks)
-    p0 = tensors.kempf_ness_differential(v, x)
+    p0 = differential(KempfNessProblem(v), x)
     for _ in range(5):
         H0 = []
         for n in v.shape:
             M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             H0.append(0.5 * (M + M.conj().T))
-        Hx = geom.transport_from_base(x, geom.TangentBlock(H0))
+        Hx = transport_from_base(x, geom.TangentBlock(H0))
         eps = 1e-5
         fd = (
-            tensors.kempf_ness(v, geom.geodesic(x, Hx, eps))
-            - tensors.kempf_ness(v, geom.geodesic(x, Hx, -eps))
+            kempf_ness(v, geom.geodesic(x, Hx, eps))
+            - kempf_ness(v, geom.geodesic(x, Hx, -eps))
         ) / (2 * eps)
         pred = sum(float(np.real(np.trace(P @ H))) for P, H in zip(p0, H0))
         assert abs(fd - pred) / (1 + abs(fd)) < 1e-4
@@ -135,7 +140,7 @@ def test_recession_diagonal_case():
     slope is the best diagonal weight sum."""
     v = tensors.unit_tensor(2, 3)
     w1, w2, w3 = [1.0, -1.0], [0.5, -0.5], [2.0, 0.0]
-    xi = geom.TangentBlock([np.diag(w1), np.diag(w2), np.diag(w3)])
+    xi = geom.BoundaryCertificate(np.zeros(0), [np.eye(2, dtype=complex)] * 3, [w1, w2, w3])
     got = tensors.recession(v, xi)
     expected = max(w1[0] + w2[0] + w3[0], w1[1] + w2[1] + w3[1])
     assert abs(got - expected) < 1e-12
@@ -150,27 +155,28 @@ def test_recession_matches_asymptotic_slope():
         M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         H0.append(0.5 * (M + M.conj().T))
     xi = geom.TangentBlock(H0)
-    rec = tensors.recession(v, xi)
     base = geom.ProductPDPoint.identity(dims)
+    rec = tensors.recession(v, geom.asymptotic_at_base(base, xi))
     t1, t2 = 40.0, 80.0
     slope = (
-        tensors.kempf_ness(v, geom.geodesic(base, xi, t2))
-        - tensors.kempf_ness(v, geom.geodesic(base, xi, t1))
+        kempf_ness(v, geom.geodesic(base, xi, t2))
+        - kempf_ness(v, geom.geodesic(base, xi, t1))
     ) / (t2 - t1)
     assert abs(rec - slope) < 1e-3
 
 
-def test_recession_accepts_certificate():
-    dims = (2, 3)
-    v = tensors.normalize(gaussian_tensor(dims, 10))
-    rng = np.random.default_rng(11)
-    H0 = []
-    for n in dims:
-        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        H0.append(0.5 * (M + M.conj().T))
-    xi = geom.TangentBlock(H0)
-    cert = geom.asymptotic_at_base(geom.ProductPDPoint.identity(dims), xi)
-    assert abs(tensors.recession(v, xi) - tensors.recession(v, cert)) < 1e-9
+@pytest.mark.parametrize("modes", [(0, 0), (0, 5), (-1, 0)])
+@pytest.mark.parametrize("check", [tensors.recession, tensors.support_sums])
+def test_certificate_check_rejects_bad_modes(check, modes):
+    """The modes of a check are distinct axes of v: a repeated mode would
+    count its weights twice, and an axis out of range is no mode."""
+    v = tensors.unit_tensor(2, 3)
+    xi = geom.BoundaryCertificate(np.zeros(0), [np.eye(2, dtype=complex)] * 2,
+                                  [np.array([1.0, -1.0])] * 2)
+    with pytest.raises(ValidationError, match="not distinct axes"):
+        check(v, xi, modes=modes)
+    # on distinct modes the diagonal support gives 1 + 1
+    assert np.max(check(v, xi, modes=(0, 2))) == 2.0
 
 
 def test_recession_rejects_wrong_weight_lengths():
@@ -185,7 +191,7 @@ def test_recession_rejects_wrong_weight_lengths():
 
 def test_recession_partial_modes_zero_weight_elsewhere():
     v = tensors.unit_tensor(2, 3)
-    xi = geom.TangentBlock([np.diag([1.0, 0.0])])
+    xi = geom.BoundaryCertificate(np.zeros(0), [np.eye(2, dtype=complex)], [[1.0, 0.0]])
     got = tensors.recession(v, xi, modes=[0])
     assert abs(got - 1.0) < 1e-12
 

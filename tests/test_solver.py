@@ -760,6 +760,21 @@ def test_checks_take_only_a_boundary_certificate(monkeypatch):
     assert len(texts) == 1
 
 
+def test_dual_value_rejects_a_tangent_block(monkeypatch):
+    """A TangentBlock is not a certificate: dual_value names the type it
+    needs before any rotation (tensors.act fails here)."""
+    prob = KempfNessProblem(tensors.unit_tensor(2, 3))
+    S = builtin_objective("frobenius", prob.signature)
+    xi = geom.TangentBlock([np.diag([0.3, -0.3]).astype(complex)] * 3)
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("dual_value rotated a TangentBlock")
+
+    monkeypatch.setattr(tensors, "act", unreached)
+    with pytest.raises(ValidationError, match="BoundaryCertificate"):
+        dual_value(prob, S, xi)
+
+
 def _identity_with_nan(n):
     k = np.eye(n, dtype=complex)
     k[0, 0] = np.nan

@@ -165,6 +165,23 @@ def test_recession_matches_asymptotic_slope():
     assert abs(rec - slope) < 1e-3
 
 
+def test_recession_accepts_certificate():
+    """The certificate of a tangent direction H at the base,
+    asymptotic_at_base(ProductPDPoint.identity(dims), H), rates as the ray
+    of H's own eigendecompositions."""
+    dims = (2, 3)
+    v = tensors.normalize(gaussian_tensor(dims, 10))
+    rng = np.random.default_rng(11)
+    H0 = []
+    for n in dims:
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H0.append(0.5 * (M + M.conj().T))
+    cert = geom.asymptotic_at_base(geom.ProductPDPoint.identity(dims), geom.TangentBlock(H0))
+    eig = [np.linalg.eigh(H) for H in H0]
+    ray = geom.BoundaryCertificate(np.zeros(0), [u for _, u in eig], [w for w, _ in eig])
+    assert abs(tensors.recession(v, ray) - tensors.recession(v, cert)) < 1e-9
+
+
 @pytest.mark.parametrize("modes", [(0, 0), (0, 5), (-1, 0)])
 @pytest.mark.parametrize("check", [tensors.recession, tensors.support_sums])
 def test_certificate_check_rejects_bad_modes(check, modes):

@@ -85,21 +85,19 @@ class ApplicationResult:
     trace: Optional[object] = field(default=None, repr=False)
 
 
+# Solver defaults per application: (max_iters, step_size, smoothing), each
+# smoothed on the schedule smoothing / sqrt(i+1).
+_DEFAULTS = {"qfunc": (2000, 0.5, 0.05), "gstable": (3000, 0.3, 0.1),
+             "ncrank": (5000, 0.3, 0.1), "scale": (1000, 0.3, 0.1)}
+
+
 def default_config(app):
     """Solver defaults per application (also used by the CLI as a base)."""
-    if app == "qfunc":
-        return FlowConfig(max_iters=2000, step_size=0.5,
-                          smoothing=0.05, smoothing_schedule=True)
-    if app == "gstable":
-        return FlowConfig(max_iters=3000, step_size=0.3,
-                          smoothing=0.1, smoothing_schedule=True)
-    if app == "ncrank":
-        return FlowConfig(max_iters=5000, step_size=0.3,
-                          smoothing=0.1, smoothing_schedule=True)
-    if app == "scale":
-        return FlowConfig(max_iters=1000, step_size=0.3,
-                          smoothing=0.1, smoothing_schedule=True)
-    raise ParameterError(f"unknown application {app!r}")
+    if app not in _DEFAULTS:
+        raise ParameterError(f"unknown application {app!r}")
+    max_iters, step_size, smoothing = _DEFAULTS[app]
+    return FlowConfig(max_iters=max_iters, step_size=step_size,
+                      smoothing=smoothing, smoothing_schedule=True)
 
 
 def _as_pencil(A):
@@ -547,22 +545,21 @@ def ncrank(A, config=None):
                    rank_lower=lower, rank_upper=upper)
 
 
-def ncrank_blowup_oracle(A, d=None, seeds=(0, 1, 2)):
-    """Independent rank oracle: substitute random d x d matrices for the
-    variables and divide the rank of the blown-up matrix by d.  The max over
-    a few seeds is generically exact at d = n for desk-scale pencils."""
+def ncrank_blowup_oracle(A):
+    """Independent rank oracle: substitute random n x n matrices (seeds 0, 1,
+    2) for the variables and divide the rank of the blown-up matrix by n.
+    The max over the seeds is generically exact for desk-scale pencils."""
     A = _as_pencil(A)
-    if d is None:
-        d = A.n
+    n = A.n
     best = 0
-    for seed in seeds:
+    for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
-        M = np.zeros((A.n * d, A.n * d), dtype=complex)
+        M = np.zeros((n * n, n * n), dtype=complex)
         for Ak in A.matrices:
-            T = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             M += np.kron(Ak, T)
         r = int(np.linalg.matrix_rank(M))
-        best = max(best, int(round(r / d)))
+        best = max(best, int(round(r / n)))
     return best
 
 

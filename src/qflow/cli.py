@@ -21,7 +21,7 @@ import numpy as np
 from . import apps, generate, io, tensors
 from .errors import DomainError, ParameterError, UnsupportedObjectiveError, ValidationError
 from .solver import FlowConfig
-from .spectral import builtin_objective
+from .spectral import OBJECTIVE_PARAMS, builtin_objective
 
 log = logging.getLogger("qflow")
 
@@ -78,17 +78,6 @@ def _config(args):
     return replace(apps.default_config(args.command), **over)
 
 
-# objective kind -> {flag it takes: builtin_objective parameter the flag sets}
-_OBJECTIVE_FLAGS = {
-    "frobenius": {},
-    "op_norm_max_weighted": {"alpha": "alpha"},
-    "trace_norm_sum_weighted": {"alpha": "weights"},
-    "neg_entropy_weighted": {"theta": "theta"},
-    "trace_dist_to_uniform": {},
-    "indicator_trace_ball": {"radius": "radius"},
-}
-
-
 def _add_objective_flags(p):
     p.add_argument("--objective", default="frobenius")
     p.add_argument("--theta", type=_FLOATS)
@@ -100,13 +89,15 @@ def _objective_from_args(args, dims):
     kind = args.objective
     given = {f: getattr(args, f) for f in ("theta", "alpha", "radius")
              if getattr(args, f) is not None}
-    # an unknown kind passes its flags on, and builtin_objective rejects it
-    takes = _OBJECTIVE_FLAGS.get(kind, {f: f for f in given})
-    stray = sorted(given.keys() - takes.keys())
+    param = OBJECTIVE_PARAMS.get(kind)
+    # the CLI's one spelling of its own: --alpha sets trace_norm_sum_weighted's
+    # weights; an unknown kind takes no flag, and builtin_objective rejects it
+    flag = "alpha" if param == "weights" else param
+    stray = sorted(given.keys() - {flag})
     if stray:
         raise ParameterError(
             f"objective {kind} takes no {', '.join('--' + f for f in stray)}")
-    return builtin_objective(kind, dims, **{takes[f]: v for f, v in given.items()})
+    return builtin_objective(kind, dims, **{param: v for v in given.values()})
 
 
 def _load_tensor(path):

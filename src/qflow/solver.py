@@ -37,6 +37,11 @@ R_FLOOR = 1e-8
 DIST_FLOOR = 1e-6
 
 
+# The subgradient method stops `stalled` once its best value has not improved
+# by tol_stall for this many iterations: the value every caller uses.
+STALL_WINDOW = 500
+
+
 @dataclass
 class FlowConfig:
     """Settings of both solvers.  Whenever smoothing is set, both solvers
@@ -44,33 +49,26 @@ class FlowConfig:
     lambda_i = smoothing, or smoothing / sqrt(i+1) under smoothing_schedule."""
 
     max_iters: int = 2000
-    step_rule: str = "sqrt"  # "constant" or "sqrt": step_size / sqrt(i+1)
-    step_size: float = 1.0
+    step_size: float = 1.0  # the subgradient method's step i: step_size / sqrt(i+1)
     smoothing: Optional[float] = None  # Moreau parameter lambda
     smoothing_schedule: bool = False  # lambda_i = smoothing / sqrt(i+1)
-    ode_step: float = 1e-2
+    ode_step: float = 1e-2  # the flow's Euler step
     tol_stall: float = 1e-9
-    stall_window: int = 500
 
     def validate(self):
         # written so that NaN fails every test
         if not (self.max_iters >= 0 and 0 < self.step_size < math.inf
                 and 0 < self.ode_step < math.inf):
             raise ValidationError("iteration counts and steps must be positive and finite")
-        if self.step_rule not in ("constant", "sqrt"):
-            raise ValidationError(f"unknown step rule {self.step_rule!r}")
         if self.smoothing is not None and not 0 < self.smoothing < math.inf:
             raise ValidationError("smoothing parameter must be positive and finite")
         if not 0 <= self.tol_stall < math.inf:
             raise ValidationError("stall tolerance must be nonnegative and finite")
-        if not (isinstance(self.max_iters, numbers.Integral)
-                and isinstance(self.stall_window, numbers.Integral) and self.stall_window >= 1):
-            raise ValidationError("max_iters must be an int and stall_window an int >= 1")
+        if not isinstance(self.max_iters, numbers.Integral):
+            raise ValidationError("max_iters must be an int")
         return self
 
     def step(self, i):
-        if self.step_rule == "constant":
-            return self.step_size
         return self.step_size / math.sqrt(i + 1.0)
 
     def smoothing_at(self, i):
@@ -278,8 +276,7 @@ class _SubgradientSteps:
         tol = self.config.tol_stall * (1.0 + abs(best_q))
         if best_q < self.best_window - tol:
             self.best_window, self.improved = best_q, i
-        # a step that improves best_q never stalls, whatever stall_window is
-        stalled = 0 < i - self.improved >= self.config.stall_window
+        stalled = i - self.improved >= STALL_WINDOW
         return (orbit, *pass_at(orbit), delta, stalled)
 
 
@@ -329,13 +326,13 @@ def integrate_flow(problem, Q, x0, config):
 
 def group_subgradient_method(v, S, g0, config, modes=None, stop_below=None):
     """Q-subgradient method in group form: g <- exp(-delta_i Z_i/2) g, with
-    delta_i = config.step(i) and Z_i in d((S - inf S)^2/2) at the moment map
-    of g.v.
+    delta_i = step_size / sqrt(i+1) and Z_i in d((S - inf S)^2/2) at the
+    moment map of g.v.
 
     Each step keeps |det g| and moves its scalar part into the shares c of
     the iterate x = e^{2c} g^+ g; the returned factors carry c back, so their
     g^+ g is the final point.  Stops at max_iters, when the best value has
-    not improved by tol_stall for stall_window iterations, or (status
+    not improved by tol_stall for STALL_WINDOW iterations, or (status
     `certified`) once the best value is below stop_below, if that is set.
     The certificate is relative to x0 = g0^+ g0.
     """
@@ -437,16 +434,18 @@ def best_dual_on_ray(problem, Q, cert):
     - Q*(-c w / s(c)), which evaluates only the conjugate.  Both ends of the
     bracket are candidates too; the best candidate c is rated once more by
     dual_value, so the bound rests on dual_value, and the result is the
-    larger of that and c = 0, whose dual is inf Q.  With no certificate, or
-    one with zero weights (a line that is the single point c = 0, where a
-    gauge would be 0), the result is inf Q.
+    larger of that and c = 0, whose dual is inf Q.  With no certificate the
+    result is inf Q, and so it is for a checked certificate with zero weights
+    (a line that is the single point c = 0, where a gauge would be 0).
     """
     best = infimum(Q)
-    if cert is None or not any(np.any(w) for w in cert.weights):
+    if cert is None:
         return best
     _check_dual_args(problem, Q)
     sums = tensors.support_sums(problem.tensor, cert, problem.modes)
     y = _minus_weights(cert)
+    if not y.any():
+        return best
     largest = float(sums.max())
     smallest = float(sums[sums > -math.inf].min(initial=math.inf))
 

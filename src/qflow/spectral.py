@@ -420,8 +420,9 @@ def _norm_objective(label, dims, norm, dual, dual_ball, sub, shift=None, smooth=
     )
 
 
-_PARAMS = {"op_norm_max_weighted": "alpha", "trace_norm_sum_weighted": "weights",
-           "neg_entropy_weighted": "theta", "indicator_trace_ball": "radius"}
+# objective kind -> the one parameter it takes; a kind not listed takes none
+OBJECTIVE_PARAMS = {"op_norm_max_weighted": "alpha", "trace_norm_sum_weighted": "weights",
+                    "neg_entropy_weighted": "theta", "indicator_trace_ball": "radius"}
 
 
 def builtin_objective(kind, block_dims, **params):
@@ -440,7 +441,7 @@ def builtin_objective(kind, block_dims, **params):
     of block-l1 with unit weights, and its conjugate radius times block-linf.
     """
     # the one parameter each kind takes, if any: any other is an error
-    stray = sorted(set(params) - {_PARAMS.get(kind)})
+    stray = sorted(set(params) - {OBJECTIVE_PARAMS.get(kind)})
     if stray:
         raise ParameterError(f"objective {kind} takes no {', '.join(stray)}")
     dims = tuple(int(n) for n in block_dims)

@@ -232,8 +232,8 @@ def _certificate_weights(v, xi, modes):
     xi must be a BoundaryCertificate, and modes distinct axes of v
     (`check_modes`); both are checked before any arithmetic.  Then (for
     recession, support_sums, dual_value and fortin_reutenauer_pair) the certificate
-    must have no Euclidean direction and one basis and weight vector per mode,
-    of its dim, and max|k^+ k - I| <= UNITARY_TOL in every block.  Returns
+    must have no Euclidean direction and one basis and real weight vector per
+    mode, of its dim, and max|k^+ k - I| <= UNITARY_TOL in every block.  Returns
     the bases, the float weights and the rotated tensor k^+ . v, each k^+
     being the one its block's check made."""
     if not isinstance(xi, BoundaryCertificate):
@@ -247,6 +247,10 @@ def _certificate_weights(v, xi, modes):
         raise ValidationError(f"expected {len(modes)} blocks, got {len(bases)} "
                               f"bases and {len(weights)} weight vectors")
     bases = [np.asarray(k) for k in bases]
+    weights = [np.asarray(w) for w in weights]
+    # a float cast would drop an imaginary part with only a warning
+    if np.result_type(float, *weights).kind == "c":
+        raise ValidationError("certificate weights must be real")
     weights = [np.asarray(w, dtype=float) for w in weights]
     end = 0
     for k, w, ax in zip(bases, weights, modes):

@@ -81,8 +81,8 @@ def test_run_dataclass_fields_pinned():
         return [f.name for f in dataclasses.fields(cls)]
 
     assert names(qflow.FlowConfig) == [
-        "max_iters", "step_rule", "step_size", "smoothing", "smoothing_schedule",
-        "ode_step", "tol_stall", "stall_window"]
+        "max_iters", "step_size", "smoothing", "smoothing_schedule",
+        "ode_step", "tol_stall"]
     assert names(qflow.FlowTrace) == [
         "samples", "final_factors", "certificate", "status", "best_spectra"]
     trace = qflow.FlowTrace()

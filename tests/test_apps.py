@@ -80,11 +80,24 @@ def test_ncrank_rejects_two_sided_kernel():
 
 
 def test_blowup_oracle_trivials():
-    assert apps.ncrank_blowup_oracle(identity_pencil(2), d=2) == 2
+    assert apps.ncrank_blowup_oracle(identity_pencil(2)) == 2
     E11 = np.zeros((2, 2), dtype=complex)
     E11[0, 0] = 1.0
     assert apps.ncrank_blowup_oracle(apps.MatrixPencil([E11])) == 1
     assert apps.ncrank_blowup_oracle(skew_pencil()) == 3
+
+
+def test_default_config_values_pinned():
+    """Each application's solver defaults; every one smooths on the schedule
+    smoothing / sqrt(i+1), and an unknown application is a ParameterError."""
+    pinned = {"qfunc": (2000, 0.5, 0.05), "gstable": (3000, 0.3, 0.1),
+              "ncrank": (5000, 0.3, 0.1), "scale": (1000, 0.3, 0.1)}
+    for app, (max_iters, step_size, smoothing) in pinned.items():
+        assert apps.default_config(app) == FlowConfig(
+            max_iters=max_iters, step_size=step_size, smoothing=smoothing,
+            smoothing_schedule=True, ode_step=1e-2, tol_stall=1e-9)
+    with pytest.raises(ParameterError, match="unknown application"):
+        apps.default_config("bogus")
 
 
 def test_ncrank_identity_pencil():
@@ -344,8 +357,8 @@ def test_unit_tensors_stop_at_sweep_zero(n):
         assert len(res.trace.samples) == 1
         assert all(np.array_equal(k, np.eye(n)) for k in res.certificate.bases)
     # the settings are checked even when no step is taken
-    with pytest.raises(ValidationError, match="stall_window"):
-        apps.scale(v, builtin_objective("frobenius", (n, n, n)), FlowConfig(stall_window=0))
+    with pytest.raises(ValidationError, match="stall tolerance"):
+        apps.scale(v, builtin_objective("frobenius", (n, n, n)), FlowConfig(tol_stall=-1.0))
 
 
 def test_ncrank_unitary_invariance():

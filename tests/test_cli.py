@@ -196,9 +196,8 @@ def test_result_record_keys(tmp_path, capsys, args, extra):
     assert set(rec) == {"command", "config", "versions", "result", "certificate",
                         "instance", "trace"} | extra
     # the FlowConfig fields: adding or removing a solver knob changes records
-    assert set(rec["config"]) == {"max_iters", "step_rule", "step_size", "smoothing",
-                                  "smoothing_schedule", "ode_step", "tol_stall",
-                                  "stall_window"}
+    assert set(rec["config"]) == {"max_iters", "step_size", "smoothing",
+                                  "smoothing_schedule", "ode_step", "tol_stall"}
 
 
 @pytest.mark.parametrize("args,flag", [

@@ -164,15 +164,17 @@ def _floor_certificate(S):
     for trace_dist_to_uniform).  The bound rests on dual_value alone, not on
     this derivation."""
     dims = S.block_dims
-    d = S.subgradient(np.concatenate([np.full(n, 1.0 / n) for n in dims]))
+    d = S.subgradient(np.repeat(1.0 / np.array(dims), dims))
+    # m.sum() / n is np.mean's arithmetic, without its dispatch
     return BoundaryCertificate(np.zeros(0), [np.eye(n, dtype=complex) for n in dims],
-                               [np.full(n, -np.mean(m)) for n, m in zip(dims, _split(d, dims))])
+                               [np.full(n, -(m.sum() / n)) for n, m in zip(dims, _split(d, dims))])
 
 
-def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
+def _scaling_phase(problem, S, floor_cert, max_steps, stop_below=None, ray=None):
     """Alternating scaling of problem.v from the identity, g_i <- (n_i mu_i)^-1/2
     g_i mode by mode, finished by Newton steps on the Kempf-Ness function, for
     at most `max_steps` steps; each sweep makes every marginal uniform in turn.
+    The floor is the dual_value of `floor_cert`.
 
     Once S - floor <= NEWTON_GAP (1 + |floor|), and only when stop_below is
     unset, each step first tries g_i <- e^X_i g_i with X the Newton step of
@@ -200,18 +202,30 @@ def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
     - `stalled` at the first step that does not lower S (also when S is not
       finite at the start),
     - `singular` when some marginal is numerically singular, and
-    - `max_iters` after `max_steps` steps.
+    - `max_iters` after `max_steps` steps,
 
-    The last three leave the infimum to the subgradient method.  S is read
-    at g.v acted out from v at every step, an orbit point of the stored g
-    up to the rounding of one action; the tensor is updated in place only
-    within a sweep.  (Carried across sweeps, the rounding of early steps is
-    amplified by later ones into a tensor off the orbit: on planted pencils
-    S then fell below 2/n - FULL_RANK_EPS.)  On escaping orbits the
-    first-non-improving stop leaves before cond(g) reaches rounding noise
-    (measured at FULL_RANK_EPS)."""
+    together with the floor it ended with; the trace's certificate is that
+    floor's certificate.  The last three leave the infimum to the
+    subgradient method.
+
+    A caller that knows a boundary ray of v passes `ray`, a function of no
+    arguments that returns it (or None).  It is called once, at the first
+    step k >= 1 that neither certifies nor closes, or at the stop when the
+    phase ends otherwise before it; a ray whose dual_value beats the floor
+    becomes the floor and its certificate, and the phase tests the best S
+    against it at once.  It waits for step 1 because full-rank pencils
+    certify by then, so they never build the ray.
+
+    S is read at g.v acted out from v at every step, an orbit point of the
+    stored g up to the rounding of one action (step 0 reads v itself); the
+    tensor is updated in place only within a sweep.  (Carried across sweeps,
+    the rounding of early steps is amplified by later ones into a tensor off
+    the orbit: on planted pencils S then fell below 2/n - FULL_RANK_EPS.)
+    On escaping orbits the first-non-improving stop leaves before cond(g)
+    reaches rounding noise (measured at FULL_RANK_EPS)."""
     stop = -math.inf if stop_below is None else stop_below
     v, modes = problem.v, problem.modes
+    floor = dual_value(problem, S, floor_cert)
     g = _identity_factors(v, modes)
     trace, best, step = FlowTrace(), math.inf, 1.0
 
@@ -219,20 +233,31 @@ def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
         spectra, decomps = _block_spectra(S, tensors.moment_map(w, modes))
         return float(S.eval(spectra)), decomps
 
-    w = tensors.act(g, v, modes)
+    def closed_by_ray():
+        """Consult the ray, which is then dropped, and test the best S against
+        the floor it leaves."""
+        nonlocal ray, floor_cert, floor
+        cert, ray = ray(), None
+        bound = -math.inf if cert is None else dual_value(problem, S, cert)
+        if bound > floor:
+            floor_cert, floor = cert, bound
+        return _near_floor(best, floor)
+
+    w = v
     value, decomps = read(w)
     for k in itertools.count():
         trace.samples.append(TraceSample(float(k), value,
-                                         2.0 * math.log(np.linalg.norm(w)), 0.0, step))
+                                         2.0 * math.log(tensors.norm(w)), 0.0, step))
         if not value < best:
             trace.status = "stalled"
-            return trace
+            break
         best, trace.best_spectra = value, [r.values for r in decomps]
         trace.status = ("certified" if value < stop else
-                        "scaled_to_floor" if _near_floor(value, floor) else
+                        "scaled_to_floor" if _near_floor(value, floor) or (
+                            k >= 1 and ray is not None and closed_by_ray()) else
                         "max_iters" if k == max_steps else None)
         if trace.status is not None:
-            return trace
+            break
         if stop_below is None and value - floor <= NEWTON_GAP * (1.0 + abs(floor)):
             X = tensors.kempf_ness_newton(w, modes)
             trial = [expm_herm(Xi) @ gi for Xi, gi in zip(X, g)]
@@ -250,13 +275,22 @@ def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
             # smaller eigenvalue carries no digit and its inverse root is noise
             if not r.values[-1] > n * np.finfo(float).eps * r.values[0]:
                 trace.status = "singular"
-                return trace
+                break
             h = (r.basis * (n * r.values) ** -0.5) @ r.basis.conj().T
             g[j] = h @ g[j]
-            w = tensors.act([h], w, [ax])
+            # the last mode's action would be overwritten by the act-out below
+            if j + 1 < len(modes):
+                w = tensors.act([h], w, [ax])
+        if trace.status == "singular":
+            break
         w = tensors.act(g, v, modes)
         value, decomps = read(w)
         step = 1.0
+    if (trace.status not in ("certified", "scaled_to_floor") and ray is not None
+            and closed_by_ray()):
+        trace.status = "scaled_to_floor"
+    trace.certificate = floor_cert
+    return trace, floor
 
 
 def scale(v, S, config=None, modes=None, stop_below=None, ray=None):
@@ -279,36 +313,32 @@ def scale(v, S, config=None, modes=None, stop_below=None, ray=None):
     the floor certificate and the phase's trace, one sample per step.
 
     A caller that knows a boundary ray of v passes `ray`, a function of no
-    arguments that returns it (or None).  It is called only when the phase
-    ends otherwise; a ray whose dual_value beats the floor becomes the floor
-    and its certificate, and when the phase's best S lies within the same
-    tolerance of it, the run stops there with status `scaled_to_floor`.
+    arguments that returns it (or None).  The phase calls it once, at its
+    first step after the start that neither certifies nor closes, or when it
+    ends otherwise before that; a ray whose dual_value beats the floor
+    becomes the floor and its certificate, and the phase stops with status
+    `scaled_to_floor` at the first step whose S lies within the same
+    tolerance of it.
 
     Otherwise (a sweep that does not lower S, a singular marginal, or the
     sweep budget spent) `group_subgradient_method` runs from the identity, as
     if the phase had not run: primal_value is the best value of S along that
-    run, dual_value the larger of the floor and `best_dual_on_ray` over its
-    certificate, with the certificate giving it (the run's on a tie), and the
-    stop_below test applies there too.  The run's `+interior_optimum` suffix
-    is kept only when the result carries no certificate.
+    run, dual_value the larger of the phase's floor and `best_dual_on_ray`
+    over its certificate, with the certificate giving it (the run's on a
+    tie), and the stop_below test applies there too.  The run's
+    `+interior_optimum` suffix is kept only when the result carries no
+    certificate.
     """
     v = tensors.normalize(v)
     modes = tuple(range(v.ndim)) if modes is None else tuple(modes)
     config = (default_config("scale") if config is None else config).validate()
     problem = KempfNessProblem(v, modes)
-    floor_cert = _floor_certificate(S)
-    floor = dual_value(problem, S, floor_cert)
-    trace = _scaling_phase(problem, S, floor, config.max_iters, stop_below)
-    if trace.status not in ("certified", "scaled_to_floor") and ray is not None:
-        cert = ray()
-        bound = -math.inf if cert is None else dual_value(problem, S, cert)
-        if bound > floor:
-            floor_cert, floor = cert, bound
-            if _near_floor(trace.best_q, floor):
-                trace.status = "scaled_to_floor"
+    trace, floor = _scaling_phase(problem, S, _floor_certificate(S), config.max_iters,
+                                  stop_below, ray)
     if trace.status in ("certified", "scaled_to_floor"):
-        trace.certificate, dual = floor_cert, floor
+        dual = floor
     else:
+        floor_cert = trace.certificate
         trace, _ = group_subgradient_method(v, S, _identity_factors(v, modes), config,
                                             modes=modes, stop_below=stop_below)
         dual = best_dual_on_ray(problem, S, trace.certificate)
@@ -430,7 +460,9 @@ FULL_RANK_EPS = 1e-9
 #   at least RANK_EPS above n - 1 for every n >= 1, and rank_upper at n (the
 #   dual is at least the floor, 0);
 # - the Wong-pair close leaves rank_upper at r up to rounding and rank_lower
-#   at most (n/2) FLOOR_TOL (1 + |floor|) below it (3e-10 on those pencils).
+#   at most (n/2) FLOOR_TOL (1 + |floor|) below it (3.6e-9 on the 81 of those
+#   pencils that close so, as the phase stops at its first sweep within
+#   FLOOR_TOL of the pair's dual).
 # Half of FULL_RANK_EPS meets both, five orders above the rounding.
 RANK_EPS = FULL_RANK_EPS / 2
 
@@ -512,32 +544,39 @@ def ncrank(A, config=None):
     Gurvits, Oliveira and Wigderson): rank_lower > n - 1.  So the run stops
     with status `certified` and rank n once its best value is below
     2/n - FULL_RANK_EPS (the margin is argued at FULL_RANK_EPS); on full-rank
-    pencils `scale`'s alternating scaling gets there within a few sweeps, and
+    pencils `scale`'s alternating scaling gets there within a sweep, and
     rank_upper is then n (the floor certificate is the zero ray, dual 0).
 
-    When the phase ends otherwise, `scale` tries `wong_ray`.  Its dual
-    2(n - r)/n, r the rank of a random combination of the slices, is inf S
-    when r is the nc-rank; once the phase's best S lies within FLOOR_TOL of
-    it, the run stops with status `scaled_to_floor` and rank_upper r.  On the
-    planted pencils with both marginals regular at the start (n = 3 to 6,
-    every zero block), the phase stalled within 2.5e-10 of it after 2 to 33
-    sweeps.  Otherwise the subgradient run goes on to its stall or max_iters
-    stop, with the ray's dual in its bracket; a short run may leave several
-    integers in it, and then no rank.
+    Only a phase that has not certified by its first sweep (or that ends
+    before it) consults the ray that `ncrank` hands `scale`.  That ray first
+    refuses a pencil with both a common left and a common right kernel
+    (`check_common_kernel`), which has S >= 2/n on its whole orbit, and then
+    returns `wong_ray`.  Its dual 2(n - r)/n, r the rank of a random
+    combination of the slices, is inf S when r is the nc-rank; the phase
+    stops with status `scaled_to_floor` and rank_upper r at its first sweep
+    whose S lies within FLOOR_TOL of it.  On the planted pencils with both
+    marginals regular at the start (n = 3 to 6, every zero block, m = 2 and
+    3), that was sweep 1 to 26.  Otherwise the subgradient run goes on to
+    its stall or max_iters stop, with the ray's dual in its bracket; a short
+    run may leave several integers in it, and then no rank.
     """
     A = _as_pencil(A)
-    kern = check_common_kernel(A)
-    if not kern["ok"]:
-        raise DomainError(
-            "pencil has a common left kernel (dim {left}) and a common right "
-            "kernel (dim {right}); reduce it to smaller matrices first".format(
-                left=kern["left_kernel_dim"], right=kern["right_kernel_dim"]
-            )
-        )
     n = A.n
+
+    def ray():
+        kern = check_common_kernel(A)
+        if not kern["ok"]:
+            raise DomainError(
+                "pencil has a common left kernel (dim {left}) and a common right "
+                "kernel (dim {right}); reduce it to smaller matrices first".format(
+                    left=kern["left_kernel_dim"], right=kern["right_kernel_dim"]
+                )
+            )
+        return wong_ray(A)
+
     S = builtin_objective("trace_dist_to_uniform", (n, n))
     res = scale(A.tensor(), S, config or default_config("ncrank"), modes=(0, 1),
-                stop_below=2.0 / n - FULL_RANK_EPS, ray=lambda: wong_ray(A))
+                stop_below=2.0 / n - FULL_RANK_EPS, ray=ray)
     lower = n - 0.5 * n * res.primal_value
     upper = n - 0.5 * n * res.dual_value
     k = math.ceil(lower - RANK_EPS)

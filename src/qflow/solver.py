@@ -165,7 +165,7 @@ class _Orbit:
         """The base-transported differential mu(g.v / ||g.v||) and
         f(x) = log <v, x.v> = 2 log ||g.v|| + 2 sum c, from one tensor action."""
         w = tensors.act(self.g, self.v, self.modes)
-        nrm = np.linalg.norm(w)
+        nrm = tensors.norm(w)
         f = 2.0 * (math.log(nrm) + sum(self.c))
         return tensors.moment_map(w / nrm, self.modes), f
 

@@ -43,11 +43,17 @@ def as_tensor(v):
     return v
 
 
+def norm(v):
+    """||v|| for a complex ndarray: np.linalg.norm's arithmetic, without its
+    dispatch.  The sums run in C order, np.linalg.norm's memory order on the
+    C-contiguous tensors that `act` returns."""
+    x = v.ravel()
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def normalize(v):
     v = as_tensor(v)
-    # np.linalg.norm's arithmetic on a complex array, without its dispatch
-    x = v.ravel()
-    nrm = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    nrm = norm(v)
     if nrm == 0.0:
         raise ValidationError("zero tensor")
     return v / nrm

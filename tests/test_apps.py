@@ -73,10 +73,23 @@ def test_check_common_kernel():
 
 
 def test_ncrank_rejects_two_sided_kernel():
+    """A pencil with a common left and a common right kernel is refused where
+    the phase consults the Wong pair, with the same message also when the
+    phase takes no sweep: E11 (2x2) and a 3x3 pencil with a zero first row
+    and column."""
     E11 = np.zeros((2, 2), dtype=complex)
     E11[0, 0] = 1.0
-    with pytest.raises(DomainError):
-        apps.ncrank(apps.MatrixPencil([E11]))
+    rng = np.random.default_rng(0)
+    bordered = [rng.standard_normal((3, 3)) for _ in range(2)]
+    for M in bordered:
+        M[0, :] = M[:, 0] = 0.0
+    message = ("pencil has a common left kernel (dim 1) and a common right kernel "
+               "(dim 1); reduce it to smaller matrices first")
+    for A in (apps.MatrixPencil([E11]), apps.MatrixPencil(bordered)):
+        for config in (None, replace(apps.default_config("ncrank"), max_iters=0)):
+            with pytest.raises(DomainError) as err:
+                apps.ncrank(A, config)
+            assert str(err.value) == message
 
 
 def test_blowup_oracle_trivials():
@@ -235,7 +248,8 @@ def test_scaling_phase_never_proves_full_rank_on_planted_pencils():
             A = planted_pencil(np.random.default_rng(10 * n + r), n, r, n + 1 - r, 3)
             S = builtin_objective("trace_dist_to_uniform", (n, n))
             # no stop_below: the phase runs until it leaves on its own
-            trace = apps._scaling_phase(KempfNessProblem(A.tensor(), (0, 1)), S, 0.0, 5000)
+            trace, _ = apps._scaling_phase(KempfNessProblem(A.tensor(), (0, 1)), S,
+                                          apps._floor_certificate(S), 5000)
             assert trace.status in ("stalled", "singular"), (n, r)
             assert min(x.q_value for x in trace.samples) >= 2 / n - apps.FULL_RANK_EPS
             res = apps.ncrank(A)
@@ -277,7 +291,8 @@ def test_singular_marginal_falls_back_to_descent():
                         stop_below=2 / 2 - apps.FULL_RANK_EPS)
         gs = apps.g_stable_rank(v, [1.0, 1.0, 1.0], FAST)
         for w, modes, S in ((A.tensor(), (0, 1), S_nc), (v, None, S_gs)):
-            trace = apps._scaling_phase(KempfNessProblem(w, modes), S, 0.0, 100)
+            trace, _ = apps._scaling_phase(KempfNessProblem(w, modes), S,
+                                          apps._floor_certificate(S), 100)
             assert trace.status == "singular" and trace.iterations == 0
     assert nc.rank == 1 and not nc.status.startswith("certified")
     trace, dual = _descent_bracket(A.tensor(), S_nc, cfg, (0, 1))
@@ -613,9 +628,9 @@ def test_rejected_newton_step_leaves_the_sweeps(monkeypatch):
     v = gaussian_tensor((3, 3, 3), 0)
     S = builtin_objective("neg_entropy_weighted", (3, 3, 3), theta=[0.2, 0.3, 0.5])
     problem = KempfNessProblem(v)
-    floor = dual_value(problem, S, apps._floor_certificate(S))
+    floor = apps._floor_certificate(S)
     monkeypatch.setattr(apps, "NEWTON_GAP", -math.inf)
-    sweeps = apps._scaling_phase(problem, S, floor, 1000)
+    sweeps, _ = apps._scaling_phase(problem, S, floor, 1000)
     newton, tried = tensors.kempf_ness_newton, []
 
     def uphill(w, modes):
@@ -624,7 +639,7 @@ def test_rejected_newton_step_leaves_the_sweeps(monkeypatch):
 
     monkeypatch.setattr(tensors, "kempf_ness_newton", uphill)
     monkeypatch.setattr(apps, "NEWTON_GAP", 1e-2)
-    run = apps._scaling_phase(problem, S, floor, 1000)
+    run, _ = apps._scaling_phase(problem, S, floor, 1000)
     assert len(tried) > 100
     assert sweeps.status == run.status == "scaled_to_floor"
     assert run.samples == sweeps.samples
@@ -634,14 +649,16 @@ def test_rejected_newton_step_leaves_the_sweeps(monkeypatch):
 def test_ncrank_takes_sweeps_only(monkeypatch):
     """ncrank sets stop_below, so its phase never tries a Newton step, even
     with the gap rule always met: its FULL_RANK_EPS margin was measured on
-    sweeps.  The sweep counts are those of the sweeps-only phase (the four
-    planted pencils of the ROADMAP baseline and criterion 7's pencils)."""
+    sweeps.  The sweep counts are those of the sweeps-only phase: on the
+    four planted pencils of the ROADMAP baseline, the first sweep whose S
+    lies within FLOOR_TOL of the Wong pair's dual; on criterion 7's
+    pencils, the sweep that certifies."""
     def never(*args):
         raise AssertionError("Newton step tried in ncrank")
 
     monkeypatch.setattr(tensors, "kempf_ness_hessian", never)
     monkeypatch.setattr(apps, "NEWTON_GAP", math.inf)
-    planted = {(3, 2, 2): 6, (4, 3, 2): 18, (5, 3, 3): 25, (6, 4, 3): 32}
+    planted = {(3, 2, 2): 3, (4, 3, 2): 12, (5, 3, 3): 19, (6, 4, 3): 24}
     for (n, r, s), sweeps in planted.items():
         res = apps.ncrank(planted_pencil(np.random.default_rng(10 * n + r), n, r, s, 3))
         assert (res.status, res.iterations) == ("scaled_to_floor", sweeps), (n, r, s)

@@ -24,9 +24,10 @@ from .solver import (
     FlowTrace,
     KempfNessProblem,
     TraceSample,
+    _descend,
+    _SubgradientSteps,
     best_dual_on_ray,
     dual_value,
-    group_subgradient_method,
 )
 from .spectral import _block_spectra, _split, builtin_objective, eigh
 
@@ -116,7 +117,7 @@ def _identity_factors(v, modes):
 
 # The scaling phase stops with `scaled_to_floor` once S - floor <= FLOOR_TOL *
 # (1 + |floor|).  The tolerance only decides when to stop: the primal is S at
-# an orbit point and the dual is the floor certificate's dual_value, bounds
+# an orbit point and the dual is the floor's dual_value (`_Floor`), bounds
 # whatever the tolerance, and the gap reported is their actual difference.  It
 # must sit above the rounding of S near uniform marginals and cost few steps.
 # On gaussian_tensor((3,3,3), 0), with the entropy (theta 0.2, 0.3, 0.5) and
@@ -170,11 +171,40 @@ def _floor_certificate(S):
                                [np.full(n, -(m.sum() / n)) for n, m in zip(dims, _split(d, dims))])
 
 
-def _scaling_phase(problem, S, floor_cert, max_steps, stop_below=None, ray=None):
+class _Floor:
+    """The dual side of `scale`'s bracket: the best dual `value` on `problem`
+    and S found so far and the certificate `cert` that gives it, from the
+    floor certificate on.  A source at least as good as the floor replaces
+    it (`offer`), so a later source wins a tie.
+
+    `ray` is a caller's function of no arguments that returns a boundary ray
+    of v (or None); `consult` calls it once, rates the ray with dual_value
+    and offers it.  The scaling phase consults at its first step k >= 1 that
+    neither certifies nor closes, or at its stop when that comes first, and
+    tests its best S against the floor at once.  It waits for step 1 because
+    full-rank pencils certify by then, so they never build the ray."""
+
+    def __init__(self, problem, S, ray=None):
+        self.problem, self.S, self.ray = problem, S, ray
+        self.cert = _floor_certificate(S)
+        self.value = dual_value(problem, S, self.cert)
+
+    def offer(self, cert, value):
+        if value >= self.value:
+            self.cert, self.value = cert, value
+
+    def consult(self):
+        ray, self.ray = self.ray, None
+        cert = None if ray is None else ray()
+        if cert is not None:
+            self.offer(cert, dual_value(self.problem, self.S, cert))
+
+
+def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
     """Alternating scaling of problem.v from the identity, g_i <- (n_i mu_i)^-1/2
     g_i mode by mode, finished by Newton steps on the Kempf-Ness function, for
     at most `max_steps` steps; each sweep makes every marginal uniform in turn.
-    The floor is the dual_value of `floor_cert`.
+    `floor` is a `_Floor` on the same problem and S.
 
     Once S - floor <= NEWTON_GAP (1 + |floor|), and only when stop_below is
     unset, each step first tries g_i <- e^X_i g_i with X the Newton step of
@@ -190,31 +220,23 @@ def _scaling_phase(problem, S, floor_cert, max_steps, stop_below=None, ray=None)
     each marginal (`spectral._block_spectra`) and S.eval, with no
     subgradient; the sweep's mode 0 reuses the decomposition of mu_0.
 
-    Returns a FlowTrace with one sample per step (step 0 is the start; t
-    counts sweeps and Newton steps; f = log ||g.v||^2 is the Kempf-Ness value
-    at x = g^+ g, which exact scaling keeps at 0; the step is 1 for a sweep,
-    as x <- g^+ exp(-log(n_i mu_i)) g is the group step of length 1 along
-    log(n_i mu_i), and the Frobenius norm (sum_i ||X_i||^2)^1/2 of X for a
-    Newton step; R is 0), stopped with status
+    Returns a FlowTrace with one sample per step and no certificate (step 0
+    is the start; t counts sweeps and Newton steps; f = log ||g.v||^2 is the
+    Kempf-Ness value at x = g^+ g, which exact scaling keeps at 0; the step
+    is 1 for a sweep, as x <- g^+ exp(-log(n_i mu_i)) g is the group step of
+    length 1 along log(n_i mu_i), and the Frobenius norm
+    (sum_i ||X_i||^2)^1/2 of X for a Newton step; R is 0), stopped with
+    status
 
     - `certified` once S < stop_below (tested first),
     - `scaled_to_floor` once S - floor <= FLOOR_TOL (1 + |floor|),
     - `stalled` at the first step that does not lower S (also when S is not
       finite at the start),
     - `singular` when some marginal is numerically singular, and
-    - `max_iters` after `max_steps` steps,
+    - `max_iters` after `max_steps` steps.
 
-    together with the floor it ended with; the trace's certificate is that
-    floor's certificate.  The last three leave the infimum to the
-    subgradient method.
-
-    A caller that knows a boundary ray of v passes `ray`, a function of no
-    arguments that returns it (or None).  It is called once, at the first
-    step k >= 1 that neither certifies nor closes, or at the stop when the
-    phase ends otherwise before it; a ray whose dual_value beats the floor
-    becomes the floor and its certificate, and the phase tests the best S
-    against it at once.  It waits for step 1 because full-rank pencils
-    certify by then, so they never build the ray.
+    The last three leave the infimum to the subgradient method.  The floor
+    is consulted as `_Floor` says.
 
     S is read at g.v acted out from v at every step, an orbit point of the
     stored g up to the rounding of one action (step 0 reads v itself); the
@@ -225,23 +247,12 @@ def _scaling_phase(problem, S, floor_cert, max_steps, stop_below=None, ray=None)
     reaches rounding noise (measured at FULL_RANK_EPS)."""
     stop = -math.inf if stop_below is None else stop_below
     v, modes = problem.v, problem.modes
-    floor = dual_value(problem, S, floor_cert)
     g = _identity_factors(v, modes)
     trace, best, step = FlowTrace(), math.inf, 1.0
 
     def read(w):
         spectra, decomps = _block_spectra(S, tensors.moment_map(w, modes))
         return float(S.eval(spectra)), decomps
-
-    def closed_by_ray():
-        """Consult the ray, which is then dropped, and test the best S against
-        the floor it leaves."""
-        nonlocal ray, floor_cert, floor
-        cert, ray = ray(), None
-        bound = -math.inf if cert is None else dual_value(problem, S, cert)
-        if bound > floor:
-            floor_cert, floor = cert, bound
-        return _near_floor(best, floor)
 
     w = v
     value, decomps = read(w)
@@ -252,13 +263,14 @@ def _scaling_phase(problem, S, floor_cert, max_steps, stop_below=None, ray=None)
             trace.status = "stalled"
             break
         best, trace.best_spectra = value, [r.values for r in decomps]
+        if k >= 1 and not (value < stop or _near_floor(value, floor.value)):
+            floor.consult()
         trace.status = ("certified" if value < stop else
-                        "scaled_to_floor" if _near_floor(value, floor) or (
-                            k >= 1 and ray is not None and closed_by_ray()) else
+                        "scaled_to_floor" if _near_floor(value, floor.value) else
                         "max_iters" if k == max_steps else None)
         if trace.status is not None:
             break
-        if stop_below is None and value - floor <= NEWTON_GAP * (1.0 + abs(floor)):
+        if stop_below is None and value - floor.value <= NEWTON_GAP * (1.0 + abs(floor.value)):
             X = tensors.kempf_ness_newton(w, modes)
             trial = [expm_herm(Xi) @ gi for Xi, gi in zip(X, g)]
             w_trial = tensors.act(trial, v, modes)
@@ -286,73 +298,63 @@ def _scaling_phase(problem, S, floor_cert, max_steps, stop_below=None, ray=None)
         w = tensors.act(g, v, modes)
         value, decomps = read(w)
         step = 1.0
-    if (trace.status not in ("certified", "scaled_to_floor") and ray is not None
-            and closed_by_ray()):
-        trace.status = "scaled_to_floor"
-    trace.certificate = floor_cert
-    return trace, floor
+    if floor.ray is not None and trace.status not in ("certified", "scaled_to_floor"):
+        floor.consult()
+        if _near_floor(best, floor.value):
+            trace.status = "scaled_to_floor"
+    return trace
 
 
 def scale(v, S, config=None, modes=None, stop_below=None, ray=None):
     """Minimize S of the moment map over the scaling orbit of v, with a bracket.
 
     Every builtin S is symmetric and convex, so its least value on the
-    product of simplices is S(uniform).  The floor is the dual_value of the
-    floor certificate (identity bases, weights minus the subgradient of S
-    there): a lower bound on inf S by weak duality, equal to S(uniform) on the
-    builtins.  When the uniform point lies in the moment polytope of the orbit
-    closure, alternating scaling drives S to it at a linear rate (Gurvits
-    2004; Burgisser, Garg, Oliveira, Walter and Wigderson 2018), and Newton
-    steps on the Kempf-Ness function finish the approach at a quadratic one
-    (Allen-Zhu, Garg, Li, Oliveira and Wigderson 2018; `_scaling_phase`, at
-    most config.max_iters sweeps and Newton steps); the run then stops with
-    status `scaled_to_floor`, primal_value the value reached and dual_value
-    the floor.  With stop_below set, it stops first with status `certified`
-    as soon as S is below it, and the phase takes sweeps only; a caller sets
-    it where that alone decides its answer.  Either way the result carries
-    the floor certificate and the phase's trace, one sample per step.
+    product of simplices is S(uniform).  The floor starts at the dual_value
+    of the floor certificate (identity bases, weights minus the subgradient
+    of S there): a lower bound on inf S by weak duality, equal to S(uniform)
+    on the builtins.  When the uniform point lies in the moment polytope of
+    the orbit closure, alternating scaling drives S to it at a linear rate
+    (Gurvits 2004; Burgisser, Garg, Oliveira, Walter and Wigderson 2018), and
+    Newton steps on the Kempf-Ness function finish the approach at a
+    quadratic one (Allen-Zhu, Garg, Li, Oliveira and Wigderson 2018;
+    `_scaling_phase`, at most config.max_iters sweeps and Newton steps); the
+    run then stops with status `scaled_to_floor`, primal_value the value
+    reached and dual_value the floor.  With stop_below set, it stops first
+    with status `certified` as soon as S is below it, and the phase takes
+    sweeps only; a caller sets it where that alone decides its answer.
 
-    A caller that knows a boundary ray of v passes `ray`, a function of no
-    arguments that returns it (or None).  The phase calls it once, at its
-    first step after the start that neither certifies nor closes, or when it
-    ends otherwise before that; a ray whose dual_value beats the floor
-    becomes the floor and its certificate, and the phase stops with status
-    `scaled_to_floor` at the first step whose S lies within the same
-    tolerance of it.
+    A caller that knows a boundary ray of v passes `ray` (see `_Floor`); the
+    phase then stops with status `scaled_to_floor` at the first step whose S
+    lies within the same tolerance of the floor it leaves.
 
     Otherwise (a sweep that does not lower S, a singular marginal, or the
-    sweep budget spent) `group_subgradient_method` runs from the identity, as
-    if the phase had not run: primal_value is the best value of S along that
-    run, dual_value the larger of the phase's floor and `best_dual_on_ray`
-    over its certificate, with the certificate giving it (the run's on a
-    tie), and the stop_below test applies there too.  The run's
-    `+interior_optimum` suffix is kept only when the result carries no
-    certificate.
+    sweep budget spent) the subgradient method runs from the identity, as if
+    the phase had not run, and offers `best_dual_on_ray` over its
+    certificate to the floor; primal_value is the best value of S along that
+    run, and the stop_below test applies there too.  Both stages read the
+    one unit tensor of `KempfNessProblem(v, modes)`.
+
+    dual_value and the certificate are the floor's; the trace is that of the
+    stage that ran, as it left it.  The run's `+interior_optimum` suffix is
+    kept only when the result carries no certificate.
     """
-    v = tensors.normalize(v)
-    modes = tuple(range(v.ndim)) if modes is None else tuple(modes)
     config = (default_config("scale") if config is None else config).validate()
     problem = KempfNessProblem(v, modes)
-    trace, floor = _scaling_phase(problem, S, _floor_certificate(S), config.max_iters,
-                                  stop_below, ray)
-    if trace.status in ("certified", "scaled_to_floor"):
-        dual = floor
-    else:
-        floor_cert = trace.certificate
-        trace, _ = group_subgradient_method(v, S, _identity_factors(v, modes), config,
-                                            modes=modes, stop_below=stop_below)
-        dual = best_dual_on_ray(problem, S, trace.certificate)
-        if floor > dual:
-            trace.certificate, dual = floor_cert, floor
-            trace.status = trace.status.removesuffix("+interior_optimum")
+    floor = _Floor(problem, S, ray)
+    trace = _scaling_phase(problem, S, floor, config.max_iters, stop_below)
+    if trace.status not in ("certified", "scaled_to_floor"):
+        trace = _descend(problem, _identity_factors(problem.v, problem.modes), S, config,
+                         _SubgradientSteps(config), stop_below)
+        floor.offer(trace.certificate, best_dual_on_ray(problem, S, trace.certificate))
     return ApplicationResult(
         primal_value=trace.best_q,
-        dual_value=dual,
-        gap=trace.best_q - dual,
-        certificate=trace.certificate,
+        dual_value=floor.value,
+        gap=trace.best_q - floor.value,
+        certificate=floor.cert,
         spectra=trace.best_spectra,
         iterations=trace.iterations,
-        status=trace.status,
+        status=trace.status if floor.cert is None
+        else trace.status.removesuffix("+interior_optimum"),
         trace=trace,
     )
 
@@ -547,8 +549,8 @@ def ncrank(A, config=None):
     pencils `scale`'s alternating scaling gets there within a sweep, and
     rank_upper is then n (the floor certificate is the zero ray, dual 0).
 
-    Only a phase that has not certified by its first sweep (or that ends
-    before it) consults the ray that `ncrank` hands `scale`.  That ray first
+    `ncrank` hands `scale` a ray, consulted as `_Floor` says, so a pencil
+    that certifies by its first sweep never builds it.  That ray first
     refuses a pencil with both a common left and a common right kernel
     (`check_common_kernel`), which has S >= 2/n on its whole orbit, and then
     returns `wong_ray`.  Its dual 2(n - r)/n, r the rank of a random

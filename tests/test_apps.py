@@ -20,6 +20,8 @@ from qflow.geometry import BoundaryCertificate
 from qflow.solver import (
     FlowConfig,
     KempfNessProblem,
+    _descend,
+    _SubgradientSteps,
     best_dual_on_ray,
     dual_value,
     group_subgradient_method,
@@ -248,8 +250,8 @@ def test_scaling_phase_never_proves_full_rank_on_planted_pencils():
             A = planted_pencil(np.random.default_rng(10 * n + r), n, r, n + 1 - r, 3)
             S = builtin_objective("trace_dist_to_uniform", (n, n))
             # no stop_below: the phase runs until it leaves on its own
-            trace, _ = apps._scaling_phase(KempfNessProblem(A.tensor(), (0, 1)), S,
-                                          apps._floor_certificate(S), 5000)
+            problem = KempfNessProblem(A.tensor(), (0, 1))
+            trace = apps._scaling_phase(problem, S, apps._Floor(problem, S), 5000)
             assert trace.status in ("stalled", "singular"), (n, r)
             assert min(x.q_value for x in trace.samples) >= 2 / n - apps.FULL_RANK_EPS
             res = apps.ncrank(A)
@@ -257,11 +259,12 @@ def test_scaling_phase_never_proves_full_rank_on_planted_pencils():
 
 
 def _descent_bracket(v, S, config, modes=None):
-    """The fallback path of `scale`: the subgradient run from the identity
-    and the larger of the floor and the best dual on its certificate."""
+    """The fallback path of `scale`: the subgradient run from the identity on
+    the one unit tensor of the problem, and the larger of the floor and the
+    best dual on its certificate."""
     prob = KempfNessProblem(v, modes)
-    trace, _ = group_subgradient_method(
-        prob.v, S, [np.eye(n, dtype=complex) for n in prob.signature], config, modes=modes)
+    trace = _descend(prob, [np.eye(n, dtype=complex) for n in prob.signature], S, config,
+                     _SubgradientSteps(config))
     floor = dual_value(prob, S, apps._floor_certificate(S))
     return trace, max(floor, best_dual_on_ray(prob, S, trace.certificate))
 
@@ -291,8 +294,8 @@ def test_singular_marginal_falls_back_to_descent():
                         stop_below=2 / 2 - apps.FULL_RANK_EPS)
         gs = apps.g_stable_rank(v, [1.0, 1.0, 1.0], FAST)
         for w, modes, S in ((A.tensor(), (0, 1), S_nc), (v, None, S_gs)):
-            trace, _ = apps._scaling_phase(KempfNessProblem(w, modes), S,
-                                          apps._floor_certificate(S), 100)
+            problem = KempfNessProblem(w, modes)
+            trace = apps._scaling_phase(problem, S, apps._Floor(problem, S), 100)
             assert trace.status == "singular" and trace.iterations == 0
     assert nc.rank == 1 and not nc.status.startswith("certified")
     trace, dual = _descent_bracket(A.tensor(), S_nc, cfg, (0, 1))
@@ -322,6 +325,65 @@ def test_fallback_keeps_the_floor():
     assert abs(fro.dual_value - 1.0) < 1e-12
     for res in (gs, fro):
         assert all(np.array_equal(k, np.eye(3)) for k in res.certificate.bases)
+
+
+def test_a_ray_that_ties_the_floor_replaces_it():
+    """A source at least as good as the floor replaces it, so a ray that
+    returns a fresh floor certificate, whose dual equals the floor, gives
+    the result's certificate: on a Gaussian tensor the phase closes, and on
+    the zero-slice tensor the subgradient run's dual stays below the floor.
+    The trace is the stage's own: the phase's carries no certificate."""
+    v = gaussian_tensor((3, 3, 3), 0)
+    z = v.copy()
+    z[2] = 0.0
+    S = builtin_objective("op_norm_max_weighted", (3, 3, 3), alpha=[1.0, 1.0, 1.0])
+    for w, status in ((v, "scaled_to_floor"), (z, "stalled")):
+        made = []
+
+        def ray():
+            made.append(apps._floor_certificate(S))
+            return made[-1]
+
+        res = apps.scale(w, S, apps.default_config("gstable"), ray=ray)
+        assert res.status == status and len(made) == 1
+        assert res.certificate is made[0]
+        assert res.dual_value == dual_value(KempfNessProblem(w), S, made[0])
+        assert res.trace.certificate is not res.certificate
+        assert (res.trace.certificate is None) == (status == "scaled_to_floor")
+
+
+def test_scale_normalizes_the_tensor_once(monkeypatch):
+    """Both stages of `scale` read the one unit tensor of its problem: a
+    qfunc solve that the phase closes and the singular-marginal pencil that
+    falls back to the subgradient run each normalize the tensor once.  (Each
+    Newton step normalizes its own orbit point in kempf_ness_hessian.)"""
+    calls, newton = [], []
+    normalize, hessian = tensors.normalize, tensors.kempf_ness_hessian
+
+    def counted(v):
+        calls.append(1)
+        return normalize(v)
+
+    def counted_hessian(w, modes=None):
+        newton.append(1)
+        return hessian(w, modes)
+
+    monkeypatch.setattr(tensors, "normalize", counted)
+    monkeypatch.setattr(tensors, "kempf_ness_hessian", counted_hessian)
+    qf = apps.quantum_functional(gaussian_tensor((3, 3, 3), 0), [0.2, 0.3, 0.5])
+    assert qf.status == "scaled_to_floor" and len(newton) >= 2
+    assert len(calls) == 1 + len(newton)
+    calls.clear()
+    A1 = np.zeros((2, 2), dtype=complex)
+    A1[0, 0] = 1.0
+    A2 = np.zeros((2, 2), dtype=complex)
+    A2[0, 1] = 1.0
+    cfg = FlowConfig(max_iters=1500, step_size=0.3, smoothing=0.1,
+                     smoothing_schedule=True)
+    sc = apps.scale(apps.MatrixPencil([A1, A2]).tensor(),
+                    builtin_objective("trace_dist_to_uniform", (2, 2)), cfg,
+                    modes=(0, 1), stop_below=2 / 2 - apps.FULL_RANK_EPS)
+    assert sc.status == "stalled" and calls == [1]
 
 
 def test_dual_rates_a_ray_past_the_domain_edge_at_the_edge():
@@ -628,9 +690,8 @@ def test_rejected_newton_step_leaves_the_sweeps(monkeypatch):
     v = gaussian_tensor((3, 3, 3), 0)
     S = builtin_objective("neg_entropy_weighted", (3, 3, 3), theta=[0.2, 0.3, 0.5])
     problem = KempfNessProblem(v)
-    floor = apps._floor_certificate(S)
     monkeypatch.setattr(apps, "NEWTON_GAP", -math.inf)
-    sweeps, _ = apps._scaling_phase(problem, S, floor, 1000)
+    sweeps = apps._scaling_phase(problem, S, apps._Floor(problem, S), 1000)
     newton, tried = tensors.kempf_ness_newton, []
 
     def uphill(w, modes):
@@ -639,7 +700,7 @@ def test_rejected_newton_step_leaves_the_sweeps(monkeypatch):
 
     monkeypatch.setattr(tensors, "kempf_ness_newton", uphill)
     monkeypatch.setattr(apps, "NEWTON_GAP", 1e-2)
-    run, _ = apps._scaling_phase(problem, S, floor, 1000)
+    run = apps._scaling_phase(problem, S, apps._Floor(problem, S), 1000)
     assert len(tried) > 100
     assert sweeps.status == run.status == "scaled_to_floor"
     assert run.samples == sweeps.samples

@@ -7,7 +7,7 @@ from _pencils import planted_pencil
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflow import apps, tensors
+from qflow import apps
 from qflow.generate import random_pencil, skew_pencil
 from qflow.solver import KempfNessProblem, dual_value
 from qflow.spectral import builtin_objective
@@ -39,11 +39,11 @@ def test_ncrank_closes_planted_pencils_with_the_pair(n, r, s):
     A = baseline_pencil(n, r, s)
     rank = apps.ncrank_blowup_oracle(A)
     S = builtin_objective("trace_dist_to_uniform", (n, n))
-    problem = KempfNessProblem(tensors.normalize(A.tensor()), (0, 1))
+    problem = KempfNessProblem(A.tensor(), (0, 1))
     ray = apps.wong_ray(A)
     d = dual_value(problem, S, ray)
-    phase, _ = apps._scaling_phase(problem, S, apps._floor_certificate(S), 5000,
-                                   stop_below=2 / n - apps.FULL_RANK_EPS)
+    phase = apps._scaling_phase(problem, S, apps._Floor(problem, S), 5000,
+                                stop_below=2 / n - apps.FULL_RANK_EPS)
     first = next(k for k, x in enumerate(phase.samples)
                  if x.q_value - d <= apps.FLOOR_TOL * (1 + abs(d)))
     res = apps.ncrank(A)
@@ -76,7 +76,7 @@ def test_wong_ray_is_sound_on_planted_pencils(seed, n, data):
     problem = KempfNessProblem(A.tensor(), (0, 1))
     S = builtin_objective("trace_dist_to_uniform", (n, n))
     dual = dual_value(problem, S, cert)
-    phase, _ = apps._scaling_phase(problem, S, apps._floor_certificate(S), 200)
+    phase = apps._scaling_phase(problem, S, apps._Floor(problem, S), 200)
     assert dual <= phase.best_q + 1e-12
     assert n - 0.5 * n * dual >= apps.ncrank_blowup_oracle(A) - 1e-9
 

@@ -26,7 +26,7 @@ from .solver import (
     TraceSample,
     _descend,
     _SubgradientSteps,
-    best_dual_on_ray,
+    best_ray_on_line,
     dual_value,
 )
 from .spectral import _block_spectra, _split, builtin_objective, eigh
@@ -172,32 +172,32 @@ def _floor_certificate(S):
 
 
 class _Floor:
-    """The dual side of `scale`'s bracket: the best dual `value` on `problem`
-    and S found so far and the certificate `cert` that gives it, from the
-    floor certificate on.  A source at least as good as the floor replaces
-    it (`offer`), so a later source wins a tie.
+    """The dual side of `scale`'s bracket: the best ray `cert` so far, from
+    the floor certificate on, and its dual_value `value`.  `offer` is the
+    floor's one rating site: it rates a ray (None is none) and keeps it when
+    at least as good as `cert`, so a later source wins a tie.
 
     `ray` is a caller's function of no arguments that returns a boundary ray
-    of v (or None); `consult` calls it once, rates the ray with dual_value
-    and offers it.  The scaling phase consults at its first step k >= 1 that
-    neither certifies nor closes, or at its stop when that comes first, and
-    tests its best S against the floor at once.  It waits for step 1 because
-    full-rank pencils certify by then, so they never build the ray."""
+    of v (or None); `consult` calls it once and offers the ray.  The scaling
+    phase consults at its first step k >= 1 that neither certifies nor
+    closes, or at its stop when that comes first, and tests its best S
+    against the floor at once.  It waits for step 1 because full-rank
+    pencils certify by then, so they never build the ray."""
 
     def __init__(self, problem, S, ray=None):
         self.problem, self.S, self.ray = problem, S, ray
-        self.cert = _floor_certificate(S)
-        self.value = dual_value(problem, S, self.cert)
+        self.cert, self.value = None, -math.inf
+        self.offer(_floor_certificate(S))
 
-    def offer(self, cert, value):
-        if value >= self.value:
-            self.cert, self.value = cert, value
+    def offer(self, cert):
+        if cert is not None:
+            value = dual_value(self.problem, self.S, cert)
+            if value >= self.value:
+                self.cert, self.value = cert, value
 
     def consult(self):
         ray, self.ray = self.ray, None
-        cert = None if ray is None else ray()
-        if cert is not None:
-            self.offer(cert, dual_value(self.problem, self.S, cert))
+        self.offer(None if ray is None else ray())
 
 
 def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
@@ -329,14 +329,15 @@ def scale(v, S, config=None, modes=None, stop_below=None, ray=None):
 
     Otherwise (a sweep that does not lower S, a singular marginal, or the
     sweep budget spent) the subgradient method runs from the identity, as if
-    the phase had not run, and offers `best_dual_on_ray` over its
-    certificate to the floor; primal_value is the best value of S along that
-    run, and the stop_below test applies there too.  Both stages read the
-    one unit tensor of `KempfNessProblem(v, modes)`.
+    the phase had not run, and offers the floor the best ray on the line of
+    its certificate (`best_ray_on_line`); primal_value is the best value of
+    S along that run, and the stop_below test applies there too.  Both
+    stages read the one unit tensor of `KempfNessProblem(v, modes)`.
 
-    dual_value and the certificate are the floor's; the trace is that of the
-    stage that ran, as it left it.  The run's `+interior_optimum` suffix is
-    kept only when the result carries no certificate.
+    The certificate and dual_value are the floor's, so `certify` on the
+    certificate returns dual_value, and the status drops the run's
+    `+interior_optimum` suffix.  The trace is that of the stage that ran,
+    as it left it.
     """
     config = (default_config("scale") if config is None else config).validate()
     problem = KempfNessProblem(v, modes)
@@ -345,7 +346,7 @@ def scale(v, S, config=None, modes=None, stop_below=None, ray=None):
     if trace.status not in ("certified", "scaled_to_floor"):
         trace = _descend(problem, _identity_factors(problem.v, problem.modes), S, config,
                          _SubgradientSteps(config), stop_below)
-        floor.offer(trace.certificate, best_dual_on_ray(problem, S, trace.certificate))
+        floor.offer(best_ray_on_line(problem, S, trace.certificate))
     return ApplicationResult(
         primal_value=trace.best_q,
         dual_value=floor.value,
@@ -353,8 +354,7 @@ def scale(v, S, config=None, modes=None, stop_below=None, ray=None):
         certificate=floor.cert,
         spectra=trace.best_spectra,
         iterations=trace.iterations,
-        status=trace.status if floor.cert is None
-        else trace.status.removesuffix("+interior_optimum"),
+        status=trace.status.removesuffix("+interior_optimum"),
         trace=trace,
     )
 
@@ -372,10 +372,10 @@ def quantum_functional(v, theta, config=None):
     dual_value is an upper bound: sum theta_i log2 n_i, the entropy of the
     uniform spectra, when the scaling phase reaches it (status
     `scaled_to_floor`; the Gaussian tensors' case); otherwise the
-    variational expression inf_X Phi^inf(X) + sum theta_i log2 tr
-    2^(-X_i/theta_i) over the line of the subgradient run's certificate, or
-    sum theta_i log2 n_i when that run found none.  Both bracket the entropy
-    functional.
+    variational expression Phi^inf(X) + sum theta_i log2 tr 2^(-X_i/theta_i)
+    at the best ray X on the line of the subgradient run's certificate, when
+    that is below sum theta_i log2 n_i.  Both bracket the entropy functional,
+    and `certify` on the result's certificate returns minus dual_value.
     """
     v = tensors.as_tensor(v)
     S = builtin_objective("neg_entropy_weighted", v.shape, theta=theta)

@@ -112,10 +112,12 @@ class BoundaryCertificate:
         return TangentBlock(blocks)
 
     def scaled(self, c):
+        """c times the ray, in normal form: c < 0 reverses columns and weights."""
+        order = slice(None, None, -1 if c < 0 else 1)
         return BoundaryCertificate(
             c * np.asarray(self.euclid_dir, dtype=float),
-            [k.copy() for k in self.bases],
-            [c * np.asarray(w, dtype=float) for w in self.weights],
+            [k[:, order].copy() for k in self.bases],
+            [c * np.asarray(w, dtype=float)[order] for w in self.weights],
         )
 
 

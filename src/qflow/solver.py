@@ -324,20 +324,19 @@ def integrate_flow(problem, Q, x0, config):
     return _descend(problem, g0, Q, config, _FlowSteps(config))
 
 
-def group_subgradient_method(v, S, g0, config, modes=None, stop_below=None):
+def group_subgradient_method(v, S, g0, config, modes=None):
     """Q-subgradient method in group form: g <- exp(-delta_i Z_i/2) g, with
     delta_i = step_size / sqrt(i+1) and Z_i in d((S - inf S)^2/2) at the
     moment map of g.v.
 
     Each step keeps |det g| and moves its scalar part into the shares c of
     the iterate x = e^{2c} g^+ g; the returned factors carry c back, so their
-    g^+ g is the final point.  Stops at max_iters, when the best value has
-    not improved by tol_stall for STALL_WINDOW iterations, or (status
-    `certified`) once the best value is below stop_below, if that is set.
-    The certificate is relative to x0 = g0^+ g0.
+    g^+ g is the final point.  Stops at max_iters or when the best value has
+    not improved by tol_stall for STALL_WINDOW iterations.  The certificate
+    is relative to x0 = g0^+ g0.
     """
     trace = _descend(KempfNessProblem(v, modes), g0, S, config,
-                     _SubgradientSteps(config), stop_below)
+                     _SubgradientSteps(config))
     return trace, trace.final_factors
 
 
@@ -421,8 +420,8 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_STEPS = 44
 
 
-def best_dual_on_ray(problem, Q, cert):
-    """The largest dual value over the line {c * cert : c real}.
+def best_ray_on_line(problem, Q, cert):
+    """The ray cert.scaled(c) of largest dual over real c; None without cert.
 
     c -> dual_value(c * cert) is concave, and finite where Q*(-c Y) is: on
     [-1/gauge(w), 1/gauge(-w)] for an objective with a conjugate gauge (w the
@@ -432,20 +431,19 @@ def best_dual_on_ray(problem, Q, cert):
     and c times the smallest for c < 0 (tensors.support_sums), so a
     golden-section search maximizes phi(c) = -c (largest or smallest) / s(c)
     - Q*(-c w / s(c)), which evaluates only the conjugate.  Both ends of the
-    bracket are candidates too; the best candidate c is rated once more by
-    dual_value, so the bound rests on dual_value, and the result is the
-    larger of that and c = 0, whose dual is inf Q.  With no certificate the
-    result is inf Q, and so it is for a checked certificate with zero weights
-    (a line that is the single point c = 0, where a gauge would be 0).
+    bracket are candidates too; c = 0, whose dual is inf Q, is none, as the
+    floor certificate's dual S(uniform) is at least that on every builtin.
+    The ray is not rated here (`apps._Floor` rates it with dual_value).  A
+    checked certificate with zero weights is returned as it is (its line is
+    the single point c = 0, where a gauge would be 0).
     """
-    best = infimum(Q)
     if cert is None:
-        return best
+        return None
     _check_dual_args(problem, Q)
     sums = tensors.support_sums(problem.tensor, cert, problem.modes)
     y = _minus_weights(cert)
     if not y.any():
-        return best
+        return cert
     largest = float(sums.max())
     smallest = float(sums[sums > -math.inf].min(initial=math.inf))
 
@@ -470,5 +468,4 @@ def best_dual_on_ray(problem, Q, cert):
             c1 = b - GOLDEN * (b - a)
             f1 = phi(c1)
     _, c = max((phi(lo), lo), (phi(hi), hi), (f1, c1), (f2, c2))
-    val = dual_value(problem, Q, cert.scaled(c))
-    return max(best, -math.inf if math.isnan(val) else val)
+    return cert.scaled(c)

@@ -22,7 +22,7 @@ from qflow.solver import (
     KempfNessProblem,
     _descend,
     _SubgradientSteps,
-    best_dual_on_ray,
+    best_ray_on_line,
     dual_value,
     group_subgradient_method,
 )
@@ -209,12 +209,21 @@ def test_ncrank_reports_the_integer_its_bracket_proves(seed, shape, max_iters, r
 def test_interior_optimum_suffix_only_without_certificate():
     """With no iterations the subgradient run has no certificate of its own,
     but the result reports the Wong pair, whose rank_upper 2 < n = 3 shows
-    that the orbit escapes: there is no interior optimum to report."""
+    that the orbit escapes: there is no interior optimum to report.  Without
+    a caller's ray the result keeps the floor certificate, so no result
+    carries the suffix, even where the floor's dual 0 is inf S and the run
+    has no certificate to offer."""
     A = planted_pencil(np.random.default_rng(132), 3, 2, 2, 2)
     res = _ncrank_at(A, 0)
     assert res.certificate is not None
     assert res.status == "max_iters"
     assert abs(res.rank_upper - 2) < 1e-9
+    S = builtin_objective("trace_dist_to_uniform", (3, 3))
+    res = apps.scale(A.tensor(), S, replace(FAST, max_iters=0), modes=(0, 1))
+    assert res.trace.status == "max_iters+interior_optimum"
+    assert res.status == "max_iters"
+    assert res.dual_value == 0.0 == dual_value(KempfNessProblem(A.tensor(), (0, 1)), S,
+                                                res.certificate)
 
 
 # n < r + s caps the rank below n; r = s = n is the zero pencil
@@ -261,12 +270,12 @@ def test_scaling_phase_never_proves_full_rank_on_planted_pencils():
 def _descent_bracket(v, S, config, modes=None):
     """The fallback path of `scale`: the subgradient run from the identity on
     the one unit tensor of the problem, and the larger of the floor and the
-    best dual on its certificate."""
+    dual of the best ray on the line of its certificate."""
     prob = KempfNessProblem(v, modes)
     trace = _descend(prob, [np.eye(n, dtype=complex) for n in prob.signature], S, config,
                      _SubgradientSteps(config))
     floor = dual_value(prob, S, apps._floor_certificate(S))
-    return trace, max(floor, best_dual_on_ray(prob, S, trace.certificate))
+    return trace, max(floor, dual_value(prob, S, best_ray_on_line(prob, S, trace.certificate)))
 
 
 def test_singular_marginal_falls_back_to_descent():
@@ -301,10 +310,13 @@ def test_singular_marginal_falls_back_to_descent():
     trace, dual = _descent_bracket(A.tensor(), S_nc, cfg, (0, 1))
     assert sc.status == trace.status == "stalled"
     assert (sc.primal_value, sc.dual_value) == (trace.best_q, dual)
+    assert sc.dual_value == dual_value(KempfNessProblem(A.tensor(), (0, 1)), S_nc,
+                                       sc.certificate)
     assert sc.iterations == trace.iterations
     assert abs(2 - sc.dual_value - 1.0) < 1e-12
     trace, dual = _descent_bracket(v, S_gs, FAST)
     assert (gs.primal_value, gs.dual_value) == (trace.best_q, dual)
+    assert gs.dual_value == dual_value(KempfNessProblem(v), S_gs, gs.certificate)
     assert gs.iterations == trace.iterations
     # the subgradient method's lower bound and the floor 1/3 on this tensor
     assert abs(gs.rank_lower - 2.0) < 1e-8 and abs(gs.rank_upper - 3.0) < 1e-12
@@ -510,8 +522,9 @@ W_STATE[1, 0, 0] = W_STATE[0, 1, 0] = W_STATE[0, 0, 1] = 1.0
 
 @pytest.mark.parametrize("v", [W_STATE, _embedded_gaussian()], ids=["W", "embedded"])
 def test_quantum_functional_line_search_beats_grid(v):
-    """The upper bound is at most the best of a 50-scale grid over the same
-    certificate (and the no-certificate ceiling)."""
+    """The upper bound is at most the best of a 50-scale grid over the line
+    of the result's certificate (and the no-certificate ceiling), and that
+    certificate certifies it."""
     theta = [1 / 3, 1 / 3, 1 / 3]
     cfg = FlowConfig(max_iters=300, step_size=0.5, smoothing=0.05,
                      smoothing_schedule=True)
@@ -522,9 +535,57 @@ def test_quantum_functional_line_search_beats_grid(v):
     grid = sum(th * math.log2(n) for th, n in zip(theta, v.shape))
     for c in np.concatenate([np.logspace(-2, 2, 25), -np.logspace(-2, 2, 25)]):
         grid = min(grid, -dual_value(problem, S, res.certificate.scaled(float(c))))
-    assert res.dual_value == -best_dual_on_ray(problem, S, res.certificate)
+    assert res.dual_value == -dual_value(problem, S, res.certificate)
     assert res.dual_value <= grid + 1e-9
     assert res.primal_value <= res.dual_value + 1e-8
+
+
+def _zero_slice():
+    v = gaussian_tensor((3, 3, 3), 0)
+    v[2] = 0.0
+    return v
+
+
+def _null_cone():
+    """A Gaussian tensor set to zero where i + j + k > 2: it lies in the null
+    cone, so its orbit escapes."""
+    v = gaussian_tensor((3, 3, 3), 0)
+    i, j, k = np.indices(v.shape)
+    v[i + j + k > 2] = 0.0
+    return v
+
+
+@pytest.mark.parametrize("name", ["W", "zero_slice", "null_cone"])
+@pytest.mark.parametrize("app", ["qfunc", "gstable", "scale"])
+def test_certificate_certifies_the_dual(app, name):
+    """Each of these runs leaves the scaling phase, and its result's
+    certificate is the best ray on the line of the run's own or the floor's:
+    either way dual_value of the certificate is the result's dual in S
+    units, bitwise."""
+    v = {"W": W_STATE, "zero_slice": _zero_slice(), "null_cone": _null_cone()}[name]
+    cfg = replace(apps.default_config(app), max_iters=200)
+    if app == "qfunc":
+        S = builtin_objective("neg_entropy_weighted", v.shape, theta=[0.2, 0.3, 0.5])
+        res = apps.quantum_functional(v, [0.2, 0.3, 0.5], cfg)
+        res = replace(res, dual_value=-res.dual_value)
+    elif app == "gstable":
+        S = builtin_objective("op_norm_max_weighted", v.shape, alpha=[1.0, 1.0, 1.0])
+        res = apps.g_stable_rank(v, [1.0, 1.0, 1.0], cfg)
+    else:
+        S = builtin_objective("trace_dist_to_uniform", v.shape)
+        res = apps.scale(v, S, cfg)
+    assert (res.status, res.iterations) == ("max_iters", 200)
+    assert dual_value(KempfNessProblem(v), S, res.certificate) == res.dual_value
+
+
+def test_ncrank_certificate_certifies_the_dual():
+    """A one-sided pencil that runs to its stall reports the Wong pair, whose
+    dual_value is the result's dual in S units, bitwise."""
+    A = planted_pencil(np.random.default_rng(31), 3, 1, 3, 3)
+    res = apps.ncrank(A)
+    S = builtin_objective("trace_dist_to_uniform", (3, 3))
+    assert res.status == "stalled" and res.rank == 2
+    assert dual_value(KempfNessProblem(A.tensor(), (0, 1)), S, res.certificate) == res.dual_value
 
 
 def test_quantum_functional_duality_sandwich_random():

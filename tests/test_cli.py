@@ -9,7 +9,7 @@ from _pencils import planted_pencil
 from qflow import apps, cli, io, tensors
 from qflow.cli import main
 from qflow.errors import ValidationError
-from qflow.generate import identity_pencil, random_pencil, skew_pencil
+from qflow.generate import gaussian_tensor, identity_pencil, random_pencil, skew_pencil
 from qflow.geometry import BoundaryCertificate
 
 
@@ -332,6 +332,29 @@ def test_ncrank_writes_the_pair_certificate(tmp_path, capsys):
     assert abs(json.loads(capsys.readouterr().out)["dual_value"] - 2 * (4 - 3) / 4) < 1e-12
 
 
+def test_qfunc_record_certificate_certifies_its_dual(tmp_path, capsys):
+    """A qfunc record's certificate, written to its own file, certifies the
+    record's dual: `certify` returns exactly minus its dual_value (the
+    zero-slice tensor leaves the scaling phase, so the certificate comes
+    from the subgradient run's line)."""
+    v = gaussian_tensor((3, 3, 3), 0)
+    v[2] = 0.0
+    tensor_path = tmp_path / "z.json"
+    tensor_path.write_text(json.dumps(io.tensor_to_record(v)))
+    out_path = tmp_path / "run.json"
+    theta = ["--theta", "0.2,0.3,0.5"]
+    assert main(["qfunc", str(tensor_path), *theta, "--max-iters", "200",
+                 "--out", str(out_path)]) == 0
+    run = json.loads(out_path.read_text())
+    assert run["result"]["status"] == "max_iters"
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(run["certificate"]))
+    capsys.readouterr()
+    assert main(["certify", str(tensor_path), str(cert_path),
+                 "--objective", "neg_entropy_weighted", *theta]) == 0
+    assert json.loads(capsys.readouterr().out)["dual_value"] == -run["result"]["dual_value"]
+
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
@@ -479,7 +502,7 @@ def test_scale_entropy_descends(tmp_path, capsys):
 
 def test_scale_dual_never_below_infimum(tmp_path, capsys):
     """trace_dist_to_uniform is nonnegative, and so is the dual that scale
-    reports for it (c = 0 is always a candidate)."""
+    reports for it (the floor's dual, 0, is at least inf S)."""
     path = str(tmp_path / "g.json")
     assert main(["gen", "gaussian", "--dims", "3,3,3", "--seed", "7",
                  "--out", path]) == 0

@@ -186,6 +186,22 @@ def test_certificate_scaling():
     assert max(np.max(np.abs(0.5 * a - b)) for a, b in zip(Y.blocks, Yh.blocks)) < 1e-10
 
 
+def test_certificate_scaling_keeps_the_normal_form():
+    """For c < 0 the scaled ray reverses each basis's columns and its
+    weights, so its weights stay nonincreasing and it represents c times the
+    ray; for c > 0 the bases are unchanged."""
+    x = ProductPDPoint.identity(DIMS)
+    cert = asymptotic_at_base(x, random_tangent(x))
+    Y = cert.tangent_at_base()
+    for c in (-2.5, -1e-3, 0.7, 3.0):
+        out = cert.scaled(c)
+        assert all(np.all(np.diff(w) <= 0) for w in out.weights)
+        Yc = out.tangent_at_base()
+        assert max(np.max(np.abs(c * a - b)) for a, b in zip(Y.blocks, Yc.blocks)) < 1e-12
+        if c > 0:
+            assert all(np.array_equal(k, kc) for k, kc in zip(cert.bases, out.bases))
+
+
 def test_signature_mismatch_raises():
     x = random_point()
     H = TangentBlock.zero((2, 2))

@@ -24,7 +24,7 @@ from qflow.generate import gaussian_tensor
 from qflow.solver import (
     FlowConfig,
     KempfNessProblem,
-    best_dual_on_ray,
+    best_ray_on_line,
     dual_value,
     energy_residual,
     FlowTrace,
@@ -762,26 +762,27 @@ def test_checks_take_only_a_boundary_certificate(monkeypatch):
 
 
 def test_best_dual_on_ray_checks_before_reading_weights():
-    """best_dual_on_ray runs the one check before its zero-weight shortcut: a
+    """best_ray_on_line runs the one check before its zero-weight shortcut: a
     TangentBlock and a zero-weight certificate of the wrong shape raise the
-    check's ValidationError; a zero-weight certificate that passes it gives
-    inf Q."""
+    check's ValidationError; a zero-weight certificate that passes it is
+    returned as it is, rated at inf Q."""
     prob = KempfNessProblem(tensors.unit_tensor(2, 3))
     S = builtin_objective("frobenius", prob.signature)
     tangent = geom.TangentBlock([np.diag([0.3, -0.3]).astype(complex)] * 3)
     with pytest.raises(ValidationError, match="BoundaryCertificate"):
-        best_dual_on_ray(prob, S, tangent)
+        best_ray_on_line(prob, S, tangent)
     wrong = geom.BoundaryCertificate(np.zeros(0), [np.eye(3, dtype=complex)] * 5,
                                      [np.zeros(3)] * 5)
     with pytest.raises(ValidationError, match="expected 3 blocks"):
-        best_dual_on_ray(prob, S, wrong)
+        best_ray_on_line(prob, S, wrong)
     zero = geom.BoundaryCertificate(np.zeros(0), [np.eye(2, dtype=complex)] * 3,
                                     [np.zeros(2)] * 3)
-    assert best_dual_on_ray(prob, S, zero) == infimum(S)
+    assert best_ray_on_line(prob, S, zero) is zero
+    assert dual_value(prob, S, zero) == infimum(S)
 
 
 @pytest.mark.parametrize("name", ["recession", "support_sums", "dual_value",
-                                  "best_dual_on_ray", "fortin_reutenauer_pair"])
+                                  "best_ray_on_line", "fortin_reutenauer_pair"])
 def test_certificate_weights_must_be_real(name):
     """Complex weights (1+5j, -1) fail the one check with a ValidationError,
     before a float cast drops their imaginary part."""
@@ -792,7 +793,7 @@ def test_certificate_weights_must_be_real(name):
     call, k = {"recession": (lambda xi: tensors.recession(unit, xi), 3),
                "support_sums": (lambda xi: tensors.support_sums(unit, xi), 3),
                "dual_value": (lambda xi: dual_value(prob, S, xi), 3),
-               "best_dual_on_ray": (lambda xi: best_dual_on_ray(prob, S, xi), 3),
+               "best_ray_on_line": (lambda xi: best_ray_on_line(prob, S, xi), 3),
                "fortin_reutenauer_pair": (
                    lambda xi: apps.fortin_reutenauer_pair(pencil, xi), 2)}[name]
     xi = geom.BoundaryCertificate(np.zeros(0), [np.eye(2, dtype=complex)] * k,
@@ -887,10 +888,10 @@ def test_unitarity_check_multiplies_each_block_alone(monkeypatch):
 
 
 def test_dual_value_reaches_the_pass_through_recession(monkeypatch):
-    """dual_value, apps.certify and the last step of best_dual_on_ray call
-    tensors.recession once each, so a benchmark span on recession times the
-    pass over the blocks, and its result is the recession that dual_value
-    rates."""
+    """dual_value, apps.certify and the rating of best_ray_on_line's ray call
+    tensors.recession once each (the line search reads support_sums), so a
+    benchmark span on recession times the pass over the blocks, and its
+    result is the recession that dual_value rates."""
     prob = make_problem((3, 2, 2), 64)
     S = builtin_objective("frobenius", (3, 2, 2))
     cert = random_certificate(np.random.default_rng(64), (3, 2, 2))
@@ -902,10 +903,11 @@ def test_dual_value_reaches_the_pass_through_recession(monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(tensors, "recession", counted)
-    # best_dual_on_ray's one dual_value rates a scaled copy of the ray
+    # the line search returns a scaled copy of the ray, which one dual_value rates
     for call, rates_cert in ((lambda: dual_value(prob, S, cert), True),
                              (lambda: apps.certify(prob.v, S, cert), True),
-                             (lambda: best_dual_on_ray(prob, S, cert), False)):
+                             (lambda: dual_value(prob, S, best_ray_on_line(prob, S, cert)),
+                              False)):
         seen.clear()
         call()
         assert len(seen) == 1
@@ -1001,11 +1003,16 @@ def test_stop_below_none_keeps_the_run():
     pinned from that loop); a threshold ends the same run, with status
     certified, after the first step whose best value is below it."""
     dims = (3, 2, 2)
-    v = tensors.normalize(gaussian_tensor(dims, 61))
+    prob = KempfNessProblem(tensors.normalize(gaussian_tensor(dims, 61)))
     S = builtin_objective("trace_dist_to_uniform", dims)
     cfg = FlowConfig(max_iters=300, step_size=0.3, smoothing=0.1,
                      smoothing_schedule=True)
-    tr, _ = group_subgradient_method(v, S, identity_factors(dims), cfg, stop_below=None)
+
+    def run(stop_below):
+        return solver._descend(prob, identity_factors(dims), S, cfg,
+                               solver._SubgradientSteps(cfg), stop_below)
+
+    tr = run(None)
     assert (tr.iterations, tr.status, len(tr.samples)) == (300, "max_iters", 301)
     for got, pinned in ((tr.best_q, 0.011549749654594432),
                         (tr.r_cumulative, 0.6556022045313118),
@@ -1014,7 +1021,7 @@ def test_stop_below_none_keeps_the_run():
     q = [s.q_value for s in tr.samples]
     k = int(np.argmax(np.minimum.accumulate(q) < 0.1))
     assert 0 < k < 299
-    short, _ = group_subgradient_method(v, S, identity_factors(dims), cfg, stop_below=0.1)
+    short = run(0.1)
     assert (short.iterations, short.status) == (k + 1, "certified")
     assert [s.q_value for s in short.samples] == q[:k + 2]
 
@@ -1070,14 +1077,19 @@ def test_config_validation():
 @pytest.mark.parametrize("kind", ["frobenius", "op_norm_max_weighted",
                                   "trace_norm_sum_weighted", "trace_dist_to_uniform",
                                   "neg_entropy_weighted", "indicator_trace_ball"])
-def test_best_dual_on_ray_without_certificate_is_infimum(kind):
+def test_best_ray_on_line_without_certificate_leaves_the_floor(kind):
+    """No certificate spans no line: the search returns None, which the
+    floor ignores.  The floor's dual is at least inf S, the dual of c = 0 on
+    every line, so the search needs no c = 0 candidate."""
     dims = (3, 2, 2)
     prob = make_problem(dims, 48)
     params = {"theta": [0.5, 0.25, 0.25]} if kind == "neg_entropy_weighted" else {}
     S = builtin_objective(kind, dims, **params)
-    best = best_dual_on_ray(prob, S, None)
-    assert best == infimum(S)
-    assert math.copysign(1.0, best) == 1.0 or kind == "neg_entropy_weighted"
+    assert best_ray_on_line(prob, S, None) is None
+    floor = apps._Floor(prob, S)
+    cert, value = floor.cert, floor.value
+    floor.offer(None)
+    assert floor.cert is cert and floor.value == value >= infimum(S)
 
 
 @pytest.mark.parametrize("kind", ["frobenius", "op_norm_max_weighted",
@@ -1085,7 +1097,8 @@ def test_best_dual_on_ray_without_certificate_is_infimum(kind):
                                   "neg_entropy_weighted", "indicator_trace_ball"])
 def test_best_dual_on_ray_zero_ray_is_infimum(kind):
     """The line through a zero-weight ray is the single point c = 0, whose dual
-    is inf Q; the search bracket 1/gauge(+-w) does not exist there."""
+    is inf Q; the search bracket 1/gauge(+-w) does not exist there, and the
+    ray is returned as it is."""
     dims = (3, 2, 2)
     prob = make_problem(dims, 48)
     params = {"theta": [0.5, 0.25, 0.25]} if kind == "neg_entropy_weighted" else {}
@@ -1093,8 +1106,8 @@ def test_best_dual_on_ray_zero_ray_is_infimum(kind):
     cert = random_certificate(np.random.default_rng(51), dims).scaled(0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        best = best_dual_on_ray(prob, S, cert)
-    assert best == infimum(S) == dual_value(prob, S, cert)
+        ray = best_ray_on_line(prob, S, cert)
+    assert ray is cert and dual_value(prob, S, ray) == infimum(S)
 
 
 @pytest.mark.parametrize("kind", ["frobenius", "op_norm_max_weighted",
@@ -1102,7 +1115,8 @@ def test_best_dual_on_ray_zero_ray_is_infimum(kind):
 def test_best_dual_on_ray_gauge_objectives(kind):
     """For a norm-type objective the dual along a ray is linear on each side
     of c = 0 up to the ends of the conjugate's domain, so the search returns
-    the best of the two ends and c = 0."""
+    the better end, or a ray within its tolerance of c = 0 when that is
+    best (the floor then holds at least inf S, the dual of c = 0)."""
     for seed, dims in ((49, (3, 2, 2)), (50, (2, 2, 2))):
         prob = make_problem(dims, seed)
         S = builtin_objective(kind, dims)
@@ -1120,8 +1134,11 @@ def test_best_dual_on_ray_gauge_objectives(kind):
         assert all(math.isfinite(d) for d in ends)
         # just outside the bracket the conjugate is infinite
         assert dual_value(prob, S, cert.scaled(1.01 * hi)) == -math.inf
-        best = best_dual_on_ray(prob, S, cert)
-        assert abs(best - max(ends + [infimum(S)])) <= 1e-12
+        best = dual_value(prob, S, best_ray_on_line(prob, S, cert))
+        if max(ends) >= infimum(S):
+            assert abs(best - max(ends)) <= 1e-12
+        else:
+            assert infimum(S) - 1e-9 <= best <= infimum(S)
         assert best <= tr.best_q + 1e-8
 
 
@@ -1131,9 +1148,9 @@ def test_best_dual_on_ray_gauge_objectives(kind):
 def test_best_dual_on_ray_rotates_v_at_most_twice(kind, monkeypatch):
     """One rotation gives the largest and smallest weight sums over the
     support, the golden-section search then evaluates only the conjugate,
-    and one dual_value rates the chosen scale: two calls to tensors.act,
-    whatever the objective.  The result is at least inf S and at least the
-    dual of the ray as given."""
+    and the floor's one dual_value rates the returned ray: two calls to
+    tensors.act, whatever the objective.  The ray's dual is at least the
+    dual of the ray as given, and the floor's at least inf S."""
     dims = (3, 2, 2)
     prob = make_problem(dims, 63)
     params = {"theta": [0.5, 0.25, 0.25]} if kind == "neg_entropy_weighted" else {}
@@ -1148,9 +1165,12 @@ def test_best_dual_on_ray_rotates_v_at_most_twice(kind, monkeypatch):
     rng = np.random.default_rng(63)
     for cert in (random_certificate(rng, dims), random_certificate(rng, dims).scaled(5.0)):
         base = dual_value(prob, S, cert)
+        floor = apps._Floor(prob, S)
         monkeypatch.setattr(tensors, "act", counted)
-        best = best_dual_on_ray(prob, S, cert)
+        ray = best_ray_on_line(prob, S, cert)
+        floor.offer(ray)
         monkeypatch.setattr(tensors, "act", act)
         assert len(calls) == 2
         calls.clear()
-        assert best >= max(infimum(S), base) - 1e-12
+        assert dual_value(prob, S, ray) >= base - 1e-12
+        assert floor.value >= infimum(S)

@@ -29,17 +29,22 @@ from .solver import (
     best_ray_on_line,
     dual_value,
 )
-from .spectral import _block_spectra, _split, builtin_objective, eigh
+from .spectral import EighResult, _block_spectra, _split, block_groups, builtin_objective, eigh
 
 
 @dataclass
 class MatrixPencil:
-    """A linear matrix pencil A(x) = sum_k A_k x_k of square matrices."""
+    """A linear matrix pencil A(x) = sum_k A_k x_k of square matrices.
 
-    matrices: list
+    The pencil is a snapshot taken at construction: `matrices` is a tuple of
+    read-only copies of the inputs and `tensor()` one read-only tensor built
+    from them then, so later writes to the inputs leave the pencil as it was
+    and the matrices and the tensor cannot disagree."""
+
+    matrices: tuple
 
     def __post_init__(self):
-        mats = [np.asarray(M, dtype=complex) for M in self.matrices]
+        mats = [np.array(M, dtype=complex) for M in self.matrices]
         if not mats:
             raise ValidationError("pencil needs at least one matrix")
         for M in mats:
@@ -55,7 +60,11 @@ class MatrixPencil:
             raise ValidationError("pencil matrices must be at least 1x1")
         if all(np.max(np.abs(M)) == 0.0 for M in mats):
             raise ValidationError("pencil must contain a nonzero matrix")
-        self.matrices = mats
+        # a C-ordered copy of the transposed stack, bitwise np.stack(mats, axis=-1)
+        self._tensor = np.array(mats).transpose(1, 2, 0).copy()
+        for M in (*mats, self._tensor):
+            M.flags.writeable = False
+        self.matrices = tuple(mats)
 
     @property
     def n(self):
@@ -66,9 +75,9 @@ class MatrixPencil:
         return len(self.matrices)
 
     def tensor(self):
-        """The n x n x m tensor with slices A_k along the last mode (a C-ordered
-        copy of the transposed stack, bitwise np.stack(matrices, axis=-1))."""
-        return np.array(self.matrices).transpose(1, 2, 0).copy()
+        """The n x n x m tensor with slices A_k along the last mode, built once
+        at construction (read-only)."""
+        return self._tensor
 
 
 @dataclass
@@ -216,9 +225,10 @@ def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
     stop_below and never takes one: its FULL_RANK_EPS margin was measured on
     sweeps alone.
 
-    Each step reads S alone at g.v, from one checked eigendecomposition of
-    each marginal (`spectral._block_spectra`) and S.eval, with no
-    subgradient; the sweep's mode 0 reuses the decomposition of mu_0.
+    Each step reads S alone at g.v, from the marginals stacked by block size
+    (`tensors.marginals`), one checked eigendecomposition per stack
+    (`spectral._block_spectra`) and S.eval, with no subgradient; the sweep's
+    mode 0 reuses the decomposition of mu_0.
 
     Returns a FlowTrace with one sample per step and no certificate (step 0
     is the start; t counts sweeps and Newton steps; f = log ||g.v||^2 is the
@@ -250,19 +260,24 @@ def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
     g = _identity_factors(v, modes)
     trace, best, step = FlowTrace(), math.inf, 1.0
 
+    groups = block_groups(S.block_dims)
+
     def read(w):
-        spectra, decomps = _block_spectra(S, tensors.moment_map(w, modes))
-        return float(S.eval(spectra)), decomps
+        # S, the spectra per block, and mode 0's eigendecomposition: the first
+        # block of the first group
+        spectra, values, bases = _block_spectra(S, tensors.marginals(w, modes))
+        return (float(S.eval(spectra)), groups.unstack(values),
+                EighResult(values[0][0], bases[0][0]))
 
     w = v
-    value, decomps = read(w)
+    value, spectra, r0 = read(w)
     for k in itertools.count():
         trace.samples.append(TraceSample(float(k), value,
                                          2.0 * math.log(tensors.norm(w)), 0.0, step))
         if not value < best:
             trace.status = "stalled"
             break
-        best, trace.best_spectra = value, [r.values for r in decomps]
+        best, trace.best_spectra = value, spectra
         if k >= 1 and not (value < stop or _near_floor(value, floor.value)):
             floor.consult()
         trace.status = ("certified" if value < stop else
@@ -274,14 +289,14 @@ def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
             X = tensors.kempf_ness_newton(w, modes)
             trial = [expm_herm(Xi) @ gi for Xi, gi in zip(X, g)]
             w_trial = tensors.act(trial, v, modes)
-            value_trial, decomps_trial = read(w_trial)
+            value_trial, spectra_trial, r0_trial = read(w_trial)
             if value_trial < value:
-                g, w, value, decomps = trial, w_trial, value_trial, decomps_trial
+                g, w, value, spectra, r0 = trial, w_trial, value_trial, spectra_trial, r0_trial
                 step = math.sqrt(sum(np.vdot(Xi, Xi).real for Xi in X))
                 continue
         for j, ax in enumerate(modes):
             # mode 0 reuses the read's eigendecomposition of mu_0
-            r = decomps[0] if j == 0 else eigh(tensors.moment_map(w, (ax,))[0])
+            r = r0 if j == 0 else eigh(tensors.moment_map(w, (ax,))[0])
             n = r.values.size
             # mu = A A^+ / ||A||^2 is known to about eps lambda_max, so a
             # smaller eigenvalue carries no digit and its inverse root is noise
@@ -296,7 +311,7 @@ def _scaling_phase(problem, S, floor, max_steps, stop_below=None):
         if trace.status == "singular":
             break
         w = tensors.act(g, v, modes)
-        value, decomps = read(w)
+        value, spectra, r0 = read(w)
         step = 1.0
     if floor.ray is not None and trace.status not in ("certified", "scaled_to_floor"):
         floor.consult()

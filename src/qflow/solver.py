@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedObjectiveError, ValidationError
 from .geometry import BoundaryCertificate, ProductPDPoint, sqrtm_pd, unitary_qr_factor
-from .spectral import DOMAIN_SLACK, infimum, spectral_pass
+from .spectral import DOMAIN_SLACK, block_groups, infimum, spectral_pass
 from . import tensors
 
 # A run with R (the integral of Q) at most R_FLOOR, or that ends at most
@@ -154,31 +154,46 @@ class KempfNessProblem:
 
 
 class _Orbit:
-    """Group factors g of the iterate x = e^{2c} g^+ g acting on a unit tensor v;
-    c holds each block's scale, so steps leave |det g| unchanged."""
+    """Group factors g of the iterate x = e^{2c} g^+ g acting on a unit tensor v,
+    stacked by block size as `groups` says: one (k, n, n) stack of factors
+    per group.  c holds each block's scale, a float per block in order, so
+    steps leave |det g| unchanged."""
 
-    def __init__(self, v, modes, g, c=None):
-        self.v, self.modes, self.g = v, modes, g
-        self.c = [0.0] * len(g) if c is None else c
+    def __init__(self, v, modes, groups, g, c):
+        self.v, self.modes, self.groups, self.g, self.c = v, modes, groups, g, c
+
+    @classmethod
+    def start(cls, v, modes, g0):
+        """The orbit of the factors g0, one per block in order, with c = 0."""
+        groups = block_groups(tuple(len(gj) for gj in g0))
+        return cls(v, modes, groups, groups.stack([np.asarray(gj, dtype=complex) for gj in g0]),
+                   [0.0] * len(g0))
+
+    def factors(self):
+        """e^c g per block, in order: x = (e^c g)^+ (e^c g)."""
+        return [math.exp(cj) * gj for cj, gj in zip(self.c, self.groups.unstack(self.g))]
 
     def evaluate(self):
-        """The base-transported differential mu(g.v / ||g.v||) and
-        f(x) = log <v, x.v> = 2 log ||g.v|| + 2 sum c, from one tensor action."""
-        w = tensors.act(self.g, self.v, self.modes)
+        """The base-transported differential mu(g.v / ||g.v||), stacked as
+        `tensors.marginals` stacks it, and f(x) = log <v, x.v> = 2 log ||g.v||
+        + 2 sum c, from one tensor action."""
+        w = tensors.act(self.groups.unstack(self.g), self.v, self.modes)
         nrm = tensors.norm(w)
         f = 2.0 * (math.log(nrm) + sum(self.c))
-        return tensors.moment_map(w / nrm, self.modes), f
+        return tensors.marginals(w / nrm, self.modes), f
 
     def advanced(self, sp, fac, delta):
         """The orbit after x <- g^+ exp(-delta Z) g, where Z = U diag(fac m) U^+
         per block, U and m the eigenbasis and direction in `sp`: with
-        z = -delta fac m/2, g <- U diag(e^{z - mean z}) U^+ g and c <- c + mean z."""
+        z = -delta fac m/2, g <- U diag(e^{z - mean z}) U^+ g and c <- c + mean z,
+        one batched product per group."""
         zs = [(-0.5 * delta * fac) * m for m in sp.direction]
-        # on these short vectors ndarray.mean costs ten times as much
-        means = [sum(z.tolist()) / len(z) for z in zs]
-        E = sp.lift([np.exp(z - mz) for z, mz in zip(zs, means)])
-        return _Orbit(self.v, self.modes, [Ej @ gj for Ej, gj in zip(E, self.g)],
-                      [cj + mz for cj, mz in zip(self.c, means)])
+        # each block's sum runs in order, as Python's sum of a list adds it
+        means = [np.add.accumulate(z, axis=1)[:, -1] / z.shape[1] for z in zs]
+        E = sp.lift([np.exp(z - mz[:, None]) for z, mz in zip(zs, means)])
+        shares = self.groups.unstack([mz.tolist() for mz in means])
+        return _Orbit(self.v, self.modes, self.groups, [Ej @ gj for Ej, gj in zip(E, self.g)],
+                      [cj + mz for cj, mz in zip(self.c, shares)])
 
 
 def _certify(g, g0, R):
@@ -219,21 +234,21 @@ def _descend(problem, g0, Q, config, policy, stop_below=None):
     # the Moreau envelope carries no half-square conjugate
     hsc = Q.half_square_conjugate if config.smoothing is None else None
     g0 = [np.array(gi, dtype=complex) for gi in g0]
-    orbit = _Orbit(problem.v, problem.modes, g0)
+    orbit = _Orbit.start(problem.v, problem.modes, g0)
     trace = FlowTrace()
-    r_cum, best_q = 0.0, math.inf
+    r_cum, best_q, best_sp = 0.0, math.inf, None
 
     def pass_at(orbit, i):
         mu, f = orbit.evaluate()
         return spectral_pass(Q, mu, config.smoothing_at(i)), f
 
     def observe(sp, f):
-        nonlocal best_q
+        nonlocal best_q, best_sp
         if sp.value < best_q:
-            best_q, trace.best_spectra = sp.value, sp.spectra
+            best_q, best_sp = sp.value, sp
         fac = sp.smoothed + shift
         energy = None if hsc is None else (
-            0.5 * fac ** 2 + float(hsc(fac * np.concatenate(sp.direction))))
+            0.5 * fac ** 2 + float(hsc(fac * sp.groups.join(sp.direction))))
         trace.samples.append(TraceSample(policy.t, sp.value, f, r_cum, policy.h,
                                          q_smooth=sp.smoothed, energy=energy))
         return fac
@@ -254,7 +269,8 @@ def _descend(problem, g0, Q, config, policy, stop_below=None):
     observe(sp, f)
     trace.status = ("certified" if best_q < stop else
                     "stalled" if stalled else "max_iters")
-    trace.final_factors = [math.exp(cj) * gj for cj, gj in zip(orbit.c, orbit.g)]
+    trace.best_spectra = best_sp.spectra
+    trace.final_factors = orbit.factors()
     trace.certificate = _certify(trace.final_factors, g0, trace.r_cumulative)
     if trace.certificate is None:
         trace.status += "+interior_optimum"

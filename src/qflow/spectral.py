@@ -10,6 +10,7 @@ of blocks (one block per tensor mode).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,20 +44,38 @@ NEWTON_TOL = 4 * np.finfo(float).eps
 LSE_FLOOR = -700.0
 
 
-def check_hermitian(H, name="matrix"):
-    """Raise ValidationError unless H is Hermitian within roundoff."""
+def _square(H, name):
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {H.shape}")
-    scale = 1.0 + (np.abs(H).max() if H.size else 0.0)
-    dev = np.abs(H - H.conj().T)
-    worst = float(dev.max()) if dev.size else 0.0
-    if worst > 1e-12 * scale:
-        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        raise ValidationError(
-            f"{name} is not Hermitian: |H[{i},{j}] - conj(H[{j},{i}])| = {worst:.3e}"
-        )
     return H
+
+
+def check_hermitian(H, name="matrix"):
+    """Raise ValidationError unless H is Hermitian within roundoff."""
+    H = _square(H, name)
+    _check_hermitian_stack(H[None], name)
+    return H
+
+
+def _check_hermitian_stack(H, name="matrix"):
+    """Raise ValidationError unless every matrix of the (k, n, n) stack H is
+    Hermitian within roundoff of its own entries, naming the first that is
+    not.  Every tolerance is at least 1e-12, so one reduction passes a stack
+    whose largest deviation is below that."""
+    if not H.size:
+        return
+    dev = np.abs(H - H.conj().swapaxes(1, 2))
+    if np.maximum.reduce(dev, axis=None) <= 1e-12:
+        return
+    worst = dev.max(axis=(1, 2))
+    bad = np.flatnonzero(worst > 1e-12 * (1.0 + np.abs(H).max(axis=(1, 2))))
+    if bad.size:
+        b = bad[0]
+        i, j = np.unravel_index(int(np.argmax(dev[b])), dev[b].shape)
+        raise ValidationError(
+            f"{name} is not Hermitian: |H[{i},{j}] - conj(H[{j},{i}])| = {worst[b]:.3e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -65,6 +84,15 @@ class EighResult:
 
     values: np.ndarray
     basis: np.ndarray
+
+
+def _eigh_stack(H, name="matrix"):
+    """One np.linalg.eigh of the (k, n, n) stack H, after one Hermitian check:
+    the (k, n) eigenvalues, nonincreasing along each row, and the (k, n, n)
+    aligned bases, a reversed view of numpy's."""
+    _check_hermitian_stack(H, name)
+    w, U = np.linalg.eigh(H)
+    return w[:, ::-1].copy(), U[..., ::-1]
 
 
 def eigh(H, name="matrix"):
@@ -76,9 +104,8 @@ def eigh(H, name="matrix"):
     (lifts, recessions, duals, subspace pairs) is invariant under a phase on
     each column.
     """
-    H = check_hermitian(H, name)
-    w, U = np.linalg.eigh(H)
-    return EighResult(values=w[::-1].copy(), basis=U[:, ::-1])
+    values, basis = _eigh_stack(_square(H, name)[None], name)
+    return EighResult(values=values[0], basis=basis[0])
 
 
 def tie_groups(lam):
@@ -133,34 +160,108 @@ def _split(p, dims):
     return [p[end - n:end] for n, end in zip(dims, itertools.accumulate(dims))]
 
 
-def _check_blocks(S, Y):
-    if len(Y) != len(S.block_dims):
-        raise ValidationError(
-            f"expected {len(S.block_dims)} blocks, got {len(Y)}"
-        )
-    for d, B in zip(S.block_dims, Y):
-        B = np.asarray(B)
-        if B.shape != (d, d):
-            raise ValidationError(f"block shape {B.shape} incompatible with dim {d}")
+@dataclass(frozen=True)
+class BlockGroups:
+    """The blocks of a tuple grouped by size (`block_groups`).
+
+    Group j holds the blocks `members[j]`, in order, each sizes[j] x
+    sizes[j]; the groups come in the order of their first blocks.  The
+    solver loop keeps a tuple of matrices as one (k, n, n) stack per group
+    and a tuple of vectors as one (k, n) array per group, so that one numpy
+    call serves a group where one served a block.  `gather` lists the
+    coordinates of a vector in block order that the concatenated groups
+    hold, and `scatter` inverts it; both are None when the two orders agree.
+    """
+
+    dims: tuple
+    sizes: tuple
+    members: tuple
+    gather: Optional[np.ndarray]
+    scatter: Optional[np.ndarray]
+
+    @functools.cached_property
+    def shapes(self):
+        """The (k, n, n) shape of each group's stack."""
+        return [(len(mem), n, n) for n, mem in zip(self.sizes, self.members)]
+
+    def stack(self, blocks):
+        """One matrix per block, in block order, as the groups' stacks."""
+        if len(blocks) != len(self.dims):
+            raise ValidationError(f"expected {len(self.dims)} blocks, got {len(blocks)}")
+        for d, B in zip(self.dims, blocks):
+            if np.shape(B) != (d, d):
+                raise ValidationError(f"block shape {np.shape(B)} incompatible with dim {d}")
+        return [np.stack([blocks[i] for i in mem]) for mem in self.members]
+
+    def unstack(self, parts):
+        """Per-group arrays, indexed by member first, as a list in block order."""
+        out = [None] * len(self.dims)
+        for part, mem in zip(parts, self.members):
+            for t, i in enumerate(mem):
+                out[i] = part[t]
+        return out
+
+    def join(self, parts):
+        """Per-group (k, n) vectors as one vector in block order."""
+        if not parts:
+            return np.zeros(0)
+        p = np.concatenate(parts, axis=None)
+        return p if self.scatter is None else p[self.scatter]
+
+    def split(self, p):
+        """A vector in block order as per-group (k, n) arrays."""
+        if self.gather is not None:
+            p = p[self.gather]
+        out, start = [], 0
+        for n, mem in zip(self.sizes, self.members):
+            stop = start + n * len(mem)
+            out.append(p[start:stop].reshape(len(mem), n))
+            start = stop
+        return out
+
+
+@functools.cache
+def block_groups(dims):
+    """The BlockGroups of a tuple of block dims, built once per tuple."""
+    dims = tuple(int(n) for n in dims)
+    members = {}
+    for i, n in enumerate(dims):
+        members.setdefault(n, []).append(i)
+    ends = list(itertools.accumulate(dims))
+    gather = np.array([j for mem in members.values() for i in mem
+                       for j in range(ends[i] - dims[i], ends[i])], dtype=int)
+    scatter = np.argsort(gather)
+    if np.array_equal(gather, np.arange(gather.size)):
+        gather = scatter = None
+    return BlockGroups(dims, tuple(members), tuple(tuple(m) for m in members.values()),
+                       gather, scatter)
 
 
 def _block_spectra(S, Y):
-    """Eigendecompose every block; return (concatenated spectra, decompositions)."""
-    _check_blocks(S, Y)
-    decomps = [eigh(B) for B in Y]
-    spectra = np.concatenate([r.values for r in decomps]) if decomps else np.zeros(0)
-    return spectra, decomps
+    """One checked eigendecomposition per group of the stacks Y of
+    `block_groups(S.block_dims)`: the spectra, concatenated in block order,
+    and the per-group (k, n) eigenvalues, nonincreasing, and (k, n, n) bases."""
+    groups = block_groups(S.block_dims)
+    if [np.shape(H) for H in Y] != groups.shapes:
+        raise ValidationError(f"block stacks of shapes {[np.shape(H) for H in Y]} "
+                              f"do not match the block dims {S.block_dims}")
+    values, bases = [], []
+    for H in Y:
+        w, U = _eigh_stack(H)
+        values.append(w)
+        bases.append(U)
+    return groups.join(values), values, bases
 
 
 def lift_eval(S, Y):
     """Value of the lifted objective at Hermitian blocks Y."""
-    spectra, _ = _block_spectra(S, Y)
+    spectra, _, _ = _block_spectra(S, block_groups(S.block_dims).stack(Y))
     return float(S.eval(spectra))
 
 
 def conjugate_eval(S, X):
     """Value of the Fenchel conjugate of the lifted objective at blocks X."""
-    spectra, _ = _block_spectra(S, X)
+    spectra, _, _ = _block_spectra(S, block_groups(S.block_dims).stack(X))
     return float(S.conjugate_eval(spectra))
 
 
@@ -170,63 +271,89 @@ def infimum(S):
     return 0.0 - float(S.conjugate_eval(np.zeros(sum(S.block_dims))))
 
 
-@dataclass(frozen=True)
+@dataclass
 class SpectralPass:
-    """Everything one eigendecomposition of each block gives.
+    """Everything one eigendecomposition of each block gives, stacked by
+    block size as `groups` says.
 
     `value` is the objective at the blocks and `smoothed` its Moreau envelope
-    (equal to `value` without smoothing).  `direction` holds, per block and in
-    the eigenbasis of `decomps`, the vector subgradient (or envelope gradient)
-    averaged over each eigenvalue tie group, so its lift does not depend on
-    the arbitrary basis inside a degenerate eigenspace.
+    (equal to `value` without smoothing).  Per group, `values` holds the
+    (k, n) eigenvalues, nonincreasing, and `bases` the (k, n, n) eigenbases.
+    `direction` holds, per group and in those eigenbases, the vector
+    subgradient (or envelope gradient) averaged over each eigenvalue tie
+    group, so its lift does not depend on the arbitrary basis inside a
+    degenerate eigenspace.
     """
 
     value: float
     smoothed: float
-    decomps: list
+    groups: BlockGroups
+    values: list
+    bases: list
     direction: list
 
     @property
     def spectra(self):
-        return [r.values for r in self.decomps]
+        """The eigenvalues per block, in block order."""
+        return self.groups.unstack(self.values)
 
     def lift(self, parts):
-        """Hermitian blocks U diag(m) U^+ from per-block vectors m in the
-        pass's eigenbases U."""
+        """Hermitian stacks U diag(m) U^+ from per-group (k, n) vectors m in
+        the pass's eigenbases U: one broadcast product and one batched matmul
+        per group."""
         out = []
-        for r, m in zip(self.decomps, parts):
-            G = (r.basis * m) @ r.basis.conj().T
-            out.append(0.5 * (G + G.conj().T))
+        for U, m in zip(self.bases, parts):
+            G = (U * m[:, None, :]) @ U.conj().swapaxes(1, 2)
+            out.append(0.5 * (G + G.conj().swapaxes(1, 2)))
         return out
 
 
 def spectral_pass(S, Y, smoothing=None):
-    """Value, Moreau-smoothed value and tie-averaged direction at blocks Y.
+    """Value, Moreau-smoothed value and tie-averaged direction at the
+    Hermitian blocks stacked in Y as `block_groups(S.block_dims)` stacks them.
 
     With `smoothing` = lam the direction is the gradient of the Moreau
     envelope of S with parameter lam; otherwise it is a subgradient of S.
+    A block whose consecutive eigenvalue gaps all exceed TIE_TOL (1 +
+    max|lam|) has only singleton tie groups; one vectorized test per group
+    finds the other blocks, and only those go through `tie_groups`, the one
+    rule of what a tie is.
     """
-    spectra, decomps = _block_spectra(S, Y)
+    spectra, values, bases = _block_spectra(S, Y)
     value = float(S.eval(spectra))
     if smoothing is None:
         smoothed, grad = value, S.subgradient(spectra)
     else:
         _check_smoothing(S, smoothing)
         smoothed, grad = _moreau_value_grad(S, spectra, smoothing)
-    direction = []
-    for r, m in zip(decomps, _split(grad, S.block_dims)):
-        m = m.copy()
-        for grp in tie_groups(r.values):
-            if grp.stop - grp.start > 1:
-                m[grp] = np.mean(m[grp])
-        direction.append(m)
-    return SpectralPass(value, smoothed, decomps, direction)
+    groups = block_groups(S.block_dims)
+    direction = groups.split(_check_length(grad, S.block_dims))
+    for j, lam in enumerate(values):
+        n = lam.shape[1]
+        if n == 1:
+            continue
+        # consecutive gaps of the flattened group, those across two blocks
+        # set to inf, against the largest tolerance of its blocks: a group
+        # whose gaps all exceed it holds no tie
+        flat = lam.ravel()
+        gaps = flat[:-1] - flat[1:]
+        gaps[n - 1::n] = math.inf
+        if np.minimum.reduce(gaps) > TIE_TOL * (1.0 + np.maximum.reduce(np.abs(flat))):
+            continue
+        scale = TIE_TOL * (1.0 + np.abs(lam).max(axis=1, keepdims=True))
+        m = direction[j] = direction[j].copy()
+        for b in np.flatnonzero(~(lam[:, :-1] - lam[:, 1:] > scale).all(axis=1)):
+            for grp in tie_groups(lam[b]):
+                if grp.stop - grp.start > 1:
+                    m[b, grp] = np.mean(m[b, grp])
+    return SpectralPass(value, smoothed, groups, values, bases, direction)
 
 
 def value_and_subgradient(S, Y):
     """lift_eval and a subgradient as Hermitian blocks, from one spectral pass."""
-    sp = spectral_pass(S, Y)
-    return sp.value, sp.lift(sp.direction)
+    groups = block_groups(S.block_dims)
+    sp = spectral_pass(S, groups.stack(Y))
+    return sp.value, groups.unstack(sp.lift(sp.direction))
 
 
 def _moreau_value_grad(S, p, lam):
@@ -237,7 +364,8 @@ def _moreau_value_grad(S, p, lam):
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(S.prox(p, lam), dtype=float)
-    return float(S.eval(q)) + float(np.sum((p - q) ** 2)) / (2 * lam), (p - q) / lam
+    d = p - q
+    return float(S.eval(q)) + float(np.add.reduce(d ** 2)) / (2 * lam), d / lam
 
 
 def _check_smoothing(S, lam_smooth):
@@ -291,12 +419,14 @@ def project_weighted_l1_ball(p, w, r):
     a = np.abs(p)
     if float(a @ w) <= r:
         return p.copy()
+    # ndarray methods: numpy's functions of the same names, without their
+    # Python wrappers
     ratio = a / w
-    order = np.argsort(ratio)[::-1]
+    order = ratio.argsort()[::-1]
     aw = (a * w)[order]
     w2 = (w * w)[order]
-    theta_cand = (np.cumsum(aw) - r) / np.cumsum(w2)
-    ok = np.nonzero(theta_cand < ratio[order])[0]
+    theta_cand = (aw.cumsum() - r) / w2.cumsum()
+    ok = (theta_cand < ratio[order]).nonzero()[0]
     theta = theta_cand[ok[-1]] if ok.size else theta_cand[0]
     return np.sign(p) * np.maximum(a - theta * w, 0.0)
 
@@ -376,7 +506,9 @@ def _block_norm_pair(dims, w):
         return project_weighted_l1_ball(p, wc, lam)
 
     def linf_ball(p, lam):
-        return np.clip(p, -lam * wc, lam * wc)
+        # np.clip's arithmetic (the bounds are nonzero, so no signed zero
+        # tells the two apart), without its dispatch
+        return np.minimum(np.maximum(p, -lam * wc), lam * wc)
 
     return l1, linf, l1_sub, l1_ball, linf_ball
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import BoundaryCertificate
-from .spectral import eigh
+from .spectral import block_groups, eigh
 
 SUPPORT_TOL = 1e-8
 
@@ -108,20 +108,45 @@ def flattening(v, i):
     return v.reshape(a, n, b).transpose(1, 0, 2).reshape(n, a * b)
 
 
-def moment_map(v, modes=None):
-    """Density matrices mu_i = A_i A_i^+ / ||v||^2 from the mode flattenings."""
+@functools.cache
+def _flattenings(shape, modes):
+    """The block groups of the modes' dims and, per group, the flat indices
+    of its mode flattenings as one (k, n, size / n) array, built once per
+    shape and modes."""
+    for i in modes:
+        if not 0 <= i < len(shape):
+            raise ValidationError(f"mode {i} out of range for a {len(shape)}-tensor")
+    groups = block_groups(tuple(shape[i] for i in modes))
+    index = np.arange(math.prod(shape)).reshape(shape)
+    return groups, [np.stack([np.moveaxis(index, modes[t], 0).reshape(shape[modes[t]], -1)
+                              for t in mem]) for mem in groups.members]
+
+
+def marginals(v, modes=None):
+    """The moment map of v stacked by block size: mu_i = A_i A_i^+ / ||v||^2
+    from the mode flattenings A_i, one batched Gram per stack of
+    `spectral.block_groups` over the modes' dims."""
     v = as_tensor(v)
     nrm2 = float(np.vdot(v, v).real)
     if nrm2 == 0.0:
         raise ValidationError("moment map undefined for the zero tensor")
-    if modes is None:
-        modes = range(v.ndim)
+    _, index = _flattenings(v.shape, tuple(range(v.ndim) if modes is None else modes))
+    flat = v.reshape(-1)
     out = []
-    for i in modes:
-        A = flattening(v, i)
-        M = (A @ A.conj().T) / nrm2
-        out.append(0.5 * (M + M.conj().T))
+    for idx in index:
+        A = flat[idx]
+        M = (A @ A.conj().swapaxes(1, 2)) / nrm2
+        out.append(0.5 * (M + M.conj().swapaxes(1, 2)))
     return out
+
+
+def moment_map(v, modes=None):
+    """Density matrices mu_i = A_i A_i^+ / ||v||^2 from the mode flattenings,
+    one per mode, in order (`marginals` unstacked)."""
+    v = as_tensor(v)
+    modes = tuple(range(v.ndim) if modes is None else modes)
+    mu = marginals(v, modes)
+    return _flattenings(v.shape, modes)[0].unstack(mu)
 
 
 def spectrum(mu):

@@ -8,7 +8,7 @@ import numpy as np
 from qflow import solver, tensors
 from qflow.errors import ValidationError
 from qflow.geometry import TangentBlock, inv_sqrtm_pd, sqrtm_pd
-from qflow.spectral import spectral_pass
+from qflow.spectral import block_groups, spectral_pass
 
 
 def _congruence(x, H):
@@ -69,12 +69,13 @@ def kempf_ness(v, x, modes=None):
 def differential(problem, x):
     """The differential of f at x transported to the base, as the solvers
     compute it (solver._Orbit): the moment map of x^1/2 . v."""
-    roots = [sqrtm_pd(B) for B in x.blocks]
-    return solver._Orbit(problem.v, problem.modes, roots).evaluate()[0]
+    orbit = solver._Orbit.start(problem.v, problem.modes, [sqrtm_pd(B) for B in x.blocks])
+    return orbit.groups.unstack(orbit.evaluate()[0])
 
 
 def q_gradient(problem, Q, x):
     """The manifold Q-gradient of f at x for a smooth Q: Q times the gradient
     of Q at the transported differential, lifted and transported to x."""
-    sp = spectral_pass(Q, differential(problem, x))
-    return transport_from_base(x, TangentBlock(sp.lift([sp.value * m for m in sp.direction])))
+    sp = spectral_pass(Q, block_groups(Q.block_dims).stack(differential(problem, x)))
+    return transport_from_base(x, TangentBlock(
+        sp.groups.unstack(sp.lift([sp.value * m for m in sp.direction]))))

@@ -88,8 +88,9 @@ def test_criterion_02_kempf_ness_differential():
         )
         x = _random_pd_point(dims, rng)
         # the transported differential as the solvers compute it
-        p0 = solver._Orbit(v, tuple(range(d)),
-                           [geom.sqrtm_pd(B) for B in x.blocks]).evaluate()[0]
+        orbit = solver._Orbit.start(v, tuple(range(d)),
+                                    [geom.sqrtm_pd(B) for B in x.blocks])
+        p0 = orbit.groups.unstack(orbit.evaluate()[0])
         for _ in range(5):
             H0 = [_random_hermitian(n, rng) for n in dims]
             Hx = transport_from_base(x, geom.TangentBlock(H0))

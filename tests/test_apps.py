@@ -26,7 +26,7 @@ from qflow.solver import (
     dual_value,
     group_subgradient_method,
 )
-from qflow.spectral import builtin_objective, lift_eval, spectral_pass
+from qflow.spectral import block_groups, builtin_objective, lift_eval, spectral_pass
 
 FAST = FlowConfig(max_iters=600, step_size=0.3, smoothing=0.1,
                   smoothing_schedule=True)
@@ -53,6 +53,23 @@ def test_pencil_tensor_roundtrip():
     assert v.shape == (3, 3, 2)
     for k, M in enumerate(A.matrices):
         assert np.max(np.abs(v[:, :, k] - M)) == 0
+
+
+def test_pencil_is_a_read_only_snapshot():
+    """A pencil copies its matrices once: later writes to the inputs leave
+    it as it was, its matrices and its one tensor refuse writes, and every
+    tensor() call returns that tensor."""
+    mats = [gaussian_tensor((3, 3), 61), gaussian_tensor((3, 3), 62)]
+    A = apps.MatrixPencil(mats)
+    before = A.tensor().copy()
+    mats[0][0, 0] += 1.0
+    assert np.array_equal(A.tensor(), before)
+    assert all(np.array_equal(M, before[:, :, k]) for k, M in enumerate(A.matrices))
+    with pytest.raises(ValueError, match="read-only"):
+        A.tensor()[0, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        A.matrices[1][0, 0] = 0.0
+    assert A.tensor() is A.tensor()
 
 
 def test_mu2_transpose_convention():
@@ -843,8 +860,8 @@ def test_floor_weights_match_the_spectral_pass_at_uniform(kind, shape):
     spectral pass at the blocks I/n_i."""
     S = builtin_objective(kind, shape, **_builtin_params(kind, len(shape)))
     cert = apps._floor_certificate(S)
-    ref = spectral_pass(S, [np.eye(n) / n for n in shape])
-    for k, w, m, n in zip(cert.bases, cert.weights, ref.direction, shape):
+    ref = spectral_pass(S, block_groups(shape).stack([np.eye(n) / n for n in shape]))
+    for k, w, m, n in zip(cert.bases, cert.weights, ref.groups.unstack(ref.direction), shape):
         assert (-m).tobytes() == w.tobytes()
         assert np.array_equal(k, np.eye(n)) and k.dtype == complex
 

@@ -1,9 +1,11 @@
+import dataclasses
 import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+import _loop_ref
 from _geometry_ref import (
     differential,
     distance,
@@ -17,7 +19,7 @@ from _pencils import planted_pencil
 
 from qflow import apps
 from qflow import geometry as geom
-from qflow import solver
+from qflow import solver, spectral
 from qflow import tensors
 from qflow.errors import DomainError, UnsupportedObjectiveError, ValidationError
 from qflow.generate import gaussian_tensor
@@ -34,10 +36,10 @@ from qflow.solver import (
     integrate_flow,
 )
 from qflow.spectral import (
-    EighResult,
     SpectralObjective,
-    SpectralPass,
+    block_groups,
     builtin_objective,
+    check_hermitian,
     conjugate_eval,
     infimum,
     lift_eval,
@@ -292,6 +294,125 @@ def test_group_method_one_eigh_per_block(monkeypatch):
     assert len(calls) == 0
 
 
+def _diagonal_211():
+    """The 3x3x3 diagonal tensor with weights 2, 1, 1: each marginal has a
+    tied pair of eigenvalues, and the loop keeps the tie exactly."""
+    v = np.zeros((3, 3, 3), dtype=complex)
+    for i, a in enumerate((2.0, 1.0, 1.0)):
+        v[i, i, i] = a
+    return v
+
+
+# (tensor, modes) of the loop's reference runs: one block size, two sizes in
+# block order and interleaved, a pencil on modes (0, 1), and tied marginals
+LOOP_INSTANCES = {
+    "2x2x2": (gaussian_tensor((2, 2, 2), 57), None),
+    "3x3x3": (gaussian_tensor((3, 3, 3), 57), None),
+    "3x2x2": (gaussian_tensor((3, 2, 2), 57), None),
+    "2x3x2": (gaussian_tensor((2, 3, 2), 57), None),
+    "pencil": (apps.MatrixPencil([gaussian_tensor((3, 3), 58),
+                                  gaussian_tensor((3, 3), 59)]).tensor(), (0, 1)),
+    "unit": (tensors.unit_tensor(2, 3), None),
+    "diagonal_211": (_diagonal_211(), None),
+}
+
+# (objective, policy, config): both step policies, smoothed and not; the
+# unsmoothed Frobenius flow records the energy
+LOOP_RUNS = (
+    ("trace_dist_to_uniform", solver._SubgradientSteps,
+     FlowConfig(max_iters=60, step_size=0.3, smoothing=0.1, smoothing_schedule=True)),
+    ("op_norm_max_weighted", solver._SubgradientSteps,
+     FlowConfig(max_iters=60, step_size=0.3, smoothing=0.1, smoothing_schedule=True)),
+    ("op_norm_max_weighted", solver._FlowSteps,
+     FlowConfig(max_iters=40, ode_step=0.05, smoothing=0.1)),
+    ("frobenius", solver._SubgradientSteps, FlowConfig(max_iters=60, step_size=0.2)),
+    ("frobenius", solver._FlowSteps, FlowConfig(max_iters=40, ode_step=0.05)),
+)
+
+
+def _assert_bitwise_same_trace(got, want):
+    assert got.status == want.status
+    assert len(got.samples) == len(want.samples)
+    for a, b in zip(got.samples, want.samples):
+        assert (a.t, a.q_value, a.f_value, a.r_cum, a.step, a.q_smooth, a.energy) == \
+            (b.t, b.q_value, b.f_value, b.r_cum, b.step, b.q_smooth, b.energy)
+    for a, b in zip(got.best_spectra, want.best_spectra):
+        assert a.tobytes() == b.tobytes()
+    assert len(got.final_factors) == len(want.final_factors)
+    for a, b in zip(got.final_factors, want.final_factors):
+        assert a.tobytes() == b.tobytes()
+    assert (got.certificate is None) == (want.certificate is None)
+    if got.certificate is not None:
+        for a, b in zip(got.certificate.bases + got.certificate.weights,
+                        want.certificate.bases + want.certificate.weights):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", list(LOOP_INSTANCES))
+def test_descend_is_bitwise_its_per_block_reference(name, monkeypatch):
+    """The stacked loop gives the traces of the per-block iteration
+    (_loop_ref) bitwise: q, f, steps, spectra, final factors and
+    certificate.  On tied marginals the tie_groups fallback runs."""
+    v, modes = LOOP_INSTANCES[name]
+    prob = KempfNessProblem(v, modes)
+    g0 = [np.eye(n) for n in prob.signature]
+    tie_groups = spectral.tie_groups
+    tied = []
+
+    def counted(lam):
+        tied.append(1)
+        return tie_groups(lam)
+
+    for kind, policy, config in LOOP_RUNS:
+        S = builtin_objective(kind, prob.signature)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "tie_groups", counted)
+            got = solver._descend(prob, g0, S, config, policy(config))
+        want = _loop_ref.descend(prob, g0, S, config, policy(config))
+        _assert_bitwise_same_trace(got, want)
+    assert bool(tied) == (name in ("unit", "diagonal_211"))
+
+
+@pytest.mark.parametrize("shape,modes,calls", [((2, 2, 2), None, [(3, 2, 2)]),
+                                               ((3, 3, 3), None, [(3, 3, 3)]),
+                                               ((3, 3, 2), (0, 1), [(2, 3, 3)]),
+                                               ((3, 2, 2), None, [(1, 3, 3), (2, 2, 2)])])
+def test_a_loop_iteration_calls_eigh_once_per_block_size(shape, modes, calls, monkeypatch):
+    """A subgradient iteration makes one np.linalg.eigh call per distinct
+    block size, on the stack of the blocks of that size."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def counted(H, *args, **kwargs):
+        seen.append(np.shape(H))
+        return eigh(H, *args, **kwargs)
+
+    prob = KempfNessProblem(gaussian_tensor(shape, 60), modes)
+    S = builtin_objective("trace_dist_to_uniform", prob.signature)
+    cfg = FlowConfig(max_iters=20, step_size=0.3, smoothing=0.1, smoothing_schedule=True)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    tr = solver._descend(prob, [np.eye(n) for n in prob.signature], S, cfg,
+                         solver._SubgradientSteps(cfg))
+    assert tr.iterations == cfg.max_iters
+    assert seen == calls * (tr.iterations + 1)
+
+
+def test_a_non_hermitian_block_in_a_stack_is_refused():
+    """One non-Hermitian block among equal-size ones fails the stack's one
+    check with the message check_hermitian gives that block alone."""
+    S = builtin_objective("frobenius", (2, 2, 2))
+    Y = [np.eye(2, dtype=complex) for _ in range(3)]
+    Y[1] = np.array([[1.0, 1e-3], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValidationError) as alone:
+        check_hermitian(Y[1])
+    for call in (lambda: spectral_pass(S, block_groups(S.block_dims).stack(Y)),
+                 lambda: lift_eval(S, Y)):
+        with pytest.raises(ValidationError) as stacked:
+            call()
+        assert str(stacked.value) == str(alone.value) == \
+            "matrix is not Hermitian: |H[0,1] - conj(H[1,0])| = 1.000e-03"
+
+
 def test_group_method_best_value_nonincreasing_bookkeeping():
     dims = (2, 2, 2)
     v = tensors.normalize(gaussian_tensor(dims, 39))
@@ -331,11 +452,12 @@ def test_orbit_step_moves_scale_into_c():
     for n in dims:
         H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         Y.append(H + H.conj().T)
-    sp = spectral_pass(builtin_objective("frobenius", dims), Y)
+    groups = block_groups(dims)
+    sp = spectral_pass(builtin_objective("frobenius", dims), groups.stack(Y))
     fac, delta = 1.7, 0.3
-    moved = solver._Orbit(None, None, g, c).advanced(sp, fac, delta)
-    E = sp.lift([np.exp(-0.5 * delta * fac * m) for m in sp.direction])
-    for gj, cj, Ej, gn, cn in zip(g, c, E, moved.g, moved.c):
+    moved = solver._Orbit(None, None, groups, groups.stack(g), c).advanced(sp, fac, delta)
+    E = groups.unstack(sp.lift([np.exp(-0.5 * delta * fac * m) for m in sp.direction]))
+    for gj, cj, Ej, gn, cn in zip(g, c, E, groups.unstack(moved.g), moved.c):
         ref = math.exp(2 * cj) * (Ej @ gj).conj().T @ (Ej @ gj)
         got = math.exp(2 * cn) * gn.conj().T @ gn
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -650,12 +772,10 @@ def test_certificate_phases_do_not_matter():
         assert abs(other["residual"] - pair["residual"]) <= 1e-12
     # the lift of a tie-averaged direction, at a generic and a fully tied point
     for v in (gaussian_tensor((3, 3, 2), 55), tensors.unit_tensor(3, 3)):
-        mu = tensors.moment_map(tensors.normalize(v))
         S = builtin_objective("trace_dist_to_uniform", v.shape)
-        sp = spectral_pass(S, mu, 0.1)
-        decomps = [EighResult(r.values, k)
-                   for r, k in zip(sp.decomps, rephased([r.basis for r in sp.decomps]))]
-        moved = SpectralPass(sp.value, sp.smoothed, decomps, sp.direction)
+        sp = spectral_pass(S, tensors.marginals(tensors.normalize(v)), 0.1)
+        moved = dataclasses.replace(
+            sp, bases=sp.groups.stack(rephased(sp.groups.unstack(sp.bases))))
         for a, b in zip(sp.lift(sp.direction), moved.lift(sp.direction)):
             assert np.max(np.abs(a - b)) <= 1e-12
 

@@ -15,6 +15,7 @@ from qflow.errors import (
 from qflow.spectral import (
     _entropy_prox_block,
     _log_w_exp,
+    block_groups,
     builtin_objective,
     conjugate_eval,
     eigh,
@@ -318,11 +319,11 @@ def test_smoothed_pass_matches_moreau_objective():
         rng = np.random.default_rng(29)
         for _ in range(5):
             Y = sample_point(kind, rng)
-            sp = spectral_pass(S, Y, smoothing=lam)
+            sp = spectral_pass(S, block_groups(S.block_dims).stack(Y), smoothing=lam)
             val, G = value_and_subgradient(E, Y)
             assert sp.value == lift_eval(S, Y)
             assert sp.smoothed == val
-            for A, B in zip(sp.lift(sp.direction), G):
+            for A, B in zip(sp.groups.unstack(sp.lift(sp.direction)), G):
                 assert np.max(np.abs(A - B)) < 1e-14
 
 
@@ -359,7 +360,8 @@ def test_moreau_requires_prox():
     with pytest.raises(UnsupportedObjectiveError):
         moreau_objective(stripped, 0.1)
     with pytest.raises(UnsupportedObjectiveError):
-        spectral_pass(stripped, [np.eye(n) for n in DIMS], smoothing=0.1)
+        spectral_pass(stripped, block_groups(DIMS).stack([np.eye(n) for n in DIMS]),
+                      smoothing=0.1)
 
 
 @pytest.mark.parametrize("kind,params", ALL_KINDS)

@@ -106,7 +106,7 @@ def test_kempf_ness_at_identity_zero():
     orbit evaluates it."""
     v = tensors.normalize(gaussian_tensor((2, 3), 5))
     g = [np.eye(n, dtype=complex) for n in v.shape]
-    assert abs(solver._Orbit(v, (0, 1), g).evaluate()[1]) < 1e-12
+    assert abs(solver._Orbit.start(v, (0, 1), g).evaluate()[1]) < 1e-12
 
 
 def test_kempf_ness_differential_finite_differences():
